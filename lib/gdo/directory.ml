@@ -18,6 +18,67 @@ type delivery = { d_family : Txn_id.t; d_node : int; d_grant : grant }
 
 type waiter = { wt_family : Txn_id.t; wt_node : int; wt_mode : Lock.mode; wt_upgrade : bool }
 
+let is_writer w = w.wt_upgrade || Lock.equal w.wt_mode Lock.Write
+
+(* Figure 1's NonHoldersPtr: the FIFO of waiting families. A two-list
+   queue, so that enqueue at the tail, an upgrade's push at the head and
+   the head pop are all amortised O(1): [front] holds the head in order,
+   [back] the tail newest-first, and [back] is reversed onto [front] only
+   when [front] runs dry. The length and the number of queued writers
+   (pending upgrades included) are cached beside the lists. *)
+module Waitq = struct
+  type t = {
+    mutable front : waiter list;
+    mutable back : waiter list;
+    mutable len : int;
+    mutable writers : int;
+  }
+
+  let create () = { front = []; back = []; len = 0; writers = 0 }
+
+  let count q w d =
+    q.len <- q.len + d;
+    if is_writer w then q.writers <- q.writers + d
+
+  let push q w =
+    q.back <- w :: q.back;
+    count q w 1
+
+  let push_front q w =
+    q.front <- w :: q.front;
+    count q w 1
+
+  (* The queue from its head; [pop] then drops the first element. An empty
+     queue, the uncontended case, is read without a write. *)
+  let head q =
+    match (q.front, q.back) with
+    | [], (_ :: _ as back) ->
+        q.front <- List.rev back;
+        q.back <- [];
+        q.front
+    | front, _ -> front
+
+  let pop q =
+    match head q with
+    | w :: rest ->
+        q.front <- rest;
+        count q w (-1)
+    | [] -> ()
+
+  let to_list q = q.front @ List.rev q.back
+
+  (* Remove every waiter satisfying [p] in one pass; returns them in queue
+     order. *)
+  let extract q p =
+    let out, kept = List.partition p (to_list q) in
+    if out <> [] then begin
+      q.front <- kept;
+      q.back <- [];
+      List.iter (fun w -> count q w (-1)) out
+    end;
+    out
+end
+
 (* Escrow ledger of one object: the committed quantity, its invariant
    bounds, the outstanding (uncommitted) per-family delta reservations, and
    the per-node delegated quotas backing the zero-message local fast path.
@@ -44,7 +105,7 @@ type entry = {
   oid : Oid.t;
   mutable state : lock_state;
   mutable holders : holder list;  (* one writer, or >= 1 readers *)
-  mutable waiting : waiter list;  (* FIFO; upgrades are inserted at the front *)
+  waiting : Waitq.t;  (* upgrades are pushed at the head *)
   page_nodes : int array;
   page_versions : int array;
   mutable copyset : int list;  (* ascending *)
@@ -53,9 +114,10 @@ type entry = {
 
 type t = {
   entries : entry Oid.Table.t;
-  (* family -> objects it is currently queued on. Usually a singleton (a
-     family executes sequentially), but optimistic pre-acquisition can have a
-     family waiting on several locks at once. *)
+  (* family -> objects it is currently queued on: exactly the (family,
+     object) pairs with a waiter in that object's queue. Usually a
+     singleton (a family executes sequentially), but optimistic
+     pre-acquisition can have a family waiting on several locks at once. *)
   mutable waiting_on : Oid.Set.t Txn_id.Map.t;
 }
 
@@ -81,7 +143,7 @@ let register_object t oid ~pages ~initial_node =
       oid;
       state = Free;
       holders = [];
-      waiting = [];
+      waiting = Waitq.create ();
       page_nodes = Array.make pages initial_node;
       page_versions = Array.make pages 0;
       copyset = [ initial_node ];
@@ -182,7 +244,7 @@ let would_deadlock t ~family ~on_oid =
   if cycle = [] then None else Some (family :: cycle)
 
 let enqueue t e w =
-  if w.wt_upgrade then e.waiting <- w :: e.waiting else e.waiting <- e.waiting @ [ w ];
+  if w.wt_upgrade then Waitq.push_front e.waiting w else Waitq.push e.waiting w;
   add_wait t w.wt_family e.oid
 
 let acquire t oid ~family ~node ~mode ?(block = true) () =
@@ -191,8 +253,9 @@ let acquire t oid ~family ~node ~mode ?(block = true) () =
     if not block then Busy
       (* Idempotence under retransmitted requests: a family already in the
          wait queue is told Queued again without a second entry (and without
-         re-running the deadlock check — its wait is already recorded). *)
-    else if List.exists (fun w -> Txn_id.equal w.wt_family family) e.waiting then Queued
+         re-running the deadlock check — its wait is already recorded). The
+         waits-for map names exactly the queued (family, object) pairs. *)
+    else if Oid.Set.mem oid (waits_of t family) then Queued
     else
       match would_deadlock t ~family ~on_oid:oid with
       | Some cycle -> Deadlock cycle
@@ -226,7 +289,7 @@ let acquire t oid ~family ~node ~mode ?(block = true) () =
   | Held_write when holds e family ->
       (* Re-entrant in either mode: Write subsumes Read. *)
       Granted (make_grant e Lock.Write)
-  | Held_read when Lock.equal mode Lock.Read && e.waiting = [] ->
+  | Held_read when Lock.equal mode Lock.Read && e.waiting.len = 0 ->
       (* Concurrent reading is OK — but do not overtake queued writers. *)
       e.holders <- e.holders @ [ { family; node } ];
       Granted (make_grant e Lock.Read)
@@ -263,26 +326,26 @@ let promote t e =
       { d_family = w.wt_family; d_node = w.wt_node; d_grant = make_grant e mode } :: !deliveries
   in
   let rec loop () =
-    match e.waiting with
+    match Waitq.head e.waiting with
     | [] -> ()
-    | w :: rest -> (
+    | w :: _ -> (
         match e.state with
         | Free when escrow_blocked e w.wt_family ->
             (* Deferred until the escrow side drains (commit/abort of every
                foreign reservation, yield of every delegated quota). *)
             ()
         | Free ->
-            e.waiting <- rest;
+            Waitq.pop e.waiting;
             grant_to w w.wt_mode;
             loop ()
         | Held_read
           when w.wt_upgrade
                && List.length e.holders = 1
                && holds e w.wt_family ->
-            e.waiting <- rest;
+            Waitq.pop e.waiting;
             grant_to w Lock.Write
         | Held_read when Lock.equal w.wt_mode Lock.Read && not w.wt_upgrade ->
-            e.waiting <- rest;
+            Waitq.pop e.waiting;
             grant_to w Lock.Read;
             loop ()
         | Held_read | Held_write -> ())
@@ -322,7 +385,7 @@ let evict_families t ~dead =
           es.esc_res <- List.filter (fun (f, _, _) -> not (dead f)) es.esc_res
       | Some _ | None -> ());
       let doomed_holders = List.filter (fun h -> dead h.family) e.holders in
-      let doomed_waiters = List.filter (fun w -> dead w.wt_family) e.waiting in
+      let doomed_waiters = Waitq.extract e.waiting (fun w -> dead w.wt_family) in
       if doomed_holders <> [] || doomed_waiters <> [] then begin
         List.iter (fun (h : holder) -> note h.family) doomed_holders;
         List.iter
@@ -331,12 +394,11 @@ let evict_families t ~dead =
             remove_wait t w.wt_family e.oid)
           doomed_waiters;
         e.holders <- List.filter (fun h -> not (dead h.family)) e.holders;
-        e.waiting <- List.filter (fun w -> not (dead w.wt_family)) e.waiting;
         if e.holders = [] then e.state <- Free;
-        deliveries := !deliveries @ promote t e
+        deliveries := List.rev_append (promote t e) !deliveries
       end)
     entries;
-  (Txn_id.Set.cardinal !evicted, !deliveries)
+  (Txn_id.Set.cardinal !evicted, List.rev !deliveries)
 
 (* Crash recovery: repoint page-map entries naming [dead_node] at a
    surviving copy of the same committed version, found by [find_copy]
@@ -371,12 +433,8 @@ let read_count t oid =
   let e = get t oid in
   match e.state with Held_read -> List.length e.holders | _ -> 0
 
-let waiting_count t oid = List.length (get t oid).waiting
-
-let has_queued_writer t oid =
-  List.exists
-    (fun w -> w.wt_upgrade || Lock.equal w.wt_mode Lock.Write)
-    (get t oid).waiting
+let waiting_count t oid = (get t oid).waiting.len
+let has_queued_writer t oid = (get t oid).waiting.writers > 0
 
 let page_map t oid =
   let e = get t oid in
@@ -452,7 +510,7 @@ let escrow_reserve t oid ~family ~node ~delta =
      wait edges complete — no reservation family appears after the
      deadlock check that queued them ran (yield carry-over, the one
      exception, re-runs the check itself). *)
-  if e.state <> Free || e.waiting <> [] then Escrow_refused_locked
+  if e.state <> Free || e.waiting.len > 0 then Escrow_refused_locked
   else if not (esc_admits es ~delta) then Escrow_refused_bounds
   else begin
     (match List.find_opt (fun (f, _, _) -> Txn_id.equal f family) es.esc_res with
@@ -554,87 +612,107 @@ let escrow_yield t oid ~node ~epoch ~delta ~used_up ~used_down ~carried =
     let victims =
       if carried = [] then []
       else
-        List.filter
-          (fun w ->
-            match would_deadlock t ~family:w.wt_family ~on_oid:oid with
-            | Some _ -> true
-            | None -> false)
-          e.waiting
+        Waitq.extract e.waiting (fun w ->
+            Option.is_some (would_deadlock t ~family:w.wt_family ~on_oid:oid))
     in
-    List.iter
-      (fun w ->
-        e.waiting <- List.filter (fun w' -> not (Txn_id.equal w'.wt_family w.wt_family)) e.waiting;
-        remove_wait t w.wt_family e.oid)
-      victims;
+    List.iter (fun w -> remove_wait t w.wt_family e.oid) victims;
     (promote t e, List.map (fun w -> (w.wt_family, w.wt_node)) victims)
   end
 
 (* Structural invariants every reachable directory state must satisfy;
    the split-brain auditor's per-object half. Returns human-readable
-   violation descriptions, [] when clean. *)
+   violation descriptions, [] when clean. Each queue is walked once: its
+   (object, family) pairs are collected in [queued], and the waits-for map
+   is checked against them at the end. *)
 let audit t =
   let entries =
     Oid.Table.fold (fun _ e acc -> e :: acc) t.entries []
     |> List.sort (fun a b -> Oid.compare a.oid b.oid)
   in
-  List.concat_map
-    (fun e ->
-      let v = ref [] in
-      let bad fmt = Format.kasprintf (fun s -> v := s :: !v) fmt in
-      (match e.state with
-      | Held_write ->
-          if List.length e.holders <> 1 then
-            bad "%a: Held_write with %d holders (exactly one exclusive holder required)"
-              Oid.pp e.oid (List.length e.holders)
-      | Held_read ->
-          if e.holders = [] then bad "%a: Held_read with no holders" Oid.pp e.oid
-      | Free -> if e.holders <> [] then bad "%a: Free but has holders" Oid.pp e.oid);
-      let rec dup = function
-        | [] -> ()
-        | h :: rest ->
-            if List.exists (fun h' -> Txn_id.equal h'.family h.family) rest then
-              bad "%a: family %a holds twice" Oid.pp e.oid Txn_id.pp h.family;
-            dup rest
-      in
-      dup e.holders;
-      List.iter
-        (fun w ->
-          if not (Oid.Set.mem e.oid (waits_of t w.wt_family)) then
-            bad "%a: waiter %a has no waits-for edge" Oid.pp e.oid Txn_id.pp w.wt_family)
-        e.waiting;
-      (match e.escrow with
-      | None -> ()
-      | Some es ->
-          if es.esc_value < es.esc_lower || es.esc_value > es.esc_upper then
-            bad "%a: escrow value %d outside [%d, %d]" Oid.pp e.oid es.esc_value es.esc_lower
-              es.esc_upper;
-          if es.esc_value + esc_worst_down es < es.esc_lower then
-            bad "%a: escrow worst-case low breaches the floor" Oid.pp e.oid;
-          if es.esc_upper - es.esc_value - esc_worst_up es < 0 then
-            bad "%a: escrow worst-case high breaches the ceiling" Oid.pp e.oid;
-          List.iter
-            (fun (n, u) -> if u < 0 then bad "%a: negative up-quota at node %d" Oid.pp e.oid n)
-            es.esc_quota_up;
-          List.iter
-            (fun (n, u) ->
-              if u < 0 then bad "%a: negative down-quota at node %d" Oid.pp e.oid n)
-            es.esc_quota_down;
-          let rec dup_res = function
-            | [] -> ()
-            | (f, _, _) :: rest ->
-                if List.exists (fun (f', _, _) -> Txn_id.equal f' f) rest then
-                  bad "%a: family %a reserves twice" Oid.pp e.oid Txn_id.pp f;
-                dup_res rest
-          in
-          dup_res es.esc_res;
-          if
-            e.state <> Free
-            && List.exists
-                 (fun (f, _, _) -> not (List.exists (fun h -> Txn_id.equal h.family f) e.holders))
-                 es.esc_res
-          then bad "%a: locked with foreign escrow reservations outstanding" Oid.pp e.oid);
-      List.rev !v)
-    entries
+  let queued = Hashtbl.create 16 in
+  let per_entry =
+    List.concat_map
+      (fun e ->
+        let v = ref [] in
+        let bad fmt = Format.kasprintf (fun s -> v := s :: !v) fmt in
+        (match e.state with
+        | Held_write ->
+            if List.length e.holders <> 1 then
+              bad "%a: Held_write with %d holders (exactly one exclusive holder required)"
+                Oid.pp e.oid (List.length e.holders)
+        | Held_read ->
+            if e.holders = [] then bad "%a: Held_read with no holders" Oid.pp e.oid
+        | Free -> if e.holders <> [] then bad "%a: Free but has holders" Oid.pp e.oid);
+        let rec dup = function
+          | [] -> ()
+          | h :: rest ->
+              if List.exists (fun h' -> Txn_id.equal h'.family h.family) rest then
+                bad "%a: family %a holds twice" Oid.pp e.oid Txn_id.pp h.family;
+              dup rest
+        in
+        dup e.holders;
+        let waiters = Waitq.to_list e.waiting in
+        let len = List.length waiters and writers = List.length (List.filter is_writer waiters) in
+        if len <> e.waiting.len || writers <> e.waiting.writers then
+          bad "%a: wait queue caches %d waiters (%d writers) but holds %d (%d writers)" Oid.pp
+            e.oid e.waiting.len e.waiting.writers len writers;
+        List.iter
+          (fun w ->
+            if Hashtbl.mem queued (e.oid, w.wt_family) then
+              bad "%a: family %a queued twice" Oid.pp e.oid Txn_id.pp w.wt_family
+            else Hashtbl.add queued (e.oid, w.wt_family) ();
+            if not (Oid.Set.mem e.oid (waits_of t w.wt_family)) then
+              bad "%a: waiter %a has no waits-for edge" Oid.pp e.oid Txn_id.pp w.wt_family)
+          waiters;
+        (match e.escrow with
+        | None -> ()
+        | Some es ->
+            if es.esc_value < es.esc_lower || es.esc_value > es.esc_upper then
+              bad "%a: escrow value %d outside [%d, %d]" Oid.pp e.oid es.esc_value es.esc_lower
+                es.esc_upper;
+            if es.esc_value + esc_worst_down es < es.esc_lower then
+              bad "%a: escrow worst-case low breaches the floor" Oid.pp e.oid;
+            if es.esc_upper - es.esc_value - esc_worst_up es < 0 then
+              bad "%a: escrow worst-case high breaches the ceiling" Oid.pp e.oid;
+            List.iter
+              (fun (n, u) -> if u < 0 then bad "%a: negative up-quota at node %d" Oid.pp e.oid n)
+              es.esc_quota_up;
+            List.iter
+              (fun (n, u) ->
+                if u < 0 then bad "%a: negative down-quota at node %d" Oid.pp e.oid n)
+              es.esc_quota_down;
+            let rec dup_res = function
+              | [] -> ()
+              | (f, _, _) :: rest ->
+                  if List.exists (fun (f', _, _) -> Txn_id.equal f' f) rest then
+                    bad "%a: family %a reserves twice" Oid.pp e.oid Txn_id.pp f;
+                  dup_res rest
+            in
+            dup_res es.esc_res;
+            if
+              e.state <> Free
+              && List.exists
+                   (fun (f, _, _) -> not (List.exists (fun h -> Txn_id.equal h.family f) e.holders))
+                   es.esc_res
+            then bad "%a: locked with foreign escrow reservations outstanding" Oid.pp e.oid);
+        List.rev !v)
+      entries
+  in
+  (* The converse of "every waiter has an edge": acquire's idempotence
+     check reads the waits-for map in place of scanning the queue. *)
+  let stray_edges =
+    Txn_id.Map.fold
+      (fun f oids acc ->
+        Oid.Set.fold
+          (fun oid acc ->
+            if Hashtbl.mem queued (oid, f) then acc
+            else
+              Format.asprintf "%a: waits-for edge of %a has no waiter" Oid.pp oid Txn_id.pp f
+              :: acc)
+          oids acc)
+      t.waiting_on []
+  in
+  per_entry @ List.rev stray_edges
 
 let dump ?partition_info t =
   let buf = Buffer.create 256 in
@@ -649,7 +727,7 @@ let dump ?partition_info t =
   in
   List.iter
     (fun e ->
-      if e.state <> Free || e.waiting <> [] || esc_active e then begin
+      if e.state <> Free || e.waiting.len > 0 || esc_active e then begin
         let state =
           match e.state with Free -> "free" | Held_read -> "R" | Held_write -> "W"
         in
@@ -665,7 +743,7 @@ let dump ?partition_info t =
                (fun w ->
                  Format.asprintf "%a@%d:%a%s" Txn_id.pp w.wt_family w.wt_node Lock.pp w.wt_mode
                    (if w.wt_upgrade then "!" else ""))
-               e.waiting)
+               (Waitq.to_list e.waiting))
         in
         let extra =
           match partition_info with

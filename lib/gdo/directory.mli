@@ -262,9 +262,11 @@ val audit : t -> string list
 (** Structural invariants every reachable directory state must satisfy —
     the split-brain auditor's per-object half: a [Held_write] entry has
     exactly one holder, a [Held_read] entry at least one, a [Free] entry
-    none; no family holds an entry twice; every waiter has a matching
-    waits-for edge. Returns human-readable violation descriptions, [[]]
-    when clean. *)
+    none; no family holds an entry twice; the wait queue's cached length
+    and queued-writer count match its contents; no family is queued twice
+    on one entry; and waiters and waits-for edges match both ways (every
+    waiter has an edge, every edge a waiter). Each queue is walked once.
+    Returns human-readable violation descriptions, [[]] when clean. *)
 
 val dump : ?partition_info:(Objmodel.Oid.t -> string) -> t -> string
 (** Human-readable dump of every non-free entry (lock state, holders,

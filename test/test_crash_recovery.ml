@@ -81,7 +81,8 @@ let build_directory ~objects ~ops ~seed =
 
 (* After evicting a dead node's families: no holder, waiter or waits-for
    edge of a dead family survives anywhere, deferred grants go only to
-   survivors, and a second eviction finds nothing. *)
+   survivors, the directory audit (cached queue counters, waiter <=> edge)
+   is clean, and a second eviction finds nothing. *)
 let prop_eviction_leaves_no_residue =
   let gen = QCheck2.Gen.(triple (int_range 1 10_000) (int_range 2 8) (int_range 10 120)) in
   QCheck2.Test.make ~name:"directory eviction leaves no dead-family residue" ~count:100 gen
@@ -108,8 +109,9 @@ let prop_eviction_leaves_no_residue =
           (fun (d : Gdo.Directory.delivery) -> not (dead d.Gdo.Directory.d_family))
           deliveries
       in
+      let audit_clean = Gdo.Directory.audit gdo = [] in
       let evicted', deliveries' = Gdo.Directory.evict_families gdo ~dead in
-      evicted >= 0 && ok_holders && ok_edges && ok_deliveries && evicted' = 0
+      evicted >= 0 && ok_holders && ok_edges && ok_deliveries && audit_clean && evicted' = 0
       && deliveries' = [])
 
 (* Page-map repointing: with a find_copy that always locates a surviving

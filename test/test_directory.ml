@@ -233,6 +233,60 @@ let test_acquire_idempotent_while_queued () =
     | [ { Gdo.Directory.d_family; _ } ] -> Txn_id.equal d_family (fam 2)
     | _ -> false)
 
+(* NonHoldersPtr at depth: 20,000 writers queue behind two readers. A
+   retransmitted acquire from mid-queue is told Queued without growing the
+   queue, an upgrade enters at the head, and draining by successive
+   releases delivers the upgrade and then every writer in exact FIFO
+   order. Enqueueing must allocate a bounded number of words per waiter: a
+   queue copied on every append allocates ~N²/2 cons cells over the phase,
+   which blows the bound at this depth on any host. *)
+let test_deep_queue_fifo () =
+  let n = 20_000 in
+  let d = make ~objects:1 () in
+  let writer i = fam (100 + i) in
+  let count () = Gdo.Directory.waiting_count d (oid 0) in
+  Alcotest.(check bool) "reader 1" true
+    (is_granted (acquire d 0 ~family:(fam 1) ~node:0 ~mode:Lock.Read));
+  Alcotest.(check bool) "reader 2" true
+    (is_granted (acquire d 0 ~family:(fam 2) ~node:1 ~mode:Lock.Read));
+  let words0 = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    if not (is_queued (acquire d 0 ~family:(writer i) ~node:(i mod 4) ~mode:Lock.Write)) then
+      Alcotest.failf "writer %d not queued" i
+  done;
+  let per_waiter = (Gc.minor_words () -. words0) /. float_of_int n in
+  if per_waiter >= 1_000. then
+    Alcotest.failf "enqueue allocated %.0f words per waiter (bound 1000)" per_waiter;
+  Alcotest.(check int) "all writers queued" n (count ());
+  Alcotest.(check bool) "queued writer" true (Gdo.Directory.has_queued_writer d (oid 0));
+  Alcotest.(check bool) "retransmit mid-queue" true
+    (is_queued (acquire d 0 ~family:(writer (n / 2)) ~node:(n / 2 mod 4) ~mode:Lock.Write));
+  Alcotest.(check int) "retransmit adds no waiter" n (count ());
+  Alcotest.(check bool) "upgrade queues" true
+    (is_queued (acquire d 0 ~family:(fam 1) ~node:0 ~mode:Lock.Write));
+  Alcotest.(check int) "upgrade joins" (n + 1) (count ());
+  let granted_to family =
+    match Gdo.Directory.release d (oid 0) ~family ~dirty:[] with
+    | [ dv ] when Lock.equal dv.Gdo.Directory.d_grant.Gdo.Directory.g_mode Lock.Write ->
+        dv.Gdo.Directory.d_family
+    | ds -> Alcotest.failf "expected one write grant, got %d deliveries" (List.length ds)
+  in
+  Alcotest.(check int) "upgrade first" 1 (Txn_id.to_int (granted_to (fam 2)));
+  let next = ref (granted_to (fam 1)) in
+  for i = 0 to n - 1 do
+    if not (Txn_id.equal !next (writer i)) then
+      Alcotest.failf "grant %d went to family %d" i (Txn_id.to_int !next);
+    if i < n - 1 then next := granted_to !next
+  done;
+  Alcotest.(check (list int)) "last release drains" []
+    (List.map
+       (fun dv -> Txn_id.to_int dv.Gdo.Directory.d_family)
+       (Gdo.Directory.release d (oid 0) ~family:!next ~dirty:[]));
+  Alcotest.(check int) "queue empty" 0 (count ());
+  Alcotest.(check bool) "no queued writer" false (Gdo.Directory.has_queued_writer d (oid 0));
+  Alcotest.(check int) "no waits-for edge" 0 (List.length (Gdo.Directory.waits_for_edges d));
+  Alcotest.(check (list string)) "audit clean" [] (Gdo.Directory.audit d)
+
 let tests =
   [
     ( "gdo",
@@ -258,5 +312,6 @@ let tests =
         Alcotest.test_case "grant copies page map" `Quick test_grant_carries_page_map_copy;
         Alcotest.test_case "acquire idempotent while queued" `Quick
           test_acquire_idempotent_while_queued;
+        Alcotest.test_case "deep queue keeps FIFO order" `Quick test_deep_queue_fifo;
       ] );
   ]

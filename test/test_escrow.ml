@@ -171,6 +171,43 @@ let test_recall_epoch_fencing () =
   Alcotest.(check int) "carried family commits" 55 (Gdo.Directory.escrow_value d (oid 0));
   Alcotest.(check bool) "drained" false (Gdo.Directory.escrow_outstanding d (oid 0))
 
+(* The yield's deadlock re-check evicts. W holds o1 exclusively and C
+   queues behind it; W then queues on the escrowed o0, blocked only by
+   node 1's delegated quota. Node 1's yield carries C's units into a home
+   reservation, so W's wait on o0 now points at C, which waits on W: W
+   comes back as a victim and leaves no trace in o0's queue or in the
+   waits-for graph. *)
+let test_yield_evicts_deadlocked_waiter () =
+  let d = make_dir () in
+  Gdo.Directory.register_object d (oid 1) ~pages:2 ~initial_node:0;
+  let w = fam 1 and c = fam 2 in
+  let acquire o family =
+    Gdo.Directory.acquire d (oid o) ~family ~node:0 ~mode:Txn.Lock.Write ()
+  in
+  Alcotest.(check bool) "W holds o1" true
+    (match acquire 1 w with Gdo.Directory.Granted _ -> true | _ -> false);
+  Alcotest.(check bool) "C queues on o1" true (acquire 1 c = Gdo.Directory.Queued);
+  Alcotest.(check bool) "quota delegated" true
+    (Gdo.Directory.escrow_delegate d (oid 0) ~node:1 ~up:8 ~down:8 = (8, 8));
+  Alcotest.(check bool) "W queues behind the quota" true (acquire 0 w = Gdo.Directory.Queued);
+  Alcotest.(check bool) "W counted as a queued writer" true
+    (Gdo.Directory.has_queued_writer d (oid 0));
+  let epoch = Gdo.Directory.escrow_begin_recall d (oid 0) in
+  let deliveries, victims =
+    Gdo.Directory.escrow_yield d (oid 0) ~node:1 ~epoch ~delta:0 ~used_up:0 ~used_down:0
+      ~carried:[ (c, -3) ]
+  in
+  Alcotest.(check (list (pair int int))) "W is the victim" [ (1, 0) ]
+    (List.map (fun (f, n) -> (Txn.Txn_id.to_int f, n)) victims);
+  Alcotest.(check int) "no deliveries" 0 (List.length deliveries);
+  Alcotest.(check int) "o0 queue empty" 0 (Gdo.Directory.waiting_count d (oid 0));
+  Alcotest.(check bool) "no queued writer on o0" false (Gdo.Directory.has_queued_writer d (oid 0));
+  Alcotest.(check (list (pair int int))) "only C's wait on W remains" [ (2, 1) ]
+    (List.map
+       (fun (a, b) -> (Txn.Txn_id.to_int a, Txn.Txn_id.to_int b))
+       (Gdo.Directory.waits_for_edges d));
+  Alcotest.(check (list string)) "audit clean" [] (Gdo.Directory.audit d)
+
 (* ---------- the replay checker ---------- *)
 
 let check ops = Core.Serializability.check_escrow ~lower:0 ~upper:1000 ~initial:100 ~ops
@@ -314,6 +351,8 @@ let tests =
         Alcotest.test_case "delegation clamps to headroom" `Quick
           test_delegate_clamps_to_headroom;
         Alcotest.test_case "recall epoch fencing" `Quick test_recall_epoch_fencing;
+        Alcotest.test_case "yield evicts a deadlocked waiter" `Quick
+          test_yield_evicts_deadlocked_waiter;
         Alcotest.test_case "replay accepts a clean log" `Quick test_check_escrow_accepts_clean_log;
         Alcotest.test_case "replay rejects a bounds breach" `Quick
           test_check_escrow_rejects_bounds_breach;
