@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench figures examples chaos crash-chaos partition partition-smoke lease cache cache-smoke batch scale scale-smoke ship ship-smoke escrow escrow-smoke determinism check-links doc clean
+.PHONY: all build test bench figures examples scale scale-smoke determinism check-links doc clean
 
 all: build
 
@@ -16,36 +16,12 @@ bench:
 figures:
 	dune exec bin/lotec_sim.exe -- figures
 
-chaos:
-	dune exec bin/lotec_sim.exe -- chaos
-
-# Crash-recovery sweep: fail-stop crash windows x protocols x GDO replica
-# counts; asserts every root commits or permanently aborts, the wire ledger
-# reconciles exactly and the run never stalls.
-crash-chaos:
-	dune exec bin/lotec_sim.exe -- chaos --crash
-
-lease:
-	dune exec bin/lotec_sim.exe -- lease
-
-# Method-result cache sweep: baseline vs lease-only vs lease+cache on the
-# web-serving workload; every case asserts serializability and exact wire
-# ledger reconciliation. Writes BENCH_cache.json.
-cache:
-	dune exec bin/lotec_sim.exe -- cache --json BENCH_cache.json
-
-# CI gate: the cached LOTEC rows must reach a 50% hit rate and a 5x total
-# message reduction (vs everything-off) at a >= 0.95 request read share.
-cache-smoke:
-	dune exec bin/lotec_sim.exe -- cache -p lotec \
-		--assert-min-hit-rate 0.5 --assert-min-message-factor 5 \
-		--json BENCH_cache.json
-
-# Message-combining sweep: protocols x batching policy under light loss;
-# asserts the wire ledger reconciles exactly with riders included and that
-# a batching-off run records zero combining activity.
-batch:
-	dune exec bin/lotec_sim.exe -- batch --json BENCH_batch.json
+# Feature suites: make suite-chaos, suite-crash, suite-partition, suite-lease,
+# suite-cache, suite-batch, suite-ship, suite-escrow. Every run passes the
+# shared oracle; the suite writes BENCH_<name>.json and exits nonzero on
+# an error row or a missed gate.
+suite-%:
+	dune exec bin/lotec_sim.exe -- suite $* --json BENCH_$*.json
 
 # Scale sweep: engine micro-benchmarks plus the default 100k/300k/1M-root
 # streaming runs across all four protocols. Writes BENCH_engine.json.
@@ -60,56 +36,11 @@ scale-smoke:
 		--assert-min-events-per-sec 100000 --assert-max-heap-mb 512 \
 		--json BENCH_engine.json
 
-# Function-shipping sweep: every protocol x locality skew x software cost,
-# each case run with shipping off (the data-ship baseline) and on; every
-# case asserts serializability and exact wire ledger reconciliation
-# (Ship_invoke/Ship_reply rows included). Writes BENCH_ship.json.
-ship:
-	dune exec bin/lotec_sim.exe -- ship --json BENCH_ship.json
-
-# CI gate: on the skewed workload at the cheapest messaging, LOTEC with
-# shipping must move >= 30% fewer bytes than its data-ship baseline with
-# completion no worse than +2%.
-ship-smoke:
-	dune exec bin/lotec_sim.exe -- ship -p lotec --skew 1.5 --software-cost 20 \
-		--assert-min-bytes-reduction 30 --assert-max-time-ratio 1.02 \
-		--json BENCH_ship.json
-
-# Escrow-commit sweep: every protocol x Zipf skew on the bank workload,
-# each case run with exclusive locking (baseline) and escrow delta locks;
-# every case asserts serializability, bounded escrow-ledger replay and
-# exact wire ledger reconciliation. Writes BENCH_escrow.json.
-escrow:
-	dune exec bin/lotec_sim.exe -- escrow --json BENCH_escrow.json
-
-# CI gate: on the hottest-skew bank workload, LOTEC with escrow must cut
-# completion time by >= 25% vs its exclusive-locking baseline.
-escrow-smoke:
-	dune exec bin/lotec_sim.exe -- escrow -p lotec --skew 1.2 \
-		--assert-min-time-reduction 25 \
-		--json BENCH_escrow.json
-
 # Re-run the deterministic goldens with OCaml's randomized hashing turned
 # on (OCAMLRUNPARAM=R): any Hashtbl-iteration-order leak into dumps,
 # traces or metrics shows up as a golden mismatch.
 determinism:
 	OCAMLRUNPARAM=R dune exec test/determinism/main.exe
-
-# Partition / gray-failure nemesis: partition, one-way-cut and slow-link
-# schedules x protocols x replica counts against the quorum membership
-# protocol. Every case asserts no split-brain (directory + acting-home
-# audit), exact wire reconciliation, and — on the false-suspicion
-# schedules — a forced false declaration followed by message-driven
-# readmission. Writes BENCH_partition.json.
-partition:
-	dune exec bin/lotec_sim.exe -- partition --json BENCH_partition.json
-
-# CI gate: the two forced-false-declaration schedules on LOTEC, both
-# replica settings. The sweep exits nonzero on any violated invariant.
-partition-smoke:
-	dune exec bin/lotec_sim.exe -- partition -p lotec \
-		--schedule minority-iso --schedule false-suspicion \
-		--json BENCH_partition.json
 
 # Fail on intra-repo markdown links pointing at missing files or at
 # anchors that no heading generates. CI runs this next to the doc build.

@@ -62,34 +62,6 @@ let write_artifact file contents =
   close_out oc;
   Format.printf "wrote %s (%d bytes)@.@." file (String.length contents)
 
-(* The read-lease sweep (leases off vs TTL vs adaptive, all protocols),
-   printed and also written as BENCH_lease.json so the perf trajectory is
-   machine-readable across revisions. *)
-let lease_json_file = "BENCH_lease.json"
-
-let lease_sweep () =
-  Format.printf "==================================================================@.";
-  Format.printf "Read-lease subsystem: home-node lock traffic, leases off vs on@.";
-  Format.printf "==================================================================@.@.";
-  let outcomes = Experiments.Lease.sweep () in
-  Format.printf "%a@." Experiments.Lease.pp_report outcomes;
-  write_artifact lease_json_file (Experiments.Lease.to_json outcomes)
-
-(* The method-result cache sweep (baseline vs lease-only vs lease+cache,
-   all protocols, web-serving workload), printed and written as
-   BENCH_cache.json: the machine-readable record of the hit rate and the
-   message reduction the cache rides on (see EXPERIMENTS.md, "Web
-   serving"). *)
-let cache_json_file = "BENCH_cache.json"
-
-let cache_sweep () =
-  Format.printf "==================================================================@.";
-  Format.printf "Method-result cache: web serving, baseline vs lease vs lease+cache@.";
-  Format.printf "==================================================================@.@.";
-  let outcomes = Experiments.Method_cache.sweep () in
-  Format.printf "%a@." Experiments.Method_cache.pp_report outcomes;
-  write_artifact cache_json_file (Experiments.Method_cache.to_json outcomes)
-
 (* Per-message-type traffic breakdown (COTEC vs OTEC vs LOTEC on the
    default scenario), printed and written as BENCH_trace.json: the
    machine-readable record of the messages-vs-bytes tradeoff per wire
@@ -104,81 +76,24 @@ let msg_breakdown () =
   Format.printf "%a@." Experiments.Msg_breakdown.pp_report rows;
   write_artifact trace_json_file (Experiments.Msg_breakdown.to_json rows)
 
-(* The message-combining sweep (protocols x batching policy under light
-   loss), printed and written as BENCH_batch.json: the machine-readable
-   record of how much of LOTEC's per-message overhead the combining layer
-   recovers (see EXPERIMENTS.md). *)
-let batch_json_file = "BENCH_batch.json"
+(* Every feature suite (chaos, crash, partition, lease, cache, batch, ship,
+   escrow — see Experiments.Suites), printed with its gate verdicts and
+   written as BENCH_<name>.json: the machine-readable record of each lever
+   against its baseline across revisions. Error rows and gate misses are
+   reported, not fatal here — `lotec_sim suite NAME` is the gate. *)
+let suite_json_file (suite : Experiments.Suite.t) =
+  "BENCH_" ^ suite.Experiments.Suite.name ^ ".json"
 
-let batching_sweep () =
-  Format.printf "==================================================================@.";
-  Format.printf "Message combining: ack piggybacking, fetch aggregation, coalescing@.";
-  Format.printf "==================================================================@.@.";
-  let outcomes = Experiments.Batching.sweep () in
-  Format.printf "%a@." Experiments.Batching.pp_report outcomes;
-  (match Experiments.Batching.lotec_message_reduction_pct outcomes with
-  | Some pct -> Format.printf "LOTEC messages vs off: %+.1f%%@." pct
-  | None -> ());
-  write_artifact batch_json_file (Experiments.Batching.to_json outcomes)
-
-(* The function-shipping sweep (protocols x locality skews x software
-   costs, shipping on vs the always-data-ship baseline), printed and
-   written as BENCH_ship.json: the machine-readable record of the byte
-   reduction and the completion-time ratio the per-call cost model buys
-   (see EXPERIMENTS.md, "Function shipping"). *)
-let ship_json_file = "BENCH_ship.json"
-
-let ship_sweep () =
-  Format.printf "==================================================================@.";
-  Format.printf "Function shipping: per-call cost model vs always data-ship@.";
-  Format.printf "==================================================================@.@.";
-  let outcomes = Experiments.Function_shipping.sweep () in
-  Format.printf "%a@." Experiments.Function_shipping.pp_report outcomes;
-  write_artifact ship_json_file (Experiments.Function_shipping.to_json outcomes)
-
-(* The escrow-commit sweep (protocols x Zipf skews, escrow delta locks vs
-   the exclusive-locking baseline on the bank workload), printed and
-   written as BENCH_escrow.json: the machine-readable record of the
-   completion-time reduction coordination-avoiding commutative commits
-   buy on hot objects (see EXPERIMENTS.md, "Escrow"). *)
-let escrow_json_file = "BENCH_escrow.json"
-
-let escrow_sweep () =
-  Format.printf "==================================================================@.";
-  Format.printf "Escrow commit: coordination-avoiding deltas vs exclusive locking@.";
-  Format.printf "==================================================================@.@.";
-  let outcomes = Experiments.Escrow.sweep () in
-  Format.printf "%a@." Experiments.Escrow.pp_report outcomes;
-  write_artifact escrow_json_file (Experiments.Escrow.to_json outcomes)
-
-(* The crash-recovery sweep (crash windows x protocols x replica counts),
-   printed and written as BENCH_crash.json: recovery latency percentiles
-   and aborted-vs-recovered counts, machine-readable across revisions. *)
-let crash_json_file = "BENCH_crash.json"
-
-let crash_chaos () =
-  Format.printf "==================================================================@.";
-  Format.printf "Crash recovery: fail-stop windows, reclamation, GDO failover@.";
-  Format.printf "==================================================================@.@.";
-  let outcomes = Experiments.Chaos.crash_sweep () in
-  Format.printf "%a@." Experiments.Chaos.pp_crash_report outcomes;
-  write_artifact crash_json_file (Experiments.Chaos.crash_to_json outcomes)
-
-(* The partition / gray-failure nemesis (partition, one-way-cut and
-   slow-link schedules x protocols x replica counts, no crashes),
-   printed and written as BENCH_partition.json: declaration latency
-   percentiles, false-suspicion / readmission counts and in-window
-   availability, machine-readable across revisions. Every run asserts
-   the split-brain audit and exact wire reconciliation internally. *)
-let partition_json_file = "BENCH_partition.json"
-
-let partition_nemesis () =
-  Format.printf "==================================================================@.";
-  Format.printf "Partition nemesis: quorum membership, fencing, readmission@.";
-  Format.printf "==================================================================@.@.";
-  let outcomes = Experiments.Partition.sweep () in
-  Format.printf "%a@." Experiments.Partition.pp_report outcomes;
-  write_artifact partition_json_file (Experiments.Partition.to_json outcomes)
+let suites () =
+  List.iter
+    (fun (suite : Experiments.Suite.t) ->
+      Format.printf "==================================================================@.";
+      Format.printf "Suite %s@." suite.Experiments.Suite.name;
+      Format.printf "==================================================================@.@.";
+      let rows = Experiments.Suite.run suite in
+      Format.printf "%a@." Experiments.Suite.pp_report (suite, rows);
+      write_artifact (suite_json_file suite) (Experiments.Suite.to_json suite rows))
+    Experiments.Suites.all
 
 (* The engine micro-benchmark (flat event pool vs the recorded
    pre-refactor baseline) plus the 100k-root scale point per protocol
@@ -269,17 +184,18 @@ let tests =
         (Staged.stage (bench_chaos fig2_spec ~protocol:Dsm.Protocol.Lotec));
       Test.make ~name:"crash-lotec"
         (Staged.stage
-           (let spec = Experiments.Chaos.default_spec in
-            let case =
-              {
-                Experiments.Chaos.cc_protocol = Dsm.Protocol.Lotec;
-                cc_windows = [ (2, 3_000.0, 9_000.0) ];
-                cc_gdo_replicas = 1;
-                cc_drop = 0.0;
-                cc_fault_seed = 1;
-              }
+           (let wl = Workload.Generator.generate Experiments.Chaos.default_spec ~page_size:4096 in
+            let config =
+              Experiments.Chaos.tight_timers
+                {
+                  Core.Config.default with
+                  Core.Config.faults =
+                    Some (Experiments.Chaos.crash_faults ~fault_seed:1 [ (2, 3_000.0, 9_000.0) ]);
+                  gdo_replicas = 1;
+                }
             in
-            fun () -> ignore (Experiments.Chaos.run_crash_case ~spec case)));
+            fun () ->
+              ignore (Experiments.Runner.execute ~config ~protocol:Dsm.Protocol.Lotec wl)));
       Test.make ~name:"lease-lotec"
         (Staged.stage
            (let spec =
@@ -385,14 +301,8 @@ let benchmark () =
 
 let () =
   reproduce ();
-  lease_sweep ();
-  cache_sweep ();
-  batching_sweep ();
-  ship_sweep ();
-  escrow_sweep ();
+  suites ();
   msg_breakdown ();
-  crash_chaos ();
-  partition_nemesis ();
   engine_scale ();
   (* Belt and braces over write_artifact: every entry above must have left
      a non-empty artefact on disk before the timing section runs. *)
@@ -410,8 +320,5 @@ let () =
         Format.eprintf "FATAL: bench entry left %s missing or empty@." file;
         exit 1
       end)
-    [
-      lease_json_file; cache_json_file; batch_json_file; ship_json_file; escrow_json_file;
-      trace_json_file; crash_json_file; partition_json_file; engine_json_file;
-    ];
+    (List.map suite_json_file Experiments.Suites.all @ [ trace_json_file; engine_json_file ]);
   benchmark ()

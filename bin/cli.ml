@@ -11,12 +11,8 @@
      sweep       — object count / object size / transaction count sweeps
      throughput  — per-protocol throughput + LOTEC cluster scaling
      trace       — run with protocol-event tracing and print the tail
-     chaos       — fault-rate sweep asserting the protocol invariants
-     lease       — read-lease policy sweep vs the leases-off baseline
-     cache       — method-result cache sweep on the web-serving scenarios
-     batch       — message-combining sweep vs the batching-off baseline
-     ship        — function-shipping sweep vs the always-data-ship baseline
-     escrow      — escrow-commit sweep vs the exclusive-locking baseline
+     suite       — one feature suite (chaos, crash, partition, lease, cache,
+                   batch, ship, escrow) with its oracle and gates
      scale       — large-run sweep (streaming metrics) + engine micro-bench *)
 
 open Cmdliner
@@ -67,7 +63,7 @@ let recovery_conv =
   let print fmt s = Format.pp_print_string fmt (Txn.Recovery.strategy_to_string s) in
   Arg.conv (parse, print)
 
-(* Read-lease policy (shared by run and lease). *)
+(* Read-lease policy. *)
 let lease_policy_arg =
   let doc = "Read-lease policy: off, ttl or adaptive." in
   Arg.(value & opt string "off" & info [ "lease-policy" ] ~doc)
@@ -105,7 +101,7 @@ let lease_policy ~policy ~ttl ~ratio ~samples =
               min_samples = or_else samples min_samples;
             })
 
-(* Method-result cache policy (shared by run and cache). *)
+(* Method-result cache policy. *)
 let cache_arg =
   let doc =
     "Method-result cache policy: off, lru or lru:CAPACITY. Requires an enabled lease \
@@ -128,7 +124,7 @@ let cache_policy ~policy ~capacity =
   | Ok (Dsm.Method_cache.Lru { capacity = c }) ->
       Dsm.Method_cache.Lru { capacity = Option.value capacity ~default:c }
 
-(* Message-combining policy (shared by run and batch). *)
+(* Message-combining policy. *)
 let batching_arg =
   let doc = "Message-combining policy: off or all." in
   Arg.(value & opt string "off" & info [ "batching" ] ~doc)
@@ -161,12 +157,12 @@ let batching_policy ~policy ~ack_flush ~ack_rider ~release_flush =
         release_flush_us = or_else release_flush p.Dsm.Batching.release_flush_us;
       }
 
-(* Function shipping (the ship subcommand sweeps its own parameter grid). *)
+(* Function shipping. *)
 let shipping_arg =
   let doc = "Function-shipping policy: off, on, or on:<software-us>." in
   Arg.(value & opt string "off" & info [ "shipping" ] ~doc)
 
-(* Escrow commit (the escrow subcommand sweeps its own parameter grid). *)
+(* Escrow commit. *)
 let escrow_arg =
   let doc = "Escrow-commit policy: off, on, or on:<local-quota>." in
   Arg.(value & opt string "off" & info [ "escrow" ] ~doc)
@@ -185,7 +181,7 @@ let shipping_policy ~policy =
       exit 2
   | Ok p -> p
 
-(* Interconnect fault injection (shared by run and chaos). *)
+(* Interconnect fault injection. *)
 let fault_drop_arg =
   let doc = "Per-message drop probability in [0,1]." in
   Arg.(value & opt float 0.0 & info [ "fault-drop" ] ~doc)
@@ -216,7 +212,7 @@ let retransmits_arg =
     & opt int Core.Config.default.Core.Config.max_retransmits
     & info [ "max-retransmits" ] ~doc)
 
-(* Crash windows: "NODE:FROM_US:UNTIL_US" (shared by run and chaos). *)
+(* Crash windows: "NODE:FROM_US:UNTIL_US". *)
 let crash_window_conv =
   let parse s =
     match String.split_on_char ':' s with
@@ -612,562 +608,39 @@ let sweep_cmd =
        ~doc:"Sweep object count, object size and transaction count (paper section 5).")
     term
 
-let chaos_cmd =
-  let rates_conv =
-    (* "drop:dup:jitter", e.g. "0.1:0.1:50". *)
-    let parse s =
-      match String.split_on_char ':' s with
-      | [ d; p; j ] -> (
-          try Ok (float_of_string d, float_of_string p, float_of_string j)
-          with Failure _ -> Error (`Msg ("bad rate triple " ^ s)))
-      | _ -> Error (`Msg ("expected DROP:DUP:JITTER, got " ^ s))
+let suite_cmd =
+  let suite_arg =
+    let suites =
+      List.map
+        (fun (s : Experiments.Suite.t) -> (s.Experiments.Suite.name, s))
+        Experiments.Suites.all
     in
-    let print fmt (d, p, j) = Format.fprintf fmt "%g:%g:%g" d p j in
-    Arg.conv (parse, print)
-  in
-  let rates_arg =
-    let doc =
-      "Fault-rate point as DROP:DUP:JITTER_US (repeatable); default sweeps 0 to 0.2."
-    in
-    Arg.(value & opt_all rates_conv [] & info [ "rate" ] ~doc)
-  in
-  let seeds_arg =
-    let doc = "Fault-injector seed (repeatable)." in
-    Arg.(value & opt_all int [] & info [ "fault-seed" ] ~doc)
-  in
-  let crash_arg =
-    let doc =
-      "Run the crash-recovery sweep (default crash windows, replicas 0 and 1) instead of \
-       the fault-rate sweep; --crash-window overrides the windows."
-    in
-    Arg.(value & flag & info [ "crash" ] ~doc)
-  in
-  let action seed roots rates seeds crash crash_windows gdo_replicas dump_directory
-      request_timeout_us max_retransmits =
-    let spec =
-      apply_overrides Experiments.Chaos.default_spec seed roots
-    in
-    if crash || crash_windows <> [] then begin
-      (* Crash-recovery mode: crash windows x protocols x replica counts,
-         asserting the recovery invariants (every root commits or
-         permanently aborts, exact wire-ledger reconciliation, no stall). *)
-      let windows = if crash_windows = [] then None else Some [ crash_windows ] in
-      let replicas = if crash_windows = [] then None else Some [ gdo_replicas ] in
-      let fault_seeds = if seeds = [] then None else Some seeds in
-      let outcomes =
-        Experiments.Chaos.crash_sweep ~spec ?windows ?replicas ?fault_seeds
-          ~dump_stalls:dump_directory ()
-      in
-      Format.printf "workload: %a@.@." Workload.Spec.pp spec;
-      Format.printf "%a@." Experiments.Chaos.pp_crash_report outcomes
-    end
-    else begin
-      let config =
-        { Core.Config.default with Core.Config.request_timeout_us; max_retransmits }
-      in
-      let rates = if rates = [] then None else Some rates in
-      let fault_seeds = if seeds = [] then None else Some seeds in
-      let outcomes = Experiments.Chaos.sweep ~config ~spec ?rates ?fault_seeds () in
-      Format.printf "workload: %a@.@." Workload.Spec.pp spec;
-      Format.printf "%a@." Experiments.Chaos.pp_report outcomes
-    end
-  in
-  let term =
-    Term.(
-      const action $ seed_arg $ roots_arg $ rates_arg $ seeds_arg $ crash_arg
-      $ crash_windows_arg $ gdo_replicas_arg $ dump_directory_arg $ timeout_arg
-      $ retransmits_arg)
-  in
-  Cmd.v
-    (Cmd.info "chaos"
-       ~doc:
-         "Sweep interconnect fault rates x seeds x protocols and assert the protocol \
-          invariants (serializability, root accounting, ledger balance) hold; with --crash \
-          or --crash-window, sweep fail-stop crash-restart windows through the recovery \
-          subsystem instead.")
-    term
-
-let partition_cmd =
-  let protocols_arg =
-    let doc = "Protocol to sweep (repeatable); default COTEC, OTEC and LOTEC." in
-    Arg.(value & opt_all protocol_conv [] & info [ "protocol"; "p" ] ~doc)
-  in
-  let replicas_arg =
-    let doc = "GDO replication factor to sweep (repeatable); default 0 and 1." in
-    Arg.(value & opt_all int [] & info [ "replicas" ] ~doc)
-  in
-  let seeds_arg =
-    let doc = "Fault-injector seed (repeatable)." in
-    Arg.(value & opt_all int [] & info [ "fault-seed" ] ~doc)
-  in
-  let schedule_arg =
-    let doc =
-      "Nemesis schedule to run (repeatable): minority-iso, even-split, one-way, slow-link \
-       or false-suspicion; default all five (plus the leased fence scenario on replicated \
-       columns)."
-    in
-    Arg.(value & opt_all string [] & info [ "schedule" ] ~docv:"NAME" ~doc)
+    let doc = "The suite to run: " ^ String.concat ", " (List.map fst suites) ^ "." in
+    Arg.(required & pos 0 (some (enum suites)) None & info [] ~docv:"NAME" ~doc)
   in
   let json_arg =
-    let doc = "Also write the sweep as a JSON array to $(docv)." in
+    let doc = "Also write the rows and gate verdicts as JSON to $(docv)." in
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
   in
-  let action seed roots protocols replicas seeds schedules json dump_directory =
-    let spec = apply_overrides Experiments.Partition.default_spec seed roots in
-    let protocols = if protocols = [] then None else Some protocols in
-    let replicas = if replicas = [] then None else Some replicas in
-    let fault_seeds = if seeds = [] then None else Some seeds in
-    let schedules =
-      match schedules with
-      | [] -> None
-      | names ->
-          Some
-            (List.map
-               (fun name ->
-                 match
-                   List.find_opt
-                     (fun (s : Experiments.Partition.schedule) ->
-                       s.Experiments.Partition.sched_name = name)
-                     Experiments.Partition.default_schedules
-                 with
-                 | Some s -> s
-                 | None -> failwith ("unknown schedule " ^ name))
-               names)
-    in
-    (* Every invariant — root accounting, wire-ledger reconciliation,
-       split-brain audit, forced false declaration + readmission — is
-       asserted inside the sweep; a violation raises and exits nonzero. *)
-    let outcomes =
-      Experiments.Partition.sweep ~spec ?schedules ?protocols ?replicas ?fault_seeds
-        ~dump_stalls:dump_directory ()
-    in
-    Format.printf "workload: %a@.@." Workload.Spec.pp spec;
-    Format.printf "%a@." Experiments.Partition.pp_report outcomes;
-    match json with
-    | None -> ()
-    | Some file ->
-        let oc = open_out file in
-        output_string oc (Experiments.Partition.to_json outcomes);
-        close_out oc;
-        Format.printf "wrote %s@." file
-  in
-  let term =
-    Term.(
-      const action $ seed_arg $ roots_arg $ protocols_arg $ replicas_arg $ seeds_arg
-      $ schedule_arg $ json_arg $ dump_directory_arg)
-  in
-  Cmd.v
-    (Cmd.info "partition"
-       ~doc:
-         "Run the partition / gray-failure nemesis: scheduled partitions, one-way cuts and \
-          slow links x protocols x replica counts against the quorum membership protocol, \
-          asserting no split-brain (directory + acting-home audit), exact wire \
-          reconciliation, and message-driven readmission after a forced false declaration.")
-    term
-
-let lease_cmd =
-  let fractions_arg =
-    let doc = "Read-only method fraction to sweep (repeatable); default 0.5 0.8 0.95." in
-    Arg.(value & opt_all float [] & info [ "read-fraction" ] ~doc)
-  in
-  let protocols_arg =
-    let doc = "Protocol to sweep (repeatable); default all four." in
-    Arg.(value & opt_all protocol_conv [] & info [ "protocol"; "p" ] ~doc)
-  in
-  let json_arg =
-    let doc = "Also write the sweep as a JSON array to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
-  let action seed roots fractions protocols policy ttl ratio samples json =
-    let spec = apply_overrides Experiments.Lease.default_spec seed roots in
-    let policies =
-      (* Default sweep compares both built-in policies; an explicit
-         --lease-policy narrows it to that one (off is always the baseline). *)
-      match policy with
-      | "off" -> None
-      | p -> Some [ lease_policy ~policy:p ~ttl ~ratio ~samples ]
-    in
-    let read_fractions = if fractions = [] then None else Some fractions in
-    let protocols = if protocols = [] then None else Some protocols in
-    let outcomes =
-      Experiments.Lease.sweep ~spec ?protocols ?read_fractions ?policies ()
-    in
-    Format.printf "workload: %a@.@." Workload.Spec.pp spec;
-    Format.printf "%a@." Experiments.Lease.pp_report outcomes;
-    match json with
-    | None -> ()
-    | Some file ->
-        let oc = open_out file in
-        output_string oc (Experiments.Lease.to_json outcomes);
-        close_out oc;
-        Format.printf "wrote %s@." file
-  in
-  let term =
-    Term.(
-      const action $ seed_arg $ roots_arg $ fractions_arg $ protocols_arg $ lease_policy_arg
-      $ lease_ttl_arg $ lease_ratio_arg $ lease_samples_arg $ json_arg)
-  in
-  Cmd.v
-    (Cmd.info "lease"
-       ~doc:
-         "Sweep read-lease policies x read fractions x protocols and report home-node lock \
-          operations, lease traffic and completion time against the leases-off baseline.")
-    term
-
-let cache_cmd =
-  let scenario_cache_arg =
-    let doc = "Web-serving scenario to sweep (default web-sessions)." in
-    Arg.(
-      value
-      & opt scenario_conv Workload.Scenarios.web_sessions
-      & info [ "scenario" ] ~doc)
-  in
-  let fractions_arg =
-    let doc = "Request-level read share to sweep (repeatable); default 0.8 0.95 0.99." in
-    Arg.(value & opt_all float [] & info [ "read-fraction" ] ~doc)
-  in
-  let protocols_arg =
-    let doc = "Protocol to sweep (repeatable); default all four." in
-    Arg.(value & opt_all protocol_conv [] & info [ "protocol"; "p" ] ~doc)
-  in
-  let json_arg =
-    let doc = "Also write the sweep as a JSON array to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
-  let min_hit_rate_arg =
-    let doc =
-      "Fail (exit 1) if the best cache hit rate of any cached LOTEC row is below $(docv) \
-       (in [0,1])."
-    in
-    Arg.(value & opt (some float) None & info [ "assert-min-hit-rate" ] ~docv:"R" ~doc)
-  in
-  let min_factor_arg =
-    let doc =
-      "Fail (exit 1) if the best message-reduction factor of any cached LOTEC row at read \
-       share >= 0.95 is below $(docv)."
-    in
-    Arg.(
-      value & opt (some float) None & info [ "assert-min-message-factor" ] ~docv:"X" ~doc)
-  in
-  let action spec seed roots fractions protocols cache cache_capacity ttl json min_hit_rate
-      min_factor =
-    let spec = apply_overrides spec seed roots in
-    let policies =
-      match cache_policy ~policy:cache ~capacity:cache_capacity with
-      | Dsm.Method_cache.Off -> None (* default LRU; Baseline/Lease_only always run *)
-      | p -> Some [ p ]
-    in
-    let lease = Option.map (fun ttl_us -> Gdo.Lease.Fixed_ttl { ttl_us }) ttl in
-    let read_fractions = if fractions = [] then None else Some fractions in
-    let protocols = if protocols = [] then None else Some protocols in
-    let outcomes =
-      Experiments.Method_cache.sweep ?lease ~spec ?protocols ?read_fractions ?policies ()
-    in
-    Format.printf "workload: %a@.@." Workload.Spec.pp spec;
-    Format.printf "%a@." Experiments.Method_cache.pp_report outcomes;
-    (match json with
-    | None -> ()
-    | Some file ->
-        let oc = open_out file in
-        output_string oc (Experiments.Method_cache.to_json outcomes);
-        close_out oc;
-        Format.printf "wrote %s@." file);
-    (* CI gates: evaluated over the cached LOTEC rows of this sweep. *)
-    let cached_lotec =
-      List.filter
-        (fun (o : Experiments.Method_cache.outcome) ->
-          o.Experiments.Method_cache.case.Experiments.Method_cache.protocol
-          = Dsm.Protocol.Lotec
-          &&
-          match o.Experiments.Method_cache.case.Experiments.Method_cache.mode with
-          | Experiments.Method_cache.Cached _ -> true
-          | _ -> false)
-        outcomes
-    in
-    let failures = ref 0 in
-    let check cond msg = if not cond then (incr failures; prerr_endline ("FAIL: " ^ msg)) in
+  let action suite json =
+    let rows = Experiments.Suite.run suite in
+    Format.printf "%a@." Experiments.Suite.pp_report (suite, rows);
     Option.iter
-      (fun floor ->
-        let best =
-          List.fold_left
-            (fun acc o -> Float.max acc (Experiments.Method_cache.hit_rate o))
-            0.0 cached_lotec
-        in
-        check (best >= floor)
-          (Printf.sprintf "best cached-LOTEC hit rate %.2f below the %.2f floor" best floor))
-      min_hit_rate;
-    Option.iter
-      (fun floor ->
-        let best =
-          List.fold_left
-            (fun acc (o : Experiments.Method_cache.outcome) ->
-              if o.Experiments.Method_cache.case.Experiments.Method_cache.read_fraction >= 0.95
-              then
-                match Experiments.Method_cache.baseline_of outcomes o with
-                | Some b ->
-                    Float.max acc (Experiments.Method_cache.message_factor ~baseline:b ~on:o)
-                | None -> acc
-              else acc)
-            0.0 cached_lotec
-        in
-        check (best >= floor)
-          (Printf.sprintf
-             "best cached-LOTEC message reduction %.1fx (read >= 0.95) below the %.1fx floor"
-             best floor))
-      min_factor;
-    if !failures > 0 then exit 1
-  in
-  let term =
-    Term.(
-      const action $ scenario_cache_arg $ seed_arg $ roots_arg $ fractions_arg
-      $ protocols_arg $ cache_arg $ cache_capacity_arg $ lease_ttl_arg $ json_arg
-      $ min_hit_rate_arg $ min_factor_arg)
-  in
-  Cmd.v
-    (Cmd.info "cache"
-       ~doc:
-         "Sweep the method-result cache x protocols x request-level read shares on a \
-          web-serving scenario, against lease-only and everything-off baselines; report \
-          message reduction, hit rate and invalidation traffic, optionally asserting CI \
-          floors on the cached LOTEC rows.")
-    term
-
-let ship_cmd =
-  let protocols_arg =
-    let doc = "Protocol to sweep (repeatable); default all four." in
-    Arg.(value & opt_all protocol_conv [] & info [ "protocol"; "p" ] ~doc)
-  in
-  let skews_arg =
-    let doc = "Locality skew to sweep (repeatable); default 0 and 1.5." in
-    Arg.(value & opt_all float [] & info [ "skew" ] ~doc)
-  in
-  let costs_arg =
-    let doc =
-      "Per-message software cost in microseconds to sweep (repeatable); sets both the link \
-       and the cost model's sigma. Default 20 and 60."
-    in
-    Arg.(value & opt_all float [] & info [ "software-cost" ] ~doc)
-  in
-  let min_pages_arg =
-    let doc = "Cost-model floor: never ship below this many stale remote pages." in
-    Arg.(value & opt (some int) None & info [ "ship-min-pages" ] ~doc)
-  in
-  let json_arg =
-    let doc = "Also write the sweep as a JSON array to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
-  let min_reduction_arg =
-    let doc =
-      "Fail (exit 1) unless the headline row (LOTEC, skewed workload, cheapest messaging) \
-       moves at least $(docv) percent fewer bytes than its data-ship baseline."
-    in
-    Arg.(value & opt (some float) None & info [ "assert-min-bytes-reduction" ] ~docv:"PCT" ~doc)
-  in
-  let max_ratio_arg =
-    let doc =
-      "Fail (exit 1) if the headline row's completion time exceeds $(docv) times its \
-       data-ship baseline."
-    in
-    Arg.(value & opt (some float) None & info [ "assert-max-time-ratio" ] ~docv:"R" ~doc)
-  in
-  let action seed roots protocols skews costs min_pages json min_reduction max_ratio =
-    let spec_of_skew skew =
-      apply_overrides (Experiments.Function_shipping.default_spec ~skew) seed roots
-    in
-    let params =
-      match min_pages with
-      | None -> Experiments.Function_shipping.default_params
-      | Some m ->
-          {
-            Experiments.Function_shipping.default_params with
-            Dsm.Shipping.min_remote_pages = m;
-          }
-    in
-    let protocols = if protocols = [] then None else Some protocols in
-    let skews = if skews = [] then None else Some skews in
-    let software_costs = if costs = [] then None else Some costs in
-    let outcomes =
-      Experiments.Function_shipping.sweep ~spec_of_skew ~params ?protocols ?skews
-        ?software_costs ()
-    in
-    Format.printf "workload (skewed axis): %a@.@." Workload.Spec.pp (spec_of_skew 1.5);
-    Format.printf "%a@." Experiments.Function_shipping.pp_report outcomes;
-    (match json with
-    | None -> ()
-    | Some file ->
+      (fun file ->
         let oc = open_out file in
-        output_string oc (Experiments.Function_shipping.to_json outcomes);
+        output_string oc (Experiments.Suite.to_json suite rows);
         close_out oc;
-        Format.printf "wrote %s@." file);
-    let failures = ref 0 in
-    let check cond msg = if not cond then (incr failures; prerr_endline ("FAIL: " ^ msg)) in
-    (if min_reduction <> None || max_ratio <> None then
-       match Experiments.Function_shipping.headline outcomes with
-       | None -> check false "no headline row (LOTEC shipping at positive skew) in the sweep"
-       | Some (_, _, reduction, ratio) ->
-           Option.iter
-             (fun floor ->
-               check (reduction >= floor)
-                 (Printf.sprintf "headline byte reduction %.1f%% below the %.1f%% floor"
-                    reduction floor))
-             min_reduction;
-           Option.iter
-             (fun ceiling ->
-               check (ratio <= ceiling)
-                 (Printf.sprintf "headline time ratio %.3f above the %.3f ceiling" ratio
-                    ceiling))
-             max_ratio);
-    if !failures > 0 then exit 1
-  in
-  let term =
-    Term.(
-      const action $ seed_arg $ roots_arg $ protocols_arg $ skews_arg $ costs_arg
-      $ min_pages_arg $ json_arg $ min_reduction_arg $ max_ratio_arg)
+        Format.printf "wrote %s@." file)
+      json;
+    if not (Experiments.Suite.passed suite rows) then exit 1
   in
   Cmd.v
-    (Cmd.info "ship"
+    (Cmd.info "suite"
        ~doc:
-         "Sweep function shipping x protocols x locality skews x software costs on the \
-          locality-skewed nesting workload, against the always-data-ship baseline; report \
-          byte/message reduction and ship-decision counters, optionally asserting CI floors \
-          on the headline LOTEC row.")
-    term
-
-let escrow_cmd =
-  let protocols_arg =
-    let doc = "Protocol to sweep (repeatable); default all four." in
-    Arg.(value & opt_all protocol_conv [] & info [ "protocol"; "p" ] ~doc)
-  in
-  let skews_arg =
-    let doc = "Access skew to sweep (repeatable); default 0.6 and 1.2." in
-    Arg.(value & opt_all float [] & info [ "skew" ] ~doc)
-  in
-  let quota_arg =
-    let doc = "Delegated local quota per (node, object, side); 0 disables the fast path." in
-    Arg.(value & opt (some int) None & info [ "quota" ] ~doc)
-  in
-  let reconcile_arg =
-    let doc = "Local commits between lazy reconcile pushes to the home." in
-    Arg.(value & opt (some int) None & info [ "reconcile-every" ] ~doc)
-  in
-  let json_arg =
-    let doc = "Also write the sweep as a JSON array to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
-  let min_reduction_arg =
-    let doc =
-      "Fail (exit 1) unless the headline row (LOTEC with escrow at the hottest skew) \
-       completes at least $(docv) percent faster than its exclusive-locking baseline."
-    in
-    Arg.(value & opt (some float) None & info [ "assert-min-time-reduction" ] ~docv:"PCT" ~doc)
-  in
-  let action seed roots protocols skews quota reconcile json min_reduction =
-    let spec_of_skew skew =
-      apply_overrides (Experiments.Escrow.default_spec ~skew) seed roots
-    in
-    let params =
-      let p = Experiments.Escrow.default_params in
-      let p =
-        match quota with None -> p | Some q -> { p with Dsm.Escrow.local_quota = q }
-      in
-      match reconcile with None -> p | Some r -> { p with Dsm.Escrow.reconcile_every = r }
-    in
-    let protocols = if protocols = [] then None else Some protocols in
-    let skews = if skews = [] then None else Some skews in
-    let outcomes = Experiments.Escrow.sweep ~spec_of_skew ~params ?protocols ?skews () in
-    Format.printf "workload (hottest axis): %a@.@." Workload.Spec.pp (spec_of_skew 1.2);
-    Format.printf "%a@." Experiments.Escrow.pp_report outcomes;
-    (match json with
-    | None -> ()
-    | Some file ->
-        let oc = open_out file in
-        output_string oc (Experiments.Escrow.to_json outcomes);
-        close_out oc;
-        Format.printf "wrote %s@." file);
-    let failures = ref 0 in
-    let check cond msg = if not cond then (incr failures; prerr_endline ("FAIL: " ^ msg)) in
-    Option.iter
-      (fun floor ->
-        match Experiments.Escrow.headline outcomes with
-        | None -> check false "no headline row (LOTEC with escrow) in the sweep"
-        | Some (_, _, ratio) ->
-            let reduction = 100.0 *. (1.0 -. ratio) in
-            check (reduction >= floor)
-              (Printf.sprintf "headline completion reduction %.1f%% below the %.1f%% floor"
-                 reduction floor))
-      min_reduction;
-    if !failures > 0 then exit 1
-  in
-  let term =
-    Term.(
-      const action $ seed_arg $ roots_arg $ protocols_arg $ skews_arg $ quota_arg
-      $ reconcile_arg $ json_arg $ min_reduction_arg)
-  in
-  Cmd.v
-    (Cmd.info "escrow"
-       ~doc:
-         "Sweep escrow commit x protocols x access skews on the hot-account bank workload, \
-          against the exclusive-locking baseline; report reservation/fast-path/recall \
-          counters and completion times, optionally asserting a CI floor on the headline \
-          LOTEC row.")
-    term
-
-let batch_cmd =
-  let protocols_arg =
-    let doc = "Protocol to sweep (repeatable); default otec and lotec." in
-    Arg.(value & opt_all protocol_conv [] & info [ "protocol"; "p" ] ~doc)
-  in
-  let json_arg =
-    let doc = "Also write the sweep as a JSON array to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
-  let action seed roots protocols drop duplicate jitter fault_seed policy ack_flush ack_rider
-      release_flush json =
-    let spec = apply_overrides Experiments.Batching.default_spec seed roots in
-    let faults =
-      (* The default sweep injects light loss on purpose (acks only exist on
-         a lossy interconnect); explicit --fault-* flags override it. *)
-      if drop = 0.0 && duplicate = 0.0 && jitter = 0.0 then
-        Some Experiments.Batching.default_faults
-      else
-        fault_config ~drop ~duplicate ~jitter ~fault_seed ~crash_windows:[]
-          ~partition_windows:[] ~slow_links:[]
-    in
-    let policies =
-      (* Off is always the baseline; an explicit policy flag replaces the
-         default "all" comparison point. *)
-      match policy with
-      | "off" -> Dsm.Batching.[ off; all ]
-      | p -> [ Dsm.Batching.off; batching_policy ~policy:p ~ack_flush ~ack_rider ~release_flush ]
-    in
-    let protocols = if protocols = [] then None else Some protocols in
-    let outcomes = Experiments.Batching.sweep ~spec ~faults ?protocols ~policies () in
-    Format.printf "workload: %a@.@." Workload.Spec.pp spec;
-    Format.printf "%a@." Experiments.Batching.pp_report outcomes;
-    (match Experiments.Batching.lotec_message_reduction_pct outcomes with
-    | Some pct -> Format.printf "LOTEC messages vs off: %+.1f%%@." pct
-    | None -> ());
-    match json with
-    | None -> ()
-    | Some file ->
-        let oc = open_out file in
-        output_string oc (Experiments.Batching.to_json outcomes);
-        close_out oc;
-        Format.printf "wrote %s@." file
-  in
-  let term =
-    Term.(
-      const action $ seed_arg $ roots_arg $ protocols_arg $ fault_drop_arg
-      $ fault_duplicate_arg $ fault_jitter_arg $ fault_seed_arg $ batching_arg
-      $ batch_ack_flush_arg $ batch_ack_rider_arg $ batch_release_flush_arg $ json_arg)
-  in
-  Cmd.v
-    (Cmd.info "batch"
-       ~doc:
-         "Sweep the message-combining policy x protocols under light interconnect faults \
-          and report message/byte counts, combining counters and the software-cost replay \
-          grid against the batching-off baseline.")
-    term
+         "Run one feature suite (protocols x cases x arms), every run checked by the shared \
+          oracle; print the table and the gate verdicts, and exit 1 on any error row or gate \
+          miss.")
+    Term.(const action $ suite_arg $ json_arg)
 
 let scale_cmd =
   let roots_scale_arg =
@@ -1343,6 +816,5 @@ let main () =
        (Cmd.group info
           [
             run_cmd; figure_cmd; figures_cmd; ratios_cmd; ablation_cmd; granularity_cmd;
-            sweep_cmd; throughput_cmd; trace_cmd; chaos_cmd; partition_cmd; lease_cmd; cache_cmd; batch_cmd;
-            ship_cmd; escrow_cmd; scale_cmd;
+            sweep_cmd; throughput_cmd; trace_cmd; suite_cmd; scale_cmd;
           ]))

@@ -1,24 +1,3 @@
-type case = { protocol : Dsm.Protocol.t; policy : Dsm.Batching.t }
-
-type outcome = {
-  case : case;
-  committed : int;
-  aborted : int;
-  messages : int;
-  bytes : int;
-  riders : int;
-  acks_piggybacked : int;
-  acks_flushed : int;
-  fetches_aggregated : int;
-  releases_coalesced : int;
-  heartbeats_suppressed : int;
-  retransmits : int;
-  completion_us : float;
-  time_us : (float * float) list;
-      (* (software_cost_us, replayed total message time) over the Fig_time
-         grid: messages * software_cost + bytes * 8 / bandwidth. *)
-}
-
 (* The standard scenario, under light interconnect faults. The fault model
    matters: without it the transport sends no acks (there is nothing to
    lose), and on this workload LOTEC's predicted access sets cover the
@@ -39,181 +18,45 @@ let default_faults =
 
 let default_bandwidth_bps = 1e8
 
-let case_name c =
-  Format.asprintf "%a/%s" Dsm.Protocol.pp c.protocol (Dsm.Batching.to_string c.policy)
+(* The Fig_time replay: per-message software cost x the measured ledgers.
+   This is where combining pays — at high software cost the per-message
+   overhead dominates, which is exactly LOTEC's weakness in the paper. *)
+let replay software_cost_us =
+  ( Printf.sprintf "total_time_us_sw%g" software_cost_us,
+    fun run ->
+      Suite.Float
+        (Dsm.Metrics.total_time_us (Runner.metrics run)
+           ~link:{ Sim.Network.bandwidth_bps = default_bandwidth_bps; software_cost_us }) )
 
-let run_case ?(config = Core.Config.default) ?(bandwidth_bps = default_bandwidth_bps) ~spec c =
-  let config = { config with Core.Config.batching = c.policy } in
-  let wl = Workload.Generator.generate spec ~page_size:config.Core.Config.page_size in
-  let run = Runner.execute ~config ~protocol:c.protocol wl in
-  let m = Runner.metrics run in
-  let t = Dsm.Metrics.totals m in
-  let fail fmt =
-    Format.kasprintf (fun s -> failwith ("batching [" ^ case_name c ^ "]: " ^ s)) fmt
-  in
-  let submitted = spec.Workload.Spec.root_count in
-  if t.Dsm.Metrics.roots_committed + t.Dsm.Metrics.roots_aborted <> submitted then
-    fail "root accounting broken: %d committed + %d aborted <> %d submitted"
-      t.Dsm.Metrics.roots_committed t.Dsm.Metrics.roots_aborted submitted;
-  (* The wire ledger must reconcile exactly, riders included: combining
-     messages must never lose accounting. *)
-  if Dsm.Metrics.wire_messages_total m <> Dsm.Metrics.total_messages m then
-    fail "wire ledger message total %d <> network total %d"
-      (Dsm.Metrics.wire_messages_total m) (Dsm.Metrics.total_messages m);
-  if Dsm.Metrics.wire_bytes_total m <> Dsm.Metrics.total_bytes m then
-    fail "wire ledger byte total %d <> network total %d" (Dsm.Metrics.wire_bytes_total m)
-      (Dsm.Metrics.total_bytes m);
-  let combined =
-    t.Dsm.Metrics.acks_piggybacked + t.Dsm.Metrics.acks_flushed
-    + t.Dsm.Metrics.fetches_aggregated + t.Dsm.Metrics.releases_coalesced
-    + t.Dsm.Metrics.heartbeats_suppressed
-  in
-  if (not (Dsm.Batching.enabled c.policy)) && combined + Dsm.Metrics.wire_riders_total m > 0
-  then fail "batching counters nonzero with batching off";
+let suite =
   {
-    case = c;
-    committed = t.Dsm.Metrics.roots_committed;
-    aborted = t.Dsm.Metrics.roots_aborted;
-    messages = Dsm.Metrics.total_messages m;
-    bytes = Dsm.Metrics.total_bytes m;
-    riders = Dsm.Metrics.wire_riders_total m;
-    acks_piggybacked = t.Dsm.Metrics.acks_piggybacked;
-    acks_flushed = t.Dsm.Metrics.acks_flushed;
-    fetches_aggregated = t.Dsm.Metrics.fetches_aggregated;
-    releases_coalesced = t.Dsm.Metrics.releases_coalesced;
-    heartbeats_suppressed = t.Dsm.Metrics.heartbeats_suppressed;
-    retransmits = t.Dsm.Metrics.retransmits;
-    completion_us = Dsm.Metrics.completion_time_us m;
-    time_us =
+    Suite.name = "batch";
+    protocols = Dsm.Protocol.[ Otec; Lotec ];
+    spec = default_spec;
+    cases =
+      [ Suite.case [] ~config:(fun c -> { c with Core.Config.faults = Some default_faults }) ];
+    arms =
       List.map
-        (fun sw ->
-          let link = { Sim.Network.bandwidth_bps; software_cost_us = sw } in
-          (sw, Dsm.Metrics.total_time_us m ~link))
-        Fig_time.software_costs_us;
-  }
-
-let sweep ?(config = Core.Config.default) ?(spec = default_spec)
-    ?(faults = Some default_faults) ?bandwidth_bps
-    ?(protocols = Dsm.Protocol.[ Otec; Lotec ])
-    ?(policies = Dsm.Batching.[ off; all ]) () =
-  let config = { config with Core.Config.faults } in
-  List.concat_map
-    (fun protocol ->
-      List.map
-        (fun policy -> run_case ~config ?bandwidth_bps ~spec { protocol; policy })
-        policies)
-    protocols
-
-(* The batching-off row a combined row compares against (same protocol). *)
-let baseline_of outcomes o =
-  List.find_opt
-    (fun b ->
-      (not (Dsm.Batching.enabled b.case.policy)) && b.case.protocol = o.case.protocol)
-    outcomes
-
-let message_reduction ~off ~on =
-  if off.messages = 0 then 0.0
-  else 100.0 *. float_of_int (on.messages - off.messages) /. float_of_int off.messages
-
-(* Headline gate: LOTEC's message count with batching on vs off. Negative
-   means a reduction. *)
-let lotec_message_reduction_pct outcomes =
-  let lotec p o = o.case.protocol = Dsm.Protocol.Lotec && Dsm.Batching.enabled o.case.policy = p in
-  match (List.find_opt (lotec true) outcomes, List.find_opt (lotec false) outcomes) with
-  | Some on, Some off -> Some (message_reduction ~off ~on)
-  | _ -> None
-
-let pp_outcome fmt o =
-  Format.fprintf fmt "%s: %d/%d committed, %d msgs (+%d riders), %d bytes, %.0f us"
-    (case_name o.case) o.committed (o.committed + o.aborted) o.messages o.riders o.bytes
-    o.completion_us
-
-let pp_report fmt outcomes =
-  let header =
-    [
-      "protocol"; "batching"; "ok/roots"; "msgs"; "vs off"; "bytes"; "riders"; "piggy";
-      "flushed"; "fetch+"; "coalesced"; "hb-"; "completion";
-    ]
-  in
-  let rows =
-    List.map
-      (fun o ->
-        let vs_off =
-          if not (Dsm.Batching.enabled o.case.policy) then "-"
-          else
-            match baseline_of outcomes o with
-            | Some off -> Report.fmt_pct (message_reduction ~off ~on:o)
-            | None -> "?"
-        in
+        (fun policy ->
+          (Dsm.Batching.to_string policy, fun c -> { c with Core.Config.batching = policy }))
+        Dsm.Batching.[ off; all ];
+    columns =
+      Suite.
         [
-          Format.asprintf "%a" Dsm.Protocol.pp o.case.protocol;
-          Dsm.Batching.to_string o.case.policy;
-          Printf.sprintf "%d/%d" o.committed (o.committed + o.aborted);
-          string_of_int o.messages;
-          vs_off;
-          Report.fmt_bytes o.bytes;
-          string_of_int o.riders;
-          string_of_int o.acks_piggybacked;
-          string_of_int o.acks_flushed;
-          string_of_int o.fetches_aggregated;
-          string_of_int o.releases_coalesced;
-          string_of_int o.heartbeats_suppressed;
-          Report.fmt_us o.completion_us;
-        ])
-      outcomes
-  in
-  Format.fprintf fmt "batching sweep: all invariants held@.%s@."
-    (Report.render ~header
-       ~align:
-         [
-           Report.Left; Left; Right; Right; Right; Right; Right; Right; Right; Right; Right;
-           Right; Right;
-         ]
-       rows);
-  (* The Fig_time replay: per-message software cost x the measured ledgers.
-     This is where combining pays — at high software cost the per-message
-     overhead dominates, which is exactly LOTEC's weakness in the paper. *)
-  let header = "sw cost (us)" :: List.map (fun o -> case_name o.case) outcomes in
-  let rows =
-    List.map
-      (fun sw ->
-        Printf.sprintf "%g" sw
-        :: List.map
-             (fun o -> Report.fmt_us (List.assoc sw o.time_us))
-             outcomes)
-      Fig_time.software_costs_us
-  in
-  Format.fprintf fmt "@.message time replay at %g Mbps:@.%s@."
-    (default_bandwidth_bps /. 1e6)
-    (Report.render ~header
-       ~align:(Report.Right :: List.map (fun _ -> Report.Right) outcomes)
-       rows)
-
-let to_json outcomes =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "[\n";
-  List.iteri
-    (fun i o ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      let grid =
-        String.concat ", "
-          (List.map
-             (fun (sw, t) ->
-               Printf.sprintf "{\"software_cost_us\": %g, \"total_time_us\": %.3f}" sw t)
-             o.time_us)
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "  {\"protocol\": %S, \"batching\": %S, \"committed\": %d, \"aborted\": %d, \
-            \"messages\": %d, \"bytes\": %d, \"riders\": %d, \"acks_piggybacked\": %d, \
-            \"acks_flushed\": %d, \"fetches_aggregated\": %d, \"releases_coalesced\": %d, \
-            \"heartbeats_suppressed\": %d, \"retransmits\": %d, \"completion_us\": %.3f, \
-            \"time_replay\": [%s]}"
-           (Format.asprintf "%a" Dsm.Protocol.pp o.case.protocol)
-           (Dsm.Batching.to_string o.case.policy)
-           o.committed o.aborted o.messages o.bytes o.riders o.acks_piggybacked
-           o.acks_flushed o.fetches_aggregated o.releases_coalesced o.heartbeats_suppressed
-           o.retransmits o.completion_us grid))
-    outcomes;
-  Buffer.add_string buf "\n]\n";
-  Buffer.contents buf
+          roots_committed;
+          roots_aborted;
+          total_messages;
+          total_bytes;
+          ( "wire_riders_total",
+            fun run -> Int (Dsm.Metrics.wire_riders_total (Runner.metrics run)) );
+          counter "acks_piggybacked" (fun t -> t.acks_piggybacked);
+          counter "acks_flushed" (fun t -> t.acks_flushed);
+          counter "fetches_aggregated" (fun t -> t.fetches_aggregated);
+          counter "releases_coalesced" (fun t -> t.releases_coalesced);
+          counter "heartbeats_suppressed" (fun t -> t.heartbeats_suppressed);
+          counter "retransmits" (fun t -> t.retransmits);
+          completion_time_us;
+        ]
+      @ List.map replay Fig_time.software_costs_us;
+    gates = [];
+  }

@@ -1,42 +1,17 @@
-(** Message-combining sweep: protocols x batching policy under light
+(** Message-combining suite: protocols × batching policy under light
     interconnect faults, replayed over the Fig_time software-cost grid.
 
     LOTEC's weakness in the paper is message {e count}: it trades bytes
     for many small messages, so a high per-message software cost erodes
     its advantage (figures 6-8). The combining layer ({!Dsm.Batching})
-    attacks exactly that term — this sweep measures how much of it comes
+    attacks exactly that term — this suite measures how much of it comes
     back. Runs execute under a light drop/jitter fault model on purpose:
     transport acks only exist on a lossy interconnect (and fault-free
     LOTEC demand fetches are zero on the standard workload, because the
-    predicted access sets cover the actual ones), so a fault-free sweep
-    would have nothing to combine.
-
-    Every run asserts the batching invariants and raises [Failure] on
-    violation: root accounting balances, the wire ledger reconciles
-    exactly with the network ledger (riders included), and a batching-off
-    run records zero combining activity. *)
-
-type case = { protocol : Dsm.Protocol.t; policy : Dsm.Batching.t }
-
-type outcome = {
-  case : case;
-  committed : int;
-  aborted : int;
-  messages : int;  (** network messages put on the wire *)
-  bytes : int;
-  riders : int;  (** combined payloads that rode a carrier (see Metrics) *)
-  acks_piggybacked : int;
-  acks_flushed : int;
-  fetches_aggregated : int;
-  releases_coalesced : int;
-  heartbeats_suppressed : int;
-  retransmits : int;
-  completion_us : float;
-  time_us : (float * float) list;
-      (** [(software_cost_us, replayed total message time)] over
-          {!Fig_time.software_costs_us}:
-          [messages * software_cost + bytes * 8 / bandwidth]. *)
-}
+    predicted access sets cover the actual ones), so a fault-free suite
+    would have nothing to combine. The shared oracle reconciles the wire
+    ledger with riders included, and holds a batching-off run to zero
+    combining activity. *)
 
 val default_spec : Workload.Spec.t
 (** {!Workload.Scenarios.medium_high}. *)
@@ -48,42 +23,8 @@ val default_bandwidth_bps : float
 (** 100 Mbps — the figure-7 regime, where software cost and serialisation
     are comparable. *)
 
-val case_name : case -> string
-
-val run_case :
-  ?config:Core.Config.t ->
-  ?bandwidth_bps:float ->
-  spec:Workload.Spec.t ->
-  case ->
-  outcome
-
-val sweep :
-  ?config:Core.Config.t ->
-  ?spec:Workload.Spec.t ->
-  ?faults:Sim.Fault.config option ->
-  ?bandwidth_bps:float ->
-  ?protocols:Dsm.Protocol.t list ->
-  ?policies:Dsm.Batching.t list ->
-  unit ->
-  outcome list
-(** Defaults: OTEC and LOTEC, policies [[off; all]], {!default_faults}.
-    [config]'s fault field is replaced by [faults]. *)
-
-val baseline_of : outcome list -> outcome -> outcome option
-(** The batching-off outcome a combined outcome compares against (same
-    protocol). *)
-
-val message_reduction : off:outcome -> on:outcome -> float
-(** Percentage message-count change of [on] vs [off]; negative = fewer. *)
-
-val lotec_message_reduction_pct : outcome list -> float option
-(** The headline number: LOTEC messages, batching on vs off. [None] when
-    the sweep did not include both LOTEC rows. *)
-
-val pp_outcome : Format.formatter -> outcome -> unit
-
-val pp_report : Format.formatter -> outcome list -> unit
-(** Summary table (counts, combining counters, completion) plus the
-    software-cost replay grid. *)
-
-val to_json : outcome list -> string
+val suite : Suite.t
+(** OTEC and LOTEC under {!default_faults}, arms batching [off] and [all].
+    Besides the counters, one [total_time_us_swN] column per software cost
+    N of {!Fig_time.software_costs_us}:
+    [messages * N + bytes * 8 / default_bandwidth_bps]. *)

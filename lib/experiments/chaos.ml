@@ -1,75 +1,3 @@
-type case = {
-  protocol : Dsm.Protocol.t;
-  drop : float;
-  duplicate : float;
-  jitter_us : float;
-  fault_seed : int;
-}
-
-type outcome = {
-  case : case;
-  committed : int;
-  aborted : int;
-  messages : int;
-  drops : int;
-  duplicates : int;
-  retransmits : int;
-  timeouts : int;
-  completion_us : float;
-}
-
-let fault_config c =
-  let fc =
-    {
-      Sim.Fault.none with
-      Sim.Fault.seed = c.fault_seed;
-      drop_probability = c.drop;
-      duplicate_probability = c.duplicate;
-      delay_jitter_us = c.jitter_us;
-    }
-  in
-  if Sim.Fault.is_active fc then Some fc else None
-
-let ledger_balanced m =
-  List.for_all
-    (fun oid ->
-      let o = Dsm.Metrics.per_object m oid in
-      o.Dsm.Metrics.messages = o.Dsm.Metrics.control_messages + o.Dsm.Metrics.data_messages
-      && (o.Dsm.Metrics.messages = 0 || o.Dsm.Metrics.control_bytes + o.Dsm.Metrics.data_bytes > 0))
-    (Dsm.Metrics.objects m)
-
-let case_name c =
-  Format.asprintf "%a drop=%.2f dup=%.2f jitter=%.0fus fseed=%d" Dsm.Protocol.pp c.protocol
-    c.drop c.duplicate c.jitter_us c.fault_seed
-
-let run_case ?(config = Core.Config.default) ~spec c =
-  let config = { config with Core.Config.faults = fault_config c } in
-  let wl = Workload.Generator.generate spec ~page_size:config.Core.Config.page_size in
-  (* Runner.execute raises on a serializability violation; Engine.Stalled
-     escapes from Runtime.run if a fiber never drains. *)
-  let run = Runner.execute ~config ~protocol:c.protocol wl in
-  let m = Runner.metrics run in
-  let t = Dsm.Metrics.totals m in
-  let fail fmt =
-    Format.kasprintf (fun s -> failwith ("chaos [" ^ case_name c ^ "]: " ^ s)) fmt
-  in
-  let submitted = spec.Workload.Spec.root_count in
-  if t.Dsm.Metrics.roots_committed + t.Dsm.Metrics.roots_aborted <> submitted then
-    fail "root accounting broken: %d committed + %d aborted <> %d submitted"
-      t.Dsm.Metrics.roots_committed t.Dsm.Metrics.roots_aborted submitted;
-  if not (ledger_balanced m) then fail "metrics ledger out of balance";
-  {
-    case = c;
-    committed = t.Dsm.Metrics.roots_committed;
-    aborted = t.Dsm.Metrics.roots_aborted;
-    messages = Dsm.Metrics.total_messages m;
-    drops = t.Dsm.Metrics.drops;
-    duplicates = t.Dsm.Metrics.duplicates;
-    retransmits = t.Dsm.Metrics.retransmits;
-    timeouts = t.Dsm.Metrics.timeouts;
-    completion_us = Dsm.Metrics.completion_time_us m;
-  }
-
 let default_spec =
   {
     Workload.Scenarios.medium_high with
@@ -78,143 +6,91 @@ let default_spec =
     node_count = 4;
   }
 
-let default_rates = [ (0.0, 0.0, 0.0); (0.05, 0.05, 25.0); (0.1, 0.1, 50.0); (0.2, 0.2, 100.0) ]
-
-let sweep ?config ?(spec = default_spec)
-    ?(protocols = Dsm.Protocol.[ Cotec; Otec; Lotec ]) ?(rates = default_rates)
-    ?(fault_seeds = [ 1; 2 ]) () =
-  List.concat_map
-    (fun protocol ->
-      List.concat_map
-        (fun (drop, duplicate, jitter_us) ->
-          (* A fault-free case is seed-independent: run it once. *)
-          let seeds =
-            if drop = 0.0 && duplicate = 0.0 && jitter_us = 0.0 then [ List.hd fault_seeds ]
-            else fault_seeds
-          in
-          List.map
-            (fun fault_seed ->
-              run_case ?config ~spec { protocol; drop; duplicate; jitter_us; fault_seed })
-            seeds)
-        rates)
-    protocols
-
-(* ------------------------------------------------------------------ *)
-(* Crash chaos: scheduled fail-stop crash-restart windows on top of the
-   (optionally lossy) interconnect, exercising the full recovery path —
-   failure detection, dead-family reclamation, GDO home failover.       *)
-
-type crash_case = {
-  cc_protocol : Dsm.Protocol.t;
-  cc_windows : (int * float * float) list;
-  cc_gdo_replicas : int;
-  cc_drop : float;
-  cc_fault_seed : int;
-}
-
-type crash_outcome = {
-  cc_case : crash_case;
-  cc_committed : int;
-  cc_aborted : int;
-  cc_crash_aborts : int;
-  cc_recovered : int;
-  cc_give_ups : int;
-  cc_declared_dead : int;
-  cc_reclaimed : int;
-  cc_failovers : int;
-  cc_recovery_p50_us : float;
-  cc_recovery_p99_us : float;
-  cc_messages : int;
-  cc_completion_us : float;
-}
-
-let crash_fault_config c =
-  let windows =
-    List.map
-      (fun (node, from_us, until_us) ->
-        {
-          Sim.Fault.w_node = node;
-          w_kind = Sim.Fault.Crash;
-          w_from_us = from_us;
-          w_until_us = until_us;
-        })
-      c.cc_windows
-  in
-  {
-    Sim.Fault.none with
-    Sim.Fault.seed = c.cc_fault_seed;
-    drop_probability = c.cc_drop;
-    windows;
-  }
-
-let crash_case_name c =
-  let windows =
-    String.concat ","
-      (List.map (fun (n, f, u) -> Printf.sprintf "%d:%.0f-%.0f" n f u) c.cc_windows)
-  in
-  Format.asprintf "%a crash=[%s] replicas=%d drop=%.2f fseed=%d" Dsm.Protocol.pp c.cc_protocol
-    windows c.cc_gdo_replicas c.cc_drop c.cc_fault_seed
-
-let run_crash_case ?(config = Core.Config.default) ?(dump_stalls = false) ~spec c =
-  (* Timers tightened so detection, declaration and failover all land well
-     inside a few-millisecond crash window: a sender gives up on a crashed
-     peer after ~3.5 ms (0.5 + 1 + 2), a silent peer is declared dead
-     ~2 ms into the window. *)
-  let config =
+let fault_config ~drop ~duplicate ~jitter_us ~fault_seed =
+  let fc =
     {
-      config with
-      Core.Config.faults = Some (crash_fault_config c);
-      gdo_replicas = c.cc_gdo_replicas;
-      request_timeout_us = 500.0;
-      max_retransmits = 3;
-      heartbeat_interval_us = 500.0;
-      suspect_timeout_us = 1_500.0;
+      Sim.Fault.none with
+      Sim.Fault.seed = fault_seed;
+      drop_probability = drop;
+      duplicate_probability = duplicate;
+      delay_jitter_us = jitter_us;
     }
   in
-  let wl = Workload.Generator.generate spec ~page_size:config.Core.Config.page_size in
-  let on_stall =
-    if dump_stalls then
-      Some
-        (fun rt ->
-          prerr_endline "--- directory at stall ---";
-          prerr_endline (Gdo.Directory.dump (Core.Runtime.directory rt)))
-    else None
-  in
-  let run = Runner.execute ~config ?on_stall ~protocol:c.cc_protocol wl in
-  let m = Runner.metrics run in
-  let t = Dsm.Metrics.totals m in
-  let fail fmt =
-    Format.kasprintf (fun s -> failwith ("crash-chaos [" ^ crash_case_name c ^ "]: " ^ s)) fmt
-  in
-  let submitted = spec.Workload.Spec.root_count in
-  if t.Dsm.Metrics.roots_committed + t.Dsm.Metrics.roots_aborted <> submitted then
-    fail "root accounting broken: %d committed + %d aborted <> %d submitted"
-      t.Dsm.Metrics.roots_committed t.Dsm.Metrics.roots_aborted submitted;
-  if not (ledger_balanced m) then fail "metrics ledger out of balance";
-  (* The wire ledger (recorded at send time, crashed senders suppressed)
-     must reconcile exactly with the network hook's per-object ledger. *)
-  if Dsm.Metrics.wire_messages_total m <> Dsm.Metrics.total_messages m then
-    fail "wire ledger out of balance: %d wire messages <> %d network messages"
-      (Dsm.Metrics.wire_messages_total m)
-      (Dsm.Metrics.total_messages m);
-  if Dsm.Metrics.wire_bytes_total m <> Dsm.Metrics.total_bytes m then
-    fail "wire ledger out of balance: %d wire bytes <> %d network bytes"
-      (Dsm.Metrics.wire_bytes_total m) (Dsm.Metrics.total_bytes m);
-  let rh = Dsm.Metrics.recovery_latency m in
+  if Sim.Fault.is_active fc then Some fc else None
+
+let default_rates = [ (0.0, 0.0, 0.0); (0.05, 0.05, 25.0); (0.1, 0.1, 50.0); (0.2, 0.2, 100.0) ]
+
+let rate_cases ~fault_seeds rates =
+  List.concat_map
+    (fun (drop, duplicate, jitter_us) ->
+      (* A fault-free case is seed-independent: run it once. *)
+      let seeds =
+        if drop = 0.0 && duplicate = 0.0 && jitter_us = 0.0 then [ List.hd fault_seeds ]
+        else fault_seeds
+      in
+      List.map
+        (fun fault_seed ->
+          Suite.case
+            [
+              ("drop", Printf.sprintf "%.2f" drop);
+              ("duplicate", Printf.sprintf "%.2f" duplicate);
+              ("jitter_us", Printf.sprintf "%.0f" jitter_us);
+              ("fault_seed", string_of_int fault_seed);
+            ]
+            ~config:(fun c ->
+              { c with Core.Config.faults = fault_config ~drop ~duplicate ~jitter_us ~fault_seed }))
+        seeds)
+    rates
+
+let chaos =
   {
-    cc_case = c;
-    cc_committed = t.Dsm.Metrics.roots_committed;
-    cc_aborted = t.Dsm.Metrics.roots_aborted;
-    cc_crash_aborts = t.Dsm.Metrics.crash_aborts;
-    cc_recovered = Dsm.Histogram.count rh;
-    cc_give_ups = t.Dsm.Metrics.give_ups;
-    cc_declared_dead = t.Dsm.Metrics.nodes_declared_dead;
-    cc_reclaimed = t.Dsm.Metrics.families_reclaimed;
-    cc_failovers = t.Dsm.Metrics.failovers;
-    cc_recovery_p50_us = Dsm.Histogram.percentile rh 50.0;
-    cc_recovery_p99_us = Dsm.Histogram.percentile rh 99.0;
-    cc_messages = Dsm.Metrics.total_messages m;
-    cc_completion_us = Dsm.Metrics.completion_time_us m;
+    Suite.name = "chaos";
+    protocols = Dsm.Protocol.[ Cotec; Otec; Lotec ];
+    spec = default_spec;
+    cases = rate_cases ~fault_seeds:[ 1; 2 ] default_rates;
+    arms = Suite.default_arm;
+    columns =
+      Suite.
+        [
+          roots_committed;
+          roots_aborted;
+          total_messages;
+          counter "drops" (fun t -> t.drops);
+          counter "duplicates" (fun t -> t.duplicates);
+          counter "retransmits" (fun t -> t.retransmits);
+          counter "timeouts" (fun t -> t.timeouts);
+          completion_time_us;
+        ];
+    gates = [];
+  }
+
+(* Detection, declaration and failover all land well inside a
+   few-millisecond window: a sender gives up on a crashed peer after
+   ~3.5 ms (0.5 + 1 + 2), a silent peer is declared dead ~2 ms into the
+   window. *)
+let tight_timers c =
+  {
+    c with
+    Core.Config.request_timeout_us = 500.0;
+    max_retransmits = 3;
+    heartbeat_interval_us = 500.0;
+    suspect_timeout_us = 1_500.0;
+  }
+
+let crash_faults ~fault_seed windows =
+  {
+    Sim.Fault.none with
+    Sim.Fault.seed = fault_seed;
+    windows =
+      List.map
+        (fun (node, from_us, until_us) ->
+          {
+            Sim.Fault.w_node = node;
+            w_kind = Sim.Fault.Crash;
+            w_from_us = from_us;
+            w_until_us = until_us;
+          })
+        windows;
   }
 
 (* Default windows against [default_spec]'s ~20-26 ms fault-free makespan:
@@ -222,135 +98,51 @@ let run_crash_case ?(config = Core.Config.default) ?(dump_stalls = false) ~spec 
    Every node is the GDO home of some partition (home = oid mod nodes), so
    any crash exercises home unavailability; with replicas >= 1 it exercises
    failover and failback instead. *)
-let default_crash_windows = [ [ (2, 3_000.0, 9_000.0) ]; [ (1, 2_000.0, 6_000.0); (3, 8_000.0, 13_000.0) ] ]
+let default_crash_windows =
+  [ [ (2, 3_000.0, 9_000.0) ]; [ (1, 2_000.0, 6_000.0); (3, 8_000.0, 13_000.0) ] ]
 
-let crash_sweep ?config ?(spec = default_spec)
-    ?(protocols = Dsm.Protocol.[ Cotec; Otec; Lotec ]) ?(windows = default_crash_windows)
-    ?(replicas = [ 0; 1 ]) ?(fault_seeds = [ 1 ]) ?dump_stalls () =
-  List.concat_map
-    (fun cc_protocol ->
-      List.concat_map
-        (fun cc_windows ->
-          List.concat_map
-            (fun cc_gdo_replicas ->
-              List.map
-                (fun cc_fault_seed ->
-                  run_crash_case ?config ?dump_stalls ~spec
-                    { cc_protocol; cc_windows; cc_gdo_replicas; cc_drop = 0.0; cc_fault_seed })
-                fault_seeds)
-            replicas)
-        windows)
-    protocols
-
-let crash_to_json outcomes =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "[\n";
-  List.iteri
-    (fun i o ->
-      if i > 0 then Buffer.add_string b ",\n";
-      let windows =
-        String.concat ","
-          (List.map
-             (fun (n, f, u) -> Printf.sprintf "[%d,%.0f,%.0f]" n f u)
-             o.cc_case.cc_windows)
-      in
-      Buffer.add_string b
-        (Printf.sprintf
-           "  {\"protocol\": \"%s\", \"windows\": [%s], \"gdo_replicas\": %d, \"drop\": \
-            %.3f, \"fault_seed\": %d, \"committed\": %d, \"aborted\": %d, \"crash_aborts\": \
-            %d, \"recovered\": %d, \"give_ups\": %d, \"nodes_declared_dead\": %d, \
-            \"families_reclaimed\": %d, \"failovers\": %d, \"recovery_p50_us\": %.1f, \
-            \"recovery_p99_us\": %.1f, \"messages\": %d, \"completion_us\": %.1f}"
-           (Format.asprintf "%a" Dsm.Protocol.pp o.cc_case.cc_protocol)
-           windows o.cc_case.cc_gdo_replicas o.cc_case.cc_drop o.cc_case.cc_fault_seed
-           o.cc_committed o.cc_aborted o.cc_crash_aborts o.cc_recovered o.cc_give_ups
-           o.cc_declared_dead o.cc_reclaimed o.cc_failovers o.cc_recovery_p50_us
-           o.cc_recovery_p99_us o.cc_messages o.cc_completion_us))
-    outcomes;
-  Buffer.add_string b "\n]\n";
-  Buffer.contents b
-
-let pp_crash_outcome fmt o =
-  Format.fprintf fmt
-    "%s: %d/%d committed (%d crash-aborted, %d recovered), %d dead, %d reclaimed, %d \
-     failovers, recovery p50 %.0f us"
-    (crash_case_name o.cc_case) o.cc_committed
-    (o.cc_committed + o.cc_aborted)
-    o.cc_crash_aborts o.cc_recovered o.cc_declared_dead o.cc_reclaimed o.cc_failovers
-    o.cc_recovery_p50_us
-
-let pp_crash_report fmt outcomes =
-  let header =
-    [
-      "protocol"; "windows"; "repl"; "ok/roots"; "crash-ab"; "recov"; "dead"; "reclaim";
-      "failover"; "rec-p50"; "rec-p99"; "completion";
-    ]
-  in
-  let rows =
-    List.map
-      (fun o ->
-        [
-          Format.asprintf "%a" Dsm.Protocol.pp o.cc_case.cc_protocol;
+let crash =
+  let case windows =
+    Suite.case
+      [
+        ( "windows",
           String.concat ","
-            (List.map
-               (fun (n, f, u) -> Printf.sprintf "%d:%.0f-%.0f" n f u)
-               o.cc_case.cc_windows);
-          string_of_int o.cc_case.cc_gdo_replicas;
-          Printf.sprintf "%d/%d" o.cc_committed (o.cc_committed + o.cc_aborted);
-          string_of_int o.cc_crash_aborts;
-          string_of_int o.cc_recovered;
-          string_of_int o.cc_declared_dead;
-          string_of_int o.cc_reclaimed;
-          string_of_int o.cc_failovers;
-          Report.fmt_us o.cc_recovery_p50_us;
-          Report.fmt_us o.cc_recovery_p99_us;
-          Report.fmt_us o.cc_completion_us;
-        ])
-      outcomes
+            (List.map (fun (n, f, u) -> Printf.sprintf "%d:%.0f-%.0f" n f u) windows) );
+        ("fault_seed", "1");
+      ]
+      ~config:(fun c ->
+        tight_timers { c with Core.Config.faults = Some (crash_faults ~fault_seed:1 windows) })
   in
-  Format.fprintf fmt "crash chaos: all invariants held@.%s@."
-    (Report.render ~header
-       ~align:
-         [
-           Report.Left; Left; Right; Right; Right; Right; Right; Right; Right; Right; Right;
-           Right;
-         ]
-       rows)
-
-let pp_outcome fmt o =
-  Format.fprintf fmt "%s: %d/%d committed, %d msgs, %d drops, %d dups, %d rexmit, %.0f us"
-    (case_name o.case) o.committed (o.committed + o.aborted) o.messages o.drops o.duplicates
-    o.retransmits o.completion_us
-
-let pp_report fmt outcomes =
-  let header =
-    [
-      "protocol"; "drop"; "dup"; "jitter"; "fseed"; "ok/roots"; "msgs"; "drops"; "dups";
-      "rexmit"; "completion";
-    ]
-  in
-  let rows =
-    List.map
-      (fun o ->
+  {
+    Suite.name = "crash";
+    (* RC-nested's eager pushes are not crash-hardened. *)
+    protocols = Dsm.Protocol.[ Cotec; Otec; Lotec ];
+    spec = default_spec;
+    cases = List.map case default_crash_windows;
+    (* Without a replica a crashed home's partition is unavailable until it
+       rejoins; with one, the ring successor takes over. *)
+    arms =
+      List.map
+        (fun r ->
+          (Printf.sprintf "gdo_replicas=%d" r, fun c -> { c with Core.Config.gdo_replicas = r }))
+        [ 0; 1 ];
+    columns =
+      Suite.
         [
-          Format.asprintf "%a" Dsm.Protocol.pp o.case.protocol;
-          Printf.sprintf "%.2f" o.case.drop;
-          Printf.sprintf "%.2f" o.case.duplicate;
-          Printf.sprintf "%.0f" o.case.jitter_us;
-          string_of_int o.case.fault_seed;
-          Printf.sprintf "%d/%d" o.committed (o.committed + o.aborted);
-          string_of_int o.messages;
-          string_of_int o.drops;
-          string_of_int o.duplicates;
-          string_of_int o.retransmits;
-          Report.fmt_us o.completion_us;
-        ])
-      outcomes
-  in
-  Format.fprintf fmt "chaos sweep: all invariants held@.%s@."
-    (Report.render ~header
-       ~align:
-         [
-           Report.Left; Right; Right; Right; Right; Right; Right; Right; Right; Right; Right;
-         ]
-       rows)
+          roots_committed;
+          roots_aborted;
+          counter "crash_aborts" (fun t -> t.crash_aborts);
+          ( "recovered",
+            fun run ->
+              Int (Dsm.Histogram.count (Dsm.Metrics.recovery_latency (Runner.metrics run))) );
+          counter "give_ups" (fun t -> t.give_ups);
+          counter "nodes_declared_dead" (fun t -> t.nodes_declared_dead);
+          counter "families_reclaimed" (fun t -> t.families_reclaimed);
+          counter "failovers" (fun t -> t.failovers);
+          percentile "recovery_p50_us" Dsm.Metrics.recovery_latency 50.0;
+          percentile "recovery_p99_us" Dsm.Metrics.recovery_latency 99.0;
+          total_messages;
+          completion_time_us;
+        ];
+    gates = [];
+  }

@@ -3,148 +3,49 @@
     The paper assumes a perfectly reliable switched network; {!Sim.Fault}
     relaxes that with seed-deterministic message drops, duplicates, delay
     jitter and node pause/crash windows, and the runtime layers a reliable
-    transport on top. This module is the harness that checks the protocols
-    survive the abuse: it sweeps fault rates × seeds × protocols over a
-    workload and asserts, for every run, the invariants that hold on the
-    reliable network —
+    transport on top. The [chaos] suite checks the protocols survive the
+    abuse: it sweeps fault rates × seeds × protocols over a small
+    high-contention workload, and every run passes the shared oracle
+    ({!Runner.oracle}) — serializability, root accounting, a balanced and
+    exactly reconciling ledger, a drained simulation.
 
-    - the committed history is serializable (checked by {!Runner.execute});
-    - every root is accounted for: committed + aborted = submitted;
-    - the simulation drains (a stuck fiber raises {!Sim.Engine.Stalled});
-    - the metrics ledger balances per object:
-      [messages = control_messages + data_messages] (and likewise bytes).
-
-    A violated invariant raises [Failure] naming the case, so the harness
-    doubles as a property checker for the test suite and as a CLI command. *)
-
-type case = {
-  protocol : Dsm.Protocol.t;
-  drop : float;  (** per-message loss probability *)
-  duplicate : float;  (** per-message duplication probability *)
-  jitter_us : float;  (** max extra delivery delay, uniform in [0, jitter] *)
-  fault_seed : int;  (** PRNG seed of the fault injector (not the workload) *)
-}
-
-type outcome = {
-  case : case;
-  committed : int;
-  aborted : int;
-  messages : int;  (** total messages, including retransmissions and acks *)
-  drops : int;
-  duplicates : int;
-  retransmits : int;
-  timeouts : int;
-  completion_us : float;
-}
-
-val fault_config : case -> Sim.Fault.config option
-(** [None] when the case injects nothing (all rates zero) — the run then
-    takes the exact fault-free code path, byte-identical to the reliable
-    network. *)
-
-val ledger_balanced : Dsm.Metrics.t -> bool
-(** Per-object check that [messages = control_messages + data_messages] and
-    [messages > 0 => control_bytes + data_bytes > 0], over every object with
-    recorded traffic. *)
-
-val run_case : ?config:Core.Config.t -> spec:Workload.Spec.t -> case -> outcome
-(** Run [spec] (workload determinism comes from [spec.seed]) under the
-    case's protocol and fault model.
-    @raise Failure on any violated invariant (see above). *)
+    The [crash] suite adds scheduled fail-stop crash-restart windows
+    ({!Sim.Fault.Crash}), exercising the full recovery path: heartbeat
+    failure detection, dead-family lock reclamation at the directory,
+    page-map repointing and — with one GDO replica — home failover to the
+    ring successor. *)
 
 val default_spec : Workload.Spec.t
 (** A small high-contention workload (few objects, few nodes) sized so a
     full sweep stays fast: fault handling is exercised by rates, not load. *)
 
-val sweep :
-  ?config:Core.Config.t ->
-  ?spec:Workload.Spec.t ->
-  ?protocols:Dsm.Protocol.t list ->
-  ?rates:(float * float * float) list ->
-  ?fault_seeds:int list ->
-  unit ->
-  outcome list
-(** Cartesian product of protocols × (drop, duplicate, jitter) rates ×
-    fault seeds over one workload. Defaults: the three paper protocols,
-    rates [(0,0,0); (0.05,0.05,25); (0.1,0.1,50); (0.2,0.2,100)], seeds
-    [1; 2]. Raises like {!run_case}. *)
+val fault_config :
+  drop:float -> duplicate:float -> jitter_us:float -> fault_seed:int -> Sim.Fault.config option
+(** [None] when the rates inject nothing — the run then takes the exact
+    fault-free code path, byte-identical to the reliable network. *)
 
-val pp_outcome : Format.formatter -> outcome -> unit
+val rate_cases : fault_seeds:int list -> (float * float * float) list -> Suite.case list
+(** One case per (drop, duplicate, jitter) rate × fault seed; a fault-free
+    rate runs once, under the first seed. *)
 
-val pp_report : Format.formatter -> outcome list -> unit
-(** Table of the sweep, one row per case. *)
+val chaos : Suite.t
+(** COTEC/OTEC/LOTEC × (drop, duplicate, jitter µs) rates [(0,0,0);
+    (0.05,0.05,25); (0.1,0.1,50); (0.2,0.2,100)] × seeds [[1; 2]]. *)
 
-(** {1 Crash chaos}
+val tight_timers : Core.Config.t -> Core.Config.t
+(** Recovery timers tightened (0.5 ms retransmit timer, 3 retransmits,
+    0.5 ms heartbeats, 1.5 ms suspicion) so detection and failover
+    complete inside a few-millisecond window; shared with the partition
+    nemesis. *)
 
-    Scheduled fail-stop crash-restart windows ({!Sim.Fault.Crash}) on top
-    of the (optionally lossy) interconnect, exercising the full recovery
-    path: heartbeat failure detection, dead-family lock reclamation at the
-    directory, page-map repointing and — with [cc_gdo_replicas >= 1] — GDO
-    home failover to the ring successor. On top of {!run_case}'s
-    invariants, every crash run also asserts that the per-message-type wire
-    ledger reconciles {e exactly} with the network's per-object ledger
-    (crashed senders are suppressed before both hooks). *)
-
-type crash_case = {
-  cc_protocol : Dsm.Protocol.t;
-  cc_windows : (int * float * float) list;
-      (** crash windows as [(node, from_us, until_us)], half-open *)
-  cc_gdo_replicas : int;  (** 0: a crashed home's partition is unavailable *)
-  cc_drop : float;  (** additional per-message loss probability *)
-  cc_fault_seed : int;
-}
-
-type crash_outcome = {
-  cc_case : crash_case;
-  cc_committed : int;
-  cc_aborted : int;  (** permanently aborted (retry budget exhausted) *)
-  cc_crash_aborts : int;  (** root families aborted by a crash (incl. retried) *)
-  cc_recovered : int;  (** crash-affected roots that went on to commit *)
-  cc_give_ups : int;  (** transport deliveries abandoned after max_retransmits *)
-  cc_declared_dead : int;
-  cc_reclaimed : int;  (** dead families evicted from the directory *)
-  cc_failovers : int;
-  cc_recovery_p50_us : float;  (** crash-to-recommit latency percentiles *)
-  cc_recovery_p99_us : float;
-  cc_messages : int;
-  cc_completion_us : float;
-}
-
-val crash_fault_config : crash_case -> Sim.Fault.config
-(** Fault config with the case's crash windows and drop rate. *)
-
-val run_crash_case :
-  ?config:Core.Config.t -> ?dump_stalls:bool -> spec:Workload.Spec.t -> crash_case -> crash_outcome
-(** Run [spec] under the case, with recovery timers tightened (0.5 ms
-    retransmit timer, 3 retransmits, 0.5 ms heartbeats, 1.5 ms suspicion)
-    so detection and failover complete inside a few-millisecond window.
-    [dump_stalls] prints {!Gdo.Directory.dump} to stderr if the run stalls.
-    @raise Failure on any violated invariant (see above). *)
+val crash_faults : fault_seed:int -> (int * float * float) list -> Sim.Fault.config
+(** Crash windows given as [(node, from_us, until_us)], half-open. *)
 
 val default_crash_windows : (int * float * float) list list
 (** One mid-run crash, and a staggered two-node pattern, sized against
     {!default_spec}'s makespan. *)
 
-val crash_sweep :
-  ?config:Core.Config.t ->
-  ?spec:Workload.Spec.t ->
-  ?protocols:Dsm.Protocol.t list ->
-  ?windows:(int * float * float) list list ->
-  ?replicas:int list ->
-  ?fault_seeds:int list ->
-  ?dump_stalls:bool ->
-  unit ->
-  crash_outcome list
-(** Protocols × window patterns × replica counts × seeds. Defaults: the
-    three paper protocols (RC-nested's eager pushes are not crash-hardened),
-    {!default_crash_windows}, replicas [[0; 1]] — so the sweep covers both
-    partition unavailability and live failover. Raises like
-    {!run_crash_case}. *)
-
-val crash_to_json : crash_outcome list -> string
-(** JSON array, one object per outcome (the BENCH_crash.json payload). *)
-
-val pp_crash_outcome : Format.formatter -> crash_outcome -> unit
-
-val pp_crash_report : Format.formatter -> crash_outcome list -> unit
-(** Table of the crash sweep, one row per case. *)
+val crash : Suite.t
+(** COTEC/OTEC/LOTEC × {!default_crash_windows} (fault seed 1) under
+    {!tight_timers}, arms [gdo_replicas] 0 and 1 — so the suite covers both
+    partition unavailability and live failover. *)

@@ -1,224 +1,58 @@
-type mode =
-  | Exclusive  (** escrow off — commuting methods serialize on write locks *)
-  | Escrow of Dsm.Escrow.params
-
-type case = { protocol : Dsm.Protocol.t; skew : float; mode : mode }
-
-type outcome = {
-  case : case;
-  committed : int;
-  aborted : int;
-  messages : int;
-  bytes : int;
-  reserves : int;
-  local_commits : int;
-  reconciles : int;
-  recalls : int;
-  refusals : int;
-  escrow_finals : (Objmodel.Oid.t * int) list;
-  completion_us : float;
-}
-
-(* The hot-account preset: {!Workload.Scenarios.bank} with the sweep's
+(* The hot-account preset: {!Workload.Scenarios.bank} with the suite's
    skew — the only axis the experiment varies about the workload. *)
 let default_spec ~skew = { Workload.Scenarios.bank with Workload.Spec.access_skew = skew }
 
 let default_params = Dsm.Escrow.default_params
 let default_skews = [ 0.6; 1.2 ]
 
-let mode_to_string = function Exclusive -> "exclusive" | Escrow _ -> "escrow"
-
-let case_name c =
-  Format.asprintf "%a skew=%.1f mode=%s" Dsm.Protocol.pp c.protocol c.skew
-    (mode_to_string c.mode)
-
-(* < 1 = the escrow run finished sooner. *)
-let time_ratio ~baseline ~on =
-  if baseline.completion_us = 0.0 then 1.0 else on.completion_us /. baseline.completion_us
-
-let run_case ?(config = Core.Config.default) ?(spec_of_skew = fun skew -> default_spec ~skew)
-    c =
-  let spec = spec_of_skew c.skew in
-  let config =
-    match c.mode with
-    | Exclusive -> { config with Core.Config.escrow = Dsm.Escrow.off }
-    | Escrow p -> { config with Core.Config.escrow = Dsm.Escrow.On p }
-  in
-  let wl = Workload.Generator.generate spec ~page_size:config.Core.Config.page_size in
-  (* Runner.execute raises unless the committed history is serializable AND
-     the escrow op log replays clean — the two halves of correctness for an
-     escrow run. *)
-  let run = Runner.execute ~config ~protocol:c.protocol wl in
-  let m = Runner.metrics run in
-  let t = Dsm.Metrics.totals m in
-  let fail fmt =
-    Format.kasprintf (fun s -> failwith ("escrow [" ^ case_name c ^ "]: " ^ s)) fmt
-  in
-  let submitted = spec.Workload.Spec.root_count in
-  if t.Dsm.Metrics.roots_committed + t.Dsm.Metrics.roots_aborted <> submitted then
-    fail "root accounting broken: %d committed + %d aborted <> %d submitted"
-      t.Dsm.Metrics.roots_committed t.Dsm.Metrics.roots_aborted submitted;
-  (match c.mode with
-  | Escrow _ -> ()
-  | Exclusive ->
-      if
-        t.Dsm.Metrics.escrow_reserves + t.Dsm.Metrics.escrow_local_commits
-        + t.Dsm.Metrics.escrow_reconciles + t.Dsm.Metrics.escrow_recalls
-        + t.Dsm.Metrics.escrow_yields + t.Dsm.Metrics.escrow_refusals
-        + t.Dsm.Metrics.escrow_quota_units
-        > 0
-      then fail "escrow counters nonzero with escrow off");
-  (* The wire ledger (escrow message rows included) must reconcile exactly
-     with the network's per-object ledger. *)
-  if Dsm.Metrics.wire_messages_total m <> Dsm.Metrics.total_messages m then
-    fail "wire ledger out of balance: %d wire messages <> %d network messages"
-      (Dsm.Metrics.wire_messages_total m)
-      (Dsm.Metrics.total_messages m);
-  if Dsm.Metrics.wire_bytes_total m <> Dsm.Metrics.total_bytes m then
-    fail "wire ledger out of balance: %d wire bytes <> %d network bytes"
-      (Dsm.Metrics.wire_bytes_total m) (Dsm.Metrics.total_bytes m);
-  let escrow_finals =
-    match Core.Runtime.check_escrow run.Runner.runtime with
-    | Ok finals -> finals
-    | Error _ -> assert false (* Runner.execute already raised *)
-  in
+let suite =
   {
-    case = c;
-    committed = t.Dsm.Metrics.roots_committed;
-    aborted = t.Dsm.Metrics.roots_aborted;
-    messages = Dsm.Metrics.total_messages m;
-    bytes = Dsm.Metrics.total_bytes m;
-    reserves = t.Dsm.Metrics.escrow_reserves;
-    local_commits = t.Dsm.Metrics.escrow_local_commits;
-    reconciles = t.Dsm.Metrics.escrow_reconciles;
-    recalls = t.Dsm.Metrics.escrow_recalls;
-    refusals = t.Dsm.Metrics.escrow_refusals;
-    escrow_finals;
-    completion_us = Dsm.Metrics.completion_time_us m;
-  }
-
-let sweep ?config ?spec_of_skew ?(params = default_params)
-    ?(protocols = Dsm.Protocol.[ Cotec; Otec; Lotec; Rc_nested ])
-    ?(skews = default_skews) () =
-  List.concat_map
-    (fun protocol ->
-      List.concat_map
+    Suite.name = "escrow";
+    protocols = Dsm.Protocol.all;
+    spec = Workload.Scenarios.bank;
+    cases =
+      List.map
         (fun skew ->
-          List.map
-            (fun mode -> run_case ?config ?spec_of_skew { protocol; skew; mode })
-            [ Exclusive; Escrow params ])
-        skews)
-    protocols
-
-(* The Exclusive row an escrow row compares against: same protocol and
-   skew. *)
-let baseline_of outcomes o =
-  List.find_opt
-    (fun b ->
-      b.case.mode = Exclusive
-      && b.case.protocol = o.case.protocol
-      && b.case.skew = o.case.skew)
-    outcomes
-
-(* The gate row: LOTEC under escrow at the sweep's strongest skew — the
-   hottest hot-account fight, where coordination avoidance must show. *)
-let headline outcomes =
-  let candidates =
-    List.filter
-      (fun o ->
-        o.case.protocol = Dsm.Protocol.Lotec
-        && (match o.case.mode with Escrow _ -> true | Exclusive -> false))
-      outcomes
-  in
-  let best =
-    List.fold_left
-      (fun acc o ->
-        match acc with Some b when b.case.skew >= o.case.skew -> acc | _ -> Some o)
-      None candidates
-  in
-  match best with
-  | None -> None
-  | Some on -> (
-      match baseline_of outcomes on with
-      | None -> None
-      | Some baseline -> Some (baseline, on, time_ratio ~baseline ~on))
-
-let pp_outcome fmt o =
-  Format.fprintf fmt "%s: %d/%d committed, %d msgs, %s, %d local commits, %.0f us"
-    (case_name o.case) o.committed (o.committed + o.aborted) o.messages
-    (Report.fmt_bytes o.bytes) o.local_commits o.completion_us
-
-let pp_report fmt outcomes =
-  let header =
-    [
-      "protocol"; "skew"; "mode"; "ok/roots"; "msgs"; "bytes"; "reserves"; "local";
-      "reconciles"; "recalls"; "refused"; "completion"; "vs base";
-    ]
-  in
-  let rows =
-    List.map
-      (fun o ->
-        let vs_time =
-          match o.case.mode with
-          | Exclusive -> "-"
-          | Escrow _ -> (
-              match baseline_of outcomes o with
-              | Some b ->
-                  Printf.sprintf "%+.1f%%" (100.0 *. (time_ratio ~baseline:b ~on:o -. 1.0))
-              | None -> "?")
-        in
+          Suite.case
+            [ ("skew", Printf.sprintf "%.1f" skew) ]
+            ~workload:(fun s -> { s with Workload.Spec.access_skew = skew }))
+        default_skews;
+    arms =
+      [
+        ("exclusive", fun c -> { c with Core.Config.escrow = Dsm.Escrow.off });
+        ("escrow", fun c -> { c with Core.Config.escrow = Dsm.Escrow.On default_params });
+      ];
+    columns =
+      Suite.
         [
-          Format.asprintf "%a" Dsm.Protocol.pp o.case.protocol;
-          Printf.sprintf "%.1f" o.case.skew;
-          mode_to_string o.case.mode;
-          Printf.sprintf "%d/%d" o.committed (o.committed + o.aborted);
-          string_of_int o.messages;
-          Report.fmt_bytes o.bytes;
-          string_of_int o.reserves;
-          string_of_int o.local_commits;
-          string_of_int o.reconciles;
-          string_of_int o.recalls;
-          string_of_int o.refusals;
-          Report.fmt_us o.completion_us;
-          vs_time;
-        ])
-      outcomes
-  in
-  Format.fprintf fmt "escrow sweep: all invariants held@.%s@."
-    (Report.render ~header
-       ~align:
-         [
-           Report.Left; Right; Left; Right; Right; Right; Right; Right; Right; Right; Right;
-           Right; Right;
-         ]
-       rows);
-  match headline outcomes with
-  | Some (_, _, ratio) ->
-      Format.fprintf fmt "headline (LOTEC, hottest skew): completion %+.1f%% vs exclusive@."
-        (100.0 *. (ratio -. 1.0))
-  | None -> ()
-
-let to_json outcomes =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "[\n";
-  List.iteri
-    (fun i o ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      let vs_time =
-        match baseline_of outcomes o with
-        | Some b when o.case.mode <> Exclusive -> time_ratio ~baseline:b ~on:o
-        | _ -> 1.0
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "  {\"protocol\": %S, \"skew\": %.2f, \"mode\": %S, \"committed\": %d, \
-            \"aborted\": %d, \"messages\": %d, \"bytes\": %d, \"reserves\": %d, \
-            \"local_commits\": %d, \"reconciles\": %d, \"recalls\": %d, \"refusals\": %d, \
-            \"completion_us\": %.1f, \"time_ratio_vs_exclusive\": %.4f}"
-           (Format.asprintf "%a" Dsm.Protocol.pp o.case.protocol)
-           o.case.skew (mode_to_string o.case.mode) o.committed o.aborted o.messages o.bytes
-           o.reserves o.local_commits o.reconciles o.recalls o.refusals o.completion_us
-           vs_time))
-    outcomes;
-  Buffer.add_string buf "\n]\n";
-  Buffer.contents buf
+          roots_committed;
+          roots_aborted;
+          total_messages;
+          total_bytes;
+          counter "escrow_reserves" (fun t -> t.escrow_reserves);
+          counter "escrow_local_commits" (fun t -> t.escrow_local_commits);
+          counter "escrow_reconciles" (fun t -> t.escrow_reconciles);
+          counter "escrow_recalls" (fun t -> t.escrow_recalls);
+          counter "escrow_refusals" (fun t -> t.escrow_refusals);
+          completion_time_us;
+        ];
+    gates =
+      [
+        (* The hottest hot-account fight, where coordination avoidance has
+           to show. *)
+        {
+          Suite.claim = "LOTEC skew 1.2: completion reduction vs exclusive (%)";
+          select =
+            (fun row ->
+              row.Suite.protocol = Dsm.Protocol.Lotec
+              && row.Suite.arm = "escrow"
+              && Suite.label row "skew" = "1.2");
+          metric =
+            (fun ~base row ->
+              let time r = Suite.get r "completion_time_us" in
+              100.0 *. (1.0 -. (time row /. time base)));
+          bound = At_least 25.0;
+          every = true;
+        };
+      ];
+  }

@@ -4,84 +4,23 @@
     commutative unit deposits and withdrawals. Under the baseline protocols
     every one of them serializes on the account's exclusive object lock;
     with escrow delta locks they commute, and with quota delegation most of
-    them commit locally with zero messages. This sweep runs every case
+    them commit locally with zero messages. This suite runs every case
     twice — escrow off (the exclusive baseline) and escrow on — across
     protocols and access skews, on {!Workload.Scenarios.bank}.
 
-    The headline gate, asserted by the test suite and recorded in
-    [BENCH_escrow.json]: LOTEC with escrow completes the hottest-skew bank
-    sweep at least 25% faster than its exclusive-locking baseline.
-
-    Every case also re-checks the runtime's cross-cutting invariants: root
-    accounting, serializability of the committed history and a clean escrow
-    ledger replay (both via {!Runner.execute}), an exactly reconciling wire
-    ledger (now including the escrow message rows), and all-zero escrow
-    counters when the policy is off. *)
-
-type mode =
-  | Exclusive  (** escrow off — commuting methods serialize on write locks *)
-  | Escrow of Dsm.Escrow.params
-
-type case = {
-  protocol : Dsm.Protocol.t;
-  skew : float;  (** workload [access_skew]: how hot the head accounts run *)
-  mode : mode;
-}
-
-type outcome = {
-  case : case;
-  committed : int;
-  aborted : int;
-  messages : int;
-  bytes : int;
-  reserves : int;  (** home-side escrow admissions *)
-  local_commits : int;  (** zero-message fast-path commits against quota *)
-  reconciles : int;  (** lazy delta pushes to the home *)
-  recalls : int;  (** epoch-fenced quota recalls for exclusive access *)
-  refusals : int;  (** admission tests that failed (fell back to locking) *)
-  escrow_finals : (Objmodel.Oid.t * int) list;
-      (** replayed final quantity per escrowed object, from
-          {!Core.Runtime.check_escrow} *)
-  completion_us : float;  (** simulated makespan *)
-}
+    The headline gate, recorded in [BENCH_escrow.json]: LOTEC with escrow
+    completes the skew-1.2 bank workload at least 25% faster than its
+    exclusive-locking baseline. The shared oracle checks serializability
+    and a clean escrow ledger replay — the two halves of correctness for
+    an escrow run. *)
 
 val default_spec : skew:float -> Workload.Spec.t
 (** {!Workload.Scenarios.bank} with the given [access_skew]. *)
 
 val default_params : Dsm.Escrow.params
+
 val default_skews : float list
 (** 0.6 (warm) and 1.2 (hot head accounts). *)
 
-val case_name : case -> string
-val mode_to_string : mode -> string
-
-val time_ratio : baseline:outcome -> on:outcome -> float
-(** < 1 = the escrow run finished sooner. *)
-
-val run_case :
-  ?config:Core.Config.t -> ?spec_of_skew:(float -> Workload.Spec.t) -> case -> outcome
-(** Generate the workload for the case's skew, run it, check the
-    invariants above.
-    @raise Failure on any invariant violation. *)
-
-val sweep :
-  ?config:Core.Config.t ->
-  ?spec_of_skew:(float -> Workload.Spec.t) ->
-  ?params:Dsm.Escrow.params ->
-  ?protocols:Dsm.Protocol.t list ->
-  ?skews:float list ->
-  unit ->
-  outcome list
-(** Every protocol x skew, each in both modes. *)
-
-val baseline_of : outcome list -> outcome -> outcome option
-(** The [Exclusive] row with the same protocol and skew. *)
-
-val headline : outcome list -> (outcome * outcome * float) option
-(** [(baseline, escrow, time_ratio)] for LOTEC at the strongest skew in the
-    sweep — the hottest hot-account fight, where coordination avoidance has
-    to show. [None] if the sweep ran no such case. *)
-
-val pp_outcome : Format.formatter -> outcome -> unit
-val pp_report : Format.formatter -> outcome list -> unit
-val to_json : outcome list -> string
+val suite : Suite.t
+(** All four protocols × {!default_skews}, arms [exclusive] and [escrow]. *)

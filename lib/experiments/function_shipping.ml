@@ -1,28 +1,3 @@
-type mode =
-  | Data_ship  (** shipping off — the paper's pure data-shipping protocol *)
-  | Shipping of Dsm.Shipping.params
-
-type case = {
-  protocol : Dsm.Protocol.t;
-  skew : float;
-  software_us : float;
-  mode : mode;
-}
-
-type outcome = {
-  case : case;
-  committed : int;
-  aborted : int;
-  messages : int;
-  bytes : int;
-  ships : int;
-  declines : int;
-  forced : int;
-  predicted_saved_bytes : int;
-  completion_us : float;
-  consistency_us : float;
-}
-
 (* The locality-skewed nesting preset: multi-page objects whose pages all
    start at one home node, methods that touch most of them, and deep
    nesting so a large share of invocations target objects homed away from
@@ -53,231 +28,88 @@ let default_params = Dsm.Shipping.default_params
 let default_skews = [ 0.0; 1.5 ]
 let default_software_costs = [ 20.0; 60.0 ]
 
-let mode_to_string = function
-  | Data_ship -> "data-ship"
-  | Shipping _ -> "shipping"
+let case ~skew ~software_us =
+  Suite.case
+    [ ("skew", Printf.sprintf "%.1f" skew); ("software_us", Printf.sprintf "%g" software_us) ]
+    ~workload:(fun s -> { s with Workload.Spec.access_skew = skew })
+    ~config:(fun c ->
+      {
+        c with
+        Core.Config.link = { c.Core.Config.link with Sim.Network.software_cost_us = software_us };
+      })
 
-let case_name c =
-  Format.asprintf "%a skew=%.1f sw=%g mode=%s" Dsm.Protocol.pp c.protocol c.skew c.software_us
-    (mode_to_string c.mode)
+(* The gate row: LOTEC under shipping at the strongest skew and the
+   cheapest messaging — the least favourable σ, so shipping must win on
+   bytes, not on an inflated per-message charge. *)
+let headline row =
+  row.Suite.protocol = Dsm.Protocol.Lotec
+  && row.Suite.arm = "shipping"
+  && Suite.label row "skew" = "1.5"
+  && Suite.label row "software_us" = "20"
 
-(* Positive = the shipping run moved fewer bytes. *)
-let bytes_reduction_pct ~baseline ~on =
-  if baseline.bytes = 0 then 0.0
-  else 100.0 *. (1.0 -. (float_of_int on.bytes /. float_of_int baseline.bytes))
-
-(* < 1 = the shipping run finished sooner. *)
-let time_ratio ~baseline ~on =
-  if baseline.completion_us = 0.0 then 1.0 else on.completion_us /. baseline.completion_us
-
-let run_case ?(config = Core.Config.default) ?(spec_of_skew = fun skew -> default_spec ~skew)
-    c =
-  let spec = spec_of_skew c.skew in
-  let link = { config.Core.Config.link with Sim.Network.software_cost_us = c.software_us } in
-  let config =
-    match c.mode with
-    | Data_ship -> { config with Core.Config.link; shipping = Dsm.Shipping.off }
-    | Shipping p ->
-        (* The model's σ tracks the link it is costing against. *)
-        {
-          config with
-          Core.Config.link;
-          shipping = Dsm.Shipping.On { p with Dsm.Shipping.software_us = c.software_us };
-        }
-  in
-  let wl = Workload.Generator.generate spec ~page_size:config.Core.Config.page_size in
-  (* Runner.execute raises unless the committed history is serializable —
-     with shipping on, that check is what pins "a shipped child is
-     indistinguishable from a local one". *)
-  let run = Runner.execute ~config ~protocol:c.protocol wl in
-  let m = Runner.metrics run in
-  let t = Dsm.Metrics.totals m in
-  let fail fmt =
-    Format.kasprintf (fun s -> failwith ("ship [" ^ case_name c ^ "]: " ^ s)) fmt
-  in
-  let submitted = spec.Workload.Spec.root_count in
-  if t.Dsm.Metrics.roots_committed + t.Dsm.Metrics.roots_aborted <> submitted then
-    fail "root accounting broken: %d committed + %d aborted <> %d submitted"
-      t.Dsm.Metrics.roots_committed t.Dsm.Metrics.roots_aborted submitted;
-  (match c.mode with
-  | Shipping _ -> ()
-  | Data_ship ->
-      if
-        t.Dsm.Metrics.ships + t.Dsm.Metrics.ship_declines + t.Dsm.Metrics.ships_forced
-        + t.Dsm.Metrics.ship_bytes_saved
-        > 0
-      then fail "ship counters nonzero with shipping off");
-  (* The wire ledger (recorded at send time, Ship_invoke/Ship_reply rows
-     included) must reconcile exactly with the network's per-object
-     ledger. *)
-  if Dsm.Metrics.wire_messages_total m <> Dsm.Metrics.total_messages m then
-    fail "wire ledger out of balance: %d wire messages <> %d network messages"
-      (Dsm.Metrics.wire_messages_total m)
-      (Dsm.Metrics.total_messages m);
-  if Dsm.Metrics.wire_bytes_total m <> Dsm.Metrics.total_bytes m then
-    fail "wire ledger out of balance: %d wire bytes <> %d network bytes"
-      (Dsm.Metrics.wire_bytes_total m) (Dsm.Metrics.total_bytes m);
+let suite =
   {
-    case = c;
-    committed = t.Dsm.Metrics.roots_committed;
-    aborted = t.Dsm.Metrics.roots_aborted;
-    messages = Dsm.Metrics.total_messages m;
-    bytes = Dsm.Metrics.total_bytes m;
-    ships = t.Dsm.Metrics.ships;
-    declines = t.Dsm.Metrics.ship_declines;
-    forced = t.Dsm.Metrics.ships_forced;
-    predicted_saved_bytes = t.Dsm.Metrics.ship_bytes_saved;
-    completion_us = Dsm.Metrics.completion_time_us m;
-    (* Ledger replay, shared with the active-messages experiment: total
-       consistency time under the case's link (control cost = the link's
-       software cost, so this is the plain replay). *)
-    consistency_us =
-      Dsm.Metrics.total_time_us_am m ~link ~control_software_cost_us:c.software_us;
-  }
-
-let sweep ?config ?spec_of_skew ?(params = default_params)
-    ?(protocols = Dsm.Protocol.[ Cotec; Otec; Lotec; Rc_nested ])
-    ?(skews = default_skews) ?(software_costs = default_software_costs) () =
-  List.concat_map
-    (fun protocol ->
+    Suite.name = "ship";
+    protocols = Dsm.Protocol.all;
+    spec = default_spec ~skew:0.0;
+    cases =
       List.concat_map
-        (fun skew ->
-          List.concat_map
-            (fun software_us ->
-              List.map
-                (fun mode ->
-                  run_case ?config ?spec_of_skew { protocol; skew; software_us; mode })
-                [ Data_ship; Shipping params ])
-            software_costs)
-        skews)
-    protocols
-
-(* The Data_ship row a shipping row compares against: same protocol, skew
-   and software cost. *)
-let baseline_of outcomes o =
-  List.find_opt
-    (fun b ->
-      b.case.mode = Data_ship
-      && b.case.protocol = o.case.protocol
-      && b.case.skew = o.case.skew
-      && b.case.software_us = o.case.software_us)
-    outcomes
-
-(* The gate row: LOTEC under shipping at the sweep's strongest skew and
-   lowest software cost (the least favourable σ — shipping must win on
-   bytes, not on an inflated per-message charge). *)
-let headline outcomes =
-  let candidates =
-    List.filter
-      (fun o ->
-        o.case.protocol = Dsm.Protocol.Lotec
-        && (match o.case.mode with Shipping _ -> true | Data_ship -> false)
-        && o.case.skew > 0.0)
-      outcomes
-  in
-  let best =
-    List.fold_left
-      (fun acc o ->
-        match acc with
-        | Some b
-          when b.case.skew > o.case.skew
-               || (b.case.skew = o.case.skew && b.case.software_us <= o.case.software_us) ->
-            acc
-        | _ -> Some o)
-      None candidates
-  in
-  match best with
-  | None -> None
-  | Some on -> (
-      match baseline_of outcomes on with
-      | None -> None
-      | Some baseline ->
-          Some (baseline, on, bytes_reduction_pct ~baseline ~on, time_ratio ~baseline ~on))
-
-let pp_outcome fmt o =
-  Format.fprintf fmt "%s: %d/%d committed, %d msgs, %s, %d ships, %.0f us" (case_name o.case)
-    o.committed (o.committed + o.aborted) o.messages (Report.fmt_bytes o.bytes) o.ships
-    o.completion_us
-
-let pp_report fmt outcomes =
-  let header =
-    [
-      "protocol"; "skew"; "sw us"; "mode"; "ok/roots"; "msgs"; "bytes"; "vs base"; "ships";
-      "declined"; "forced"; "pred. saved"; "completion"; "vs base";
-    ]
-  in
-  let rows =
-    List.map
-      (fun o ->
-        let vs_bytes, vs_time =
-          match o.case.mode with
-          | Data_ship -> ("-", "-")
-          | Shipping _ -> (
-              match baseline_of outcomes o with
-              | Some b ->
-                  ( Printf.sprintf "%+.1f%%" (-.bytes_reduction_pct ~baseline:b ~on:o),
-                    Printf.sprintf "%+.1f%%" (100.0 *. (time_ratio ~baseline:b ~on:o -. 1.0))
-                  )
-              | None -> ("?", "?"))
-        in
+        (fun skew -> List.map (fun software_us -> case ~skew ~software_us) default_software_costs)
+        default_skews;
+    arms =
+      [
+        ("data-ship", fun c -> { c with Core.Config.shipping = Dsm.Shipping.off });
+        ( "shipping",
+          (* The model's σ tracks the link it is costing against. *)
+          fun c ->
+            {
+              c with
+              Core.Config.shipping =
+                Dsm.Shipping.On
+                  {
+                    default_params with
+                    Dsm.Shipping.software_us = c.Core.Config.link.Sim.Network.software_cost_us;
+                  };
+            } );
+      ];
+    columns =
+      Suite.
         [
-          Format.asprintf "%a" Dsm.Protocol.pp o.case.protocol;
-          Printf.sprintf "%.1f" o.case.skew;
-          Printf.sprintf "%g" o.case.software_us;
-          mode_to_string o.case.mode;
-          Printf.sprintf "%d/%d" o.committed (o.committed + o.aborted);
-          string_of_int o.messages;
-          Report.fmt_bytes o.bytes;
-          vs_bytes;
-          string_of_int o.ships;
-          string_of_int o.declines;
-          string_of_int o.forced;
-          Report.fmt_bytes o.predicted_saved_bytes;
-          Report.fmt_us o.completion_us;
-          vs_time;
-        ])
-      outcomes
-  in
-  Format.fprintf fmt "function-shipping sweep: all invariants held@.%s@."
-    (Report.render ~header
-       ~align:
-         [
-           Report.Left; Right; Right; Left; Right; Right; Right; Right; Right; Right; Right;
-           Right; Right; Right;
-         ]
-       rows);
-  match headline outcomes with
-  | Some (_, _, reduction, ratio) ->
-      Format.fprintf fmt
-        "headline (LOTEC, skewed, cheapest messaging): %.1f%% fewer bytes, completion %+.1f%%@."
-        reduction
-        (100.0 *. (ratio -. 1.0))
-  | None -> ()
-
-let to_json outcomes =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "[\n";
-  List.iteri
-    (fun i o ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      let vs_bytes, vs_time =
-        match baseline_of outcomes o with
-        | Some b when o.case.mode <> Data_ship ->
-            ( Printf.sprintf "%.3f" (bytes_reduction_pct ~baseline:b ~on:o),
-              Printf.sprintf "%.4f" (time_ratio ~baseline:b ~on:o) )
-        | _ -> ("null", "null")
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "  {\"protocol\": %S, \"skew\": %.2f, \"software_us\": %g, \"mode\": %S, \
-            \"committed\": %d, \"aborted\": %d, \"messages\": %d, \"bytes\": %d, \
-            \"bytes_reduction_pct\": %s, \"time_ratio\": %s, \"ships\": %d, \"declines\": %d, \
-            \"forced\": %d, \"predicted_saved_bytes\": %d, \"completion_us\": %.3f, \
-            \"consistency_us\": %.3f}"
-           (Format.asprintf "%a" Dsm.Protocol.pp o.case.protocol)
-           o.case.skew o.case.software_us (mode_to_string o.case.mode) o.committed o.aborted
-           o.messages o.bytes vs_bytes vs_time o.ships o.declines o.forced
-           o.predicted_saved_bytes o.completion_us o.consistency_us))
-    outcomes;
-  Buffer.add_string buf "\n]\n";
-  Buffer.contents buf
+          roots_committed;
+          roots_aborted;
+          total_messages;
+          total_bytes;
+          counter "ships" (fun t -> t.ships);
+          counter "ship_declines" (fun t -> t.ship_declines);
+          counter "ships_forced" (fun t -> t.ships_forced);
+          counter "ship_bytes_saved" (fun t -> t.ship_bytes_saved);
+          completion_time_us;
+          (* Total consistency time replayed under the case's link. *)
+          ( "total_time_us",
+            fun run ->
+              Float
+                (Dsm.Metrics.total_time_us (Runner.metrics run)
+                   ~link:(Core.Runtime.config run.Runner.runtime).Core.Config.link) );
+        ];
+    gates =
+      [
+        {
+          Suite.claim = "LOTEC skew 1.5 sw 20: bytes reduction vs data-ship (%)";
+          select = headline;
+          metric =
+            (fun ~base row ->
+              100.0 *. (1.0 -. (Suite.get row "total_bytes" /. Suite.get base "total_bytes")));
+          bound = At_least 30.0;
+          every = true;
+        };
+        {
+          Suite.claim = "LOTEC skew 1.5 sw 20: completion time ratio vs data-ship";
+          select = headline;
+          metric =
+            (fun ~base row ->
+              Suite.get row "completion_time_us" /. Suite.get base "completion_time_us");
+          bound = At_most 1.02;
+          every = true;
+        };
+      ];
+  }

@@ -1,48 +1,16 @@
 (** Function shipping versus data shipping ({!Dsm.Shipping}).
 
-    LOTEC always moves pages to the invoking site. This sweep measures what
+    LOTEC always moves pages to the invoking site. This suite measures what
     the per-call cost model buys on a locality-skewed nesting workload —
     multi-page objects homed on single nodes, invoked mostly from
     elsewhere — by running every case twice: shipping off (the always
     data-ship baseline) and shipping on, across protocols, locality skews
     and per-message software costs (the model's σ tracks the link). The
-    headline gate, asserted by the test suite and recorded in
-    [BENCH_ship.json]: LOTEC with shipping moves at least 30% fewer bytes
-    than its data-ship baseline on the skewed workload, with completion
-    time no worse than +2%.
-
-    Every case also re-checks the runtime's cross-cutting invariants: root
-    accounting, serializability of the committed history (via
-    {!Runner.execute}), an exactly reconciling wire ledger (now including
-    the [Ship_invoke]/[Ship_reply] rows), and all-zero ship counters when
-    shipping is off. *)
-
-type mode =
-  | Data_ship  (** shipping off — the paper's pure data-shipping protocol *)
-  | Shipping of Dsm.Shipping.params
-
-type case = {
-  protocol : Dsm.Protocol.t;
-  skew : float;  (** workload [access_skew]: the locality axis *)
-  software_us : float;  (** link per-message software cost; also the model's σ *)
-  mode : mode;
-}
-
-type outcome = {
-  case : case;
-  committed : int;
-  aborted : int;
-  messages : int;
-  bytes : int;
-  ships : int;  (** cost-model verdicts that moved the invocation *)
-  declines : int;  (** verdicts that kept it at the invoker *)
-  forced : int;  (** dispatches bound by an earlier pin, not the model *)
-  predicted_saved_bytes : int;  (** the model's own saving estimate *)
-  completion_us : float;  (** simulated makespan *)
-  consistency_us : float;
-      (** total consistency time from the ledger replay shared with
-          {!Active_messages} ([Dsm.Metrics.total_time_us_am]) *)
-}
+    headline gates, recorded in [BENCH_ship.json]: LOTEC with shipping at
+    skew 1.5 and σ 20 µs moves at least 30% fewer bytes than its data-ship
+    baseline, with completion time no worse than +2%. The shared oracle's
+    serializability check is what pins "a shipped child is
+    indistinguishable from a local one". *)
 
 val default_spec : skew:float -> Workload.Spec.t
 (** The locality-skewed nesting preset: 48 objects of 3–6 pages over 8
@@ -57,41 +25,10 @@ val default_skews : float list
 val default_software_costs : float list
 (** 20 and 60 µs. *)
 
-val case_name : case -> string
-val mode_to_string : mode -> string
+val case : skew:float -> software_us:float -> Suite.case
+(** The workload at [skew], on a link whose per-message software cost is
+    [software_us]. *)
 
-val bytes_reduction_pct : baseline:outcome -> on:outcome -> float
-(** Positive = the shipping run moved fewer bytes. *)
-
-val time_ratio : baseline:outcome -> on:outcome -> float
-(** < 1 = the shipping run finished sooner. *)
-
-val run_case :
-  ?config:Core.Config.t -> ?spec_of_skew:(float -> Workload.Spec.t) -> case -> outcome
-(** Generate the workload for the case's skew, run it, check the
-    invariants above.
-    @raise Failure on any invariant violation. *)
-
-val sweep :
-  ?config:Core.Config.t ->
-  ?spec_of_skew:(float -> Workload.Spec.t) ->
-  ?params:Dsm.Shipping.params ->
-  ?protocols:Dsm.Protocol.t list ->
-  ?skews:float list ->
-  ?software_costs:float list ->
-  unit ->
-  outcome list
-(** Every protocol x skew x software cost, each in both modes. *)
-
-val baseline_of : outcome list -> outcome -> outcome option
-(** The [Data_ship] row with the same protocol, skew and software cost. *)
-
-val headline : outcome list -> (outcome * outcome * float * float) option
-(** [(baseline, shipping, bytes_reduction_pct, time_ratio)] for LOTEC at
-    the strongest positive skew and the cheapest messaging in the sweep —
-    the least favourable σ, so the gate is won on bytes, not on an
-    inflated per-message charge. [None] if the sweep ran no such case. *)
-
-val pp_outcome : Format.formatter -> outcome -> unit
-val pp_report : Format.formatter -> outcome list -> unit
-val to_json : outcome list -> string
+val suite : Suite.t
+(** All four protocols × {!default_skews} × {!default_software_costs},
+    arms [data-ship] and [shipping]. *)

@@ -1,25 +1,3 @@
-type case = {
-  protocol : Dsm.Protocol.t;
-  read_fraction : float;
-  policy : Gdo.Lease.policy;
-}
-
-type outcome = {
-  case : case;
-  committed : int;
-  aborted : int;
-  messages : int;
-  bytes : int;
-  home_lock_ops : int;
-  lease_grants : int;
-  lease_hits : int;
-  lease_recalls : int;
-  lease_yields : int;
-  lease_expiries : int;
-  lease_aborts : int;
-  completion_us : float;
-}
-
 (* Few hot objects, brisk arrivals, every node submitting: the same objects
    are re-read from the same nodes by many families, which is the pattern a
    lease turns into zero-message acquisitions. The method catalog is wide
@@ -52,145 +30,41 @@ let default_policy = Gdo.Lease.Fixed_ttl { ttl_us = 20_000.0 }
 let default_adaptive =
   Gdo.Lease.Adaptive { ttl_us = 20_000.0; min_read_ratio = 0.85; min_samples = 8 }
 
-let case_name c =
-  Format.asprintf "%a read=%.2f policy=%s" Dsm.Protocol.pp c.protocol c.read_fraction
-    (Gdo.Lease.policy_to_string c.policy)
-
-let run_case ?(config = Core.Config.default) ~spec c =
-  let spec = { spec with Workload.Spec.read_only_method_fraction = c.read_fraction } in
-  let config = { config with Core.Config.lease = c.policy } in
-  let wl = Workload.Generator.generate spec ~page_size:config.Core.Config.page_size in
-  (* Runner.execute raises if the committed history is not serializable —
-     with leases enabled that is exactly the property under test. *)
-  let run = Runner.execute ~config ~protocol:c.protocol wl in
-  let m = Runner.metrics run in
-  let t = Dsm.Metrics.totals m in
-  let fail fmt =
-    Format.kasprintf (fun s -> failwith ("lease [" ^ case_name c ^ "]: " ^ s)) fmt
-  in
-  let submitted = spec.Workload.Spec.root_count in
-  if t.Dsm.Metrics.roots_committed + t.Dsm.Metrics.roots_aborted <> submitted then
-    fail "root accounting broken: %d committed + %d aborted <> %d submitted"
-      t.Dsm.Metrics.roots_committed t.Dsm.Metrics.roots_aborted submitted;
-  if
-    (not (Gdo.Lease.policy_enabled c.policy))
-    && t.Dsm.Metrics.lease_grants + t.Dsm.Metrics.lease_hits + t.Dsm.Metrics.lease_recalls
-       + t.Dsm.Metrics.lease_yields + t.Dsm.Metrics.lease_aborts
-       > 0
-  then fail "lease counters nonzero with leases off";
+let suite =
   {
-    case = c;
-    committed = t.Dsm.Metrics.roots_committed;
-    aborted = t.Dsm.Metrics.roots_aborted;
-    messages = Dsm.Metrics.total_messages m;
-    bytes = Dsm.Metrics.total_bytes m;
-    home_lock_ops = Dsm.Metrics.home_lock_ops m;
-    lease_grants = t.Dsm.Metrics.lease_grants;
-    lease_hits = t.Dsm.Metrics.lease_hits;
-    lease_recalls = t.Dsm.Metrics.lease_recalls;
-    lease_yields = t.Dsm.Metrics.lease_yields;
-    lease_expiries = t.Dsm.Metrics.lease_expiries;
-    lease_aborts = t.Dsm.Metrics.lease_aborts;
-    completion_us = Dsm.Metrics.completion_time_us m;
-  }
-
-let sweep ?config ?(spec = default_spec)
-    ?(protocols = Dsm.Protocol.[ Cotec; Otec; Lotec; Rc_nested ])
-    ?(read_fractions = [ 0.5; 0.8; 0.95 ]) ?(policies = [ default_policy; default_adaptive ])
-    () =
-  List.concat_map
-    (fun protocol ->
-      List.concat_map
-        (fun read_fraction ->
-          List.map
-            (fun policy -> run_case ?config ~spec { protocol; read_fraction; policy })
-            (Gdo.Lease.Off :: policies))
-        read_fractions)
-    protocols
-
-let reduction ~off ~on =
-  if off.home_lock_ops = 0 then 0.0
-  else
-    100.0
-    *. float_of_int (on.home_lock_ops - off.home_lock_ops)
-    /. float_of_int off.home_lock_ops
-
-let pp_outcome fmt o =
-  Format.fprintf fmt "%s: %d/%d committed, %d msgs, %d home ops, %d hits, %d recalls, %.0f us"
-    (case_name o.case) o.committed (o.committed + o.aborted) o.messages o.home_lock_ops
-    o.lease_hits o.lease_recalls o.completion_us
-
-(* The Off row a leased row compares against: same protocol and fraction. *)
-let baseline_of outcomes o =
-  List.find_opt
-    (fun b ->
-      (not (Gdo.Lease.policy_enabled b.case.policy))
-      && b.case.protocol = o.case.protocol
-      && b.case.read_fraction = o.case.read_fraction)
-    outcomes
-
-let pp_report fmt outcomes =
-  let header =
-    [
-      "protocol"; "read"; "policy"; "ok/roots"; "msgs"; "bytes"; "home ops"; "vs off";
-      "hits"; "recalls"; "expiries"; "aborts"; "completion";
-    ]
-  in
-  let rows =
-    List.map
-      (fun o ->
-        let vs_off =
-          if not (Gdo.Lease.policy_enabled o.case.policy) then "-"
-          else
-            match baseline_of outcomes o with
-            | Some off -> Report.fmt_pct (reduction ~off ~on:o)
-            | None -> "?"
-        in
+    Suite.name = "lease";
+    protocols = Dsm.Protocol.all;
+    spec = default_spec;
+    (* On read-dominated workloads repeat read acquisitions are absorbed by
+       the local lease caches; on write-heavier ones recalls claw the saving
+       back — the read share is the axis of that trade-off. *)
+    cases =
+      List.map
+        (fun read ->
+          Suite.case
+            [ ("read_fraction", Printf.sprintf "%.2f" read) ]
+            ~workload:(fun s -> { s with Workload.Spec.read_only_method_fraction = read }))
+        [ 0.5; 0.8; 0.95 ];
+    arms =
+      List.map
+        (fun policy ->
+          (Gdo.Lease.policy_to_string policy, fun c -> { c with Core.Config.lease = policy }))
+        [ Gdo.Lease.Off; default_policy; default_adaptive ];
+    columns =
+      Suite.
         [
-          Format.asprintf "%a" Dsm.Protocol.pp o.case.protocol;
-          Printf.sprintf "%.2f" o.case.read_fraction;
-          Gdo.Lease.policy_to_string o.case.policy;
-          Printf.sprintf "%d/%d" o.committed (o.committed + o.aborted);
-          string_of_int o.messages;
-          Report.fmt_bytes o.bytes;
-          string_of_int o.home_lock_ops;
-          vs_off;
-          string_of_int o.lease_hits;
-          string_of_int o.lease_recalls;
-          string_of_int o.lease_expiries;
-          string_of_int o.lease_aborts;
-          Report.fmt_us o.completion_us;
-        ])
-      outcomes
-  in
-  Format.fprintf fmt "lease sweep: all invariants held@.%s@."
-    (Report.render ~header
-       ~align:
-         [
-           Report.Left; Right; Left; Right; Right; Right; Right; Right; Right; Right; Right;
-           Right; Right;
-         ]
-       rows)
-
-let to_json outcomes =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "[\n";
-  List.iteri
-    (fun i o ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "  {\"protocol\": %S, \"read_fraction\": %.2f, \"policy\": %S, \"committed\": %d, \
-            \"aborted\": %d, \"messages\": %d, \"bytes\": %d, \"home_lock_ops\": %d, \
-            \"lease_grants\": %d, \"lease_hits\": %d, \"lease_recalls\": %d, \
-            \"lease_yields\": %d, \"lease_expiries\": %d, \"lease_aborts\": %d, \
-            \"completion_us\": %.3f}"
-           (Format.asprintf "%a" Dsm.Protocol.pp o.case.protocol)
-           o.case.read_fraction
-           (Gdo.Lease.policy_to_string o.case.policy)
-           o.committed o.aborted o.messages o.bytes o.home_lock_ops o.lease_grants
-           o.lease_hits o.lease_recalls o.lease_yields o.lease_expiries o.lease_aborts
-           o.completion_us))
-    outcomes;
-  Buffer.add_string buf "\n]\n";
-  Buffer.contents buf
+          roots_committed;
+          roots_aborted;
+          total_messages;
+          total_bytes;
+          ("home_lock_ops", fun run -> Int (Dsm.Metrics.home_lock_ops (Runner.metrics run)));
+          counter "lease_grants" (fun t -> t.lease_grants);
+          counter "lease_hits" (fun t -> t.lease_hits);
+          counter "lease_recalls" (fun t -> t.lease_recalls);
+          counter "lease_yields" (fun t -> t.lease_yields);
+          counter "lease_expiries" (fun t -> t.lease_expiries);
+          counter "lease_aborts" (fun t -> t.lease_aborts);
+          completion_time_us;
+        ];
+    gates = [];
+  }

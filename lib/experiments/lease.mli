@@ -1,40 +1,14 @@
-(** Lease sweep: the read-lease subsystem (see {!Gdo.Lease}) off vs on.
+(** Lease suite: the read-lease subsystem (see {!Gdo.Lease}) off vs on.
 
     For each protocol and each read-heaviness level, the same workload runs
-    once with leases disabled and once per lease policy, and the sweep
+    once with leases disabled and once per lease policy, and the suite
     reports the consistency traffic (messages/bytes), completion time and —
     the headline — {e home-node lock operations}
     ({!Dsm.Metrics.home_lock_ops}: global acquisitions + upgrades + release
     batches + recall/yield traffic). On read-dominated workloads repeat
     read acquisitions are absorbed by the local lease caches, so the
     home-node figure drops sharply; on write-heavy workloads recalls claw
-    the saving back — which is the trade-off the sweep quantifies.
-
-    Every case re-asserts the chaos-harness invariants: the committed
-    history is serializable (checked inside {!Runner.execute}), every root
-    is accounted for, and with leases [Off] all lease counters are zero. *)
-
-type case = {
-  protocol : Dsm.Protocol.t;
-  read_fraction : float;  (** the workload's [read_only_method_fraction] *)
-  policy : Gdo.Lease.policy;
-}
-
-type outcome = {
-  case : case;
-  committed : int;
-  aborted : int;
-  messages : int;
-  bytes : int;
-  home_lock_ops : int;
-  lease_grants : int;
-  lease_hits : int;
-  lease_recalls : int;
-  lease_yields : int;
-  lease_expiries : int;
-  lease_aborts : int;
-  completion_us : float;
-}
+    the saving back — which is the trade-off the suite quantifies. *)
 
 val default_spec : Workload.Spec.t
 (** A high-contention workload (few objects, default cluster) whose roots
@@ -49,33 +23,6 @@ val default_adaptive : Gdo.Lease.policy
 (** [Adaptive] that leases only observed read-dominated objects: neutral on
     mixed workloads, near-[Fixed_ttl] savings on read-heavy ones. *)
 
-val run_case : ?config:Core.Config.t -> spec:Workload.Spec.t -> case -> outcome
-(** Run one case; the workload is regenerated from [spec] with the case's
-    read fraction, and [config]'s lease policy is replaced by the case's.
-    @raise Failure on any violated invariant (see above). *)
-
-val sweep :
-  ?config:Core.Config.t ->
-  ?spec:Workload.Spec.t ->
-  ?protocols:Dsm.Protocol.t list ->
-  ?read_fractions:float list ->
-  ?policies:Gdo.Lease.policy list ->
-  unit ->
-  outcome list
-(** Cartesian product protocols × read fractions × ([Off] + [policies]).
-    Defaults: all four protocols, read fractions [[0.5; 0.8; 0.95]],
-    policies [[default_policy; default_adaptive]]. *)
-
-val reduction : off:outcome -> on:outcome -> float
-(** Relative change of [home_lock_ops], in percent (negative = fewer home
-    operations with leases on). *)
-
-val pp_outcome : Format.formatter -> outcome -> unit
-
-val pp_report : Format.formatter -> outcome list -> unit
-(** Table of the sweep; rows with an enabled policy also show the
-    home-lock-op change against the matching [Off] row. *)
-
-val to_json : outcome list -> string
-(** The sweep as a JSON array (one object per case), for BENCH_lease.json
-    style artefacts. *)
+val suite : Suite.t
+(** All four protocols × read fractions [[0.5; 0.8; 0.95]], arms leases
+    off, {!default_policy} and {!default_adaptive}. *)

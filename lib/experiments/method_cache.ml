@@ -1,230 +1,91 @@
-type mode =
-  | Baseline  (** leases off, cache off — the paper's plain protocol *)
-  | Lease_only
-  | Cached of Dsm.Method_cache.policy
-
-type case = {
-  protocol : Dsm.Protocol.t;
-  read_fraction : float;
-  mode : mode;
-}
-
-type outcome = {
-  case : case;
-  committed : int;
-  aborted : int;
-  messages : int;
-  bytes : int;
-  lease_hits : int;
-  cache_hits : int;
-  cache_misses : int;
-  cache_fills : int;
-  cache_invalidations : int;
-  completion_us : float;
-}
-
 (* The web-sessions preset: tiny hot objects re-read from every node, almost
    no writers. Repeat invocations hit the same (oid, method) pairs at an
    unchanged version vector — exactly what the method cache serves. *)
 let default_spec = Workload.Scenarios.web_sessions
 
 (* Lease policy paired with every cache-on (and lease-only) case. Same
-   reasoning as the lease sweep's default — the TTL bounds a deferred
+   reasoning as the lease suite's default — the TTL bounds a deferred
    yield well below the makespan — but longer: web runs are read-dominated
    enough that expiry-and-re-grant churn on hot objects, not write stalls,
    is the binding cost. *)
 let default_lease = Gdo.Lease.Fixed_ttl { ttl_us = 60_000.0 }
 
 let default_policy = Dsm.Method_cache.Lru { capacity = Dsm.Method_cache.default_capacity }
+let cached_arm = "cache:" ^ Dsm.Method_cache.policy_to_string default_policy
 
-let mode_to_string = function
-  | Baseline -> "baseline"
-  | Lease_only -> "lease"
-  | Cached p -> "cache:" ^ Dsm.Method_cache.policy_to_string p
+let cached_lotec row = row.Suite.protocol = Dsm.Protocol.Lotec && row.Suite.arm = cached_arm
 
-let case_name c =
-  Format.asprintf "%a read=%.2f mode=%s" Dsm.Protocol.pp c.protocol c.read_fraction
-    (mode_to_string c.mode)
-
-let hit_rate o =
-  let consults = o.cache_hits + o.cache_misses in
-  if consults = 0 then 0.0 else float_of_int o.cache_hits /. float_of_int consults
-
-(* Message-reduction factor against the everything-off baseline: 5.0 means
-   the protocol moved 5x fewer messages than it does bare. *)
-let message_factor ~baseline ~on =
-  if on.messages = 0 then Float.infinity
-  else float_of_int baseline.messages /. float_of_int on.messages
-
-let run_case ?(config = Core.Config.default) ?(lease = default_lease) ~spec c =
-  (* The sweep axis is the request-level read share: [1 - read_fraction] of
-     roots hit the writer endpoint (see {!Workload.Spec.root_update_fraction}).
-     The web specs make every non-writer method read-only, so this is the
-     whole read/write mix. *)
-  let spec =
-    { spec with Workload.Spec.root_update_fraction = Some (1.0 -. c.read_fraction) }
-  in
-  let config =
-    match c.mode with
-    | Baseline ->
-        { config with Core.Config.lease = Gdo.Lease.Off; method_cache = Dsm.Method_cache.off }
-    | Lease_only ->
-        { config with Core.Config.lease; method_cache = Dsm.Method_cache.off }
-    | Cached policy -> { config with Core.Config.lease; method_cache = policy }
-  in
-  let wl = Workload.Generator.generate spec ~page_size:config.Core.Config.page_size in
-  (* Runner.execute raises if the committed history is not serializable —
-     with the cache on, that check is what pins "a hit is indistinguishable
-     from re-execution". *)
-  let run = Runner.execute ~config ~protocol:c.protocol wl in
-  let m = Runner.metrics run in
-  let t = Dsm.Metrics.totals m in
-  let fail fmt =
-    Format.kasprintf (fun s -> failwith ("cache [" ^ case_name c ^ "]: " ^ s)) fmt
-  in
-  let submitted = spec.Workload.Spec.root_count in
-  if t.Dsm.Metrics.roots_committed + t.Dsm.Metrics.roots_aborted <> submitted then
-    fail "root accounting broken: %d committed + %d aborted <> %d submitted"
-      t.Dsm.Metrics.roots_committed t.Dsm.Metrics.roots_aborted submitted;
-  (match c.mode with
-  | Cached _ -> ()
-  | Baseline | Lease_only ->
-      if
-        t.Dsm.Metrics.cache_hits + t.Dsm.Metrics.cache_misses + t.Dsm.Metrics.cache_fills
-        + t.Dsm.Metrics.cache_invalidations
-        > 0
-      then fail "cache counters nonzero with the cache off");
-  (match c.mode with
-  | Baseline ->
-      if
-        t.Dsm.Metrics.lease_grants + t.Dsm.Metrics.lease_hits + t.Dsm.Metrics.lease_recalls
-        + t.Dsm.Metrics.lease_yields + t.Dsm.Metrics.lease_aborts
-        > 0
-      then fail "lease counters nonzero in the baseline"
-  | Lease_only | Cached _ -> ());
-  (* A cache hit sends nothing — the wire ledger (recorded at send time)
-     must still reconcile exactly with the network's per-object ledger. *)
-  if Dsm.Metrics.wire_messages_total m <> Dsm.Metrics.total_messages m then
-    fail "wire ledger out of balance: %d wire messages <> %d network messages"
-      (Dsm.Metrics.wire_messages_total m)
-      (Dsm.Metrics.total_messages m);
-  if Dsm.Metrics.wire_bytes_total m <> Dsm.Metrics.total_bytes m then
-    fail "wire ledger out of balance: %d wire bytes <> %d network bytes"
-      (Dsm.Metrics.wire_bytes_total m) (Dsm.Metrics.total_bytes m);
+let suite =
   {
-    case = c;
-    committed = t.Dsm.Metrics.roots_committed;
-    aborted = t.Dsm.Metrics.roots_aborted;
-    messages = Dsm.Metrics.total_messages m;
-    bytes = Dsm.Metrics.total_bytes m;
-    lease_hits = t.Dsm.Metrics.lease_hits;
-    cache_hits = t.Dsm.Metrics.cache_hits;
-    cache_misses = t.Dsm.Metrics.cache_misses;
-    cache_fills = t.Dsm.Metrics.cache_fills;
-    cache_invalidations = t.Dsm.Metrics.cache_invalidations;
-    completion_us = Dsm.Metrics.completion_time_us m;
-  }
-
-let sweep ?config ?lease ?(spec = default_spec)
-    ?(protocols = Dsm.Protocol.[ Cotec; Otec; Lotec; Rc_nested ])
-    ?(read_fractions = [ 0.8; 0.95; 0.99 ]) ?(policies = [ default_policy ]) () =
-  let modes = Baseline :: Lease_only :: List.map (fun p -> Cached p) policies in
-  List.concat_map
-    (fun protocol ->
-      List.concat_map
-        (fun read_fraction ->
-          List.map
-            (fun mode -> run_case ?config ?lease ~spec { protocol; read_fraction; mode })
-            modes)
-        read_fractions)
-    protocols
-
-(* The Baseline row a lease/cache row compares against: same protocol and
-   fraction. *)
-let baseline_of outcomes o =
-  List.find_opt
-    (fun b ->
-      b.case.mode = Baseline
-      && b.case.protocol = o.case.protocol
-      && b.case.read_fraction = o.case.read_fraction)
-    outcomes
-
-let pp_outcome fmt o =
-  Format.fprintf fmt "%s: %d/%d committed, %d msgs, %d hits / %d misses, %.0f us"
-    (case_name o.case) o.committed (o.committed + o.aborted) o.messages o.cache_hits
-    o.cache_misses o.completion_us
-
-let pp_report fmt outcomes =
-  let header =
-    [
-      "protocol"; "read"; "mode"; "ok/roots"; "msgs"; "vs base"; "bytes"; "lease hits";
-      "cache hits"; "hit rate"; "fills"; "invals"; "completion";
-    ]
-  in
-  let rows =
-    List.map
-      (fun o ->
-        let vs_base =
-          match o.case.mode with
-          | Baseline -> "-"
-          | Lease_only | Cached _ -> (
-              match baseline_of outcomes o with
-              | Some b -> Printf.sprintf "%.1fx" (message_factor ~baseline:b ~on:o)
-              | None -> "?")
-        in
-        let rate =
-          match o.case.mode with
-          | Cached _ -> Printf.sprintf "%.0f%%" (100.0 *. hit_rate o)
-          | Baseline | Lease_only -> "-"
-        in
+    Suite.name = "cache";
+    protocols = Dsm.Protocol.all;
+    spec = default_spec;
+    (* The axis is the request-level read share: [1 - read_fraction] of
+       roots hit the writer endpoint (see
+       {!Workload.Spec.root_update_fraction}). The web specs make every
+       non-writer method read-only, so this is the whole read/write mix. *)
+    cases =
+      List.map
+        (fun read ->
+          Suite.case
+            [ ("read_fraction", Printf.sprintf "%.2f" read) ]
+            ~workload:(fun s -> { s with Workload.Spec.root_update_fraction = Some (1.0 -. read) }))
+        [ 0.8; 0.95; 0.99 ];
+    (* The lease does the message-elimination heavy lifting — a cache hit
+       was already a zero-message acquisition under the lease alone. What
+       the cache adds on top is skipping the method body entirely, visible
+       in completion time and in the hit-rate column. *)
+    arms =
+      [
+        ( "baseline",
+          fun c -> { c with Core.Config.lease = Gdo.Lease.Off; method_cache = Dsm.Method_cache.off }
+        );
+        ( "lease",
+          fun c -> { c with Core.Config.lease = default_lease; method_cache = Dsm.Method_cache.off }
+        );
+        ( cached_arm,
+          fun c -> { c with Core.Config.lease = default_lease; method_cache = default_policy } );
+      ];
+    columns =
+      Suite.
         [
-          Format.asprintf "%a" Dsm.Protocol.pp o.case.protocol;
-          Printf.sprintf "%.2f" o.case.read_fraction;
-          mode_to_string o.case.mode;
-          Printf.sprintf "%d/%d" o.committed (o.committed + o.aborted);
-          string_of_int o.messages;
-          vs_base;
-          Report.fmt_bytes o.bytes;
-          string_of_int o.lease_hits;
-          string_of_int o.cache_hits;
-          rate;
-          string_of_int o.cache_fills;
-          string_of_int o.cache_invalidations;
-          Report.fmt_us o.completion_us;
-        ])
-      outcomes
-  in
-  Format.fprintf fmt "method-cache sweep: all invariants held@.%s@."
-    (Report.render ~header
-       ~align:
-         [
-           Report.Left; Right; Left; Right; Right; Right; Right; Right; Right; Right; Right;
-           Right; Right;
-         ]
-       rows)
-
-let to_json outcomes =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "[\n";
-  List.iteri
-    (fun i o ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      let vs_base =
-        match baseline_of outcomes o with
-        | Some b when o.case.mode <> Baseline ->
-            Printf.sprintf "%.3f" (message_factor ~baseline:b ~on:o)
-        | _ -> "null"
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "  {\"protocol\": %S, \"read_fraction\": %.2f, \"mode\": %S, \"committed\": %d, \
-            \"aborted\": %d, \"messages\": %d, \"bytes\": %d, \"message_factor_vs_baseline\": \
-            %s, \"lease_hits\": %d, \"cache_hits\": %d, \"cache_misses\": %d, \"hit_rate\": \
-            %.3f, \"cache_fills\": %d, \"cache_invalidations\": %d, \"completion_us\": %.3f}"
-           (Format.asprintf "%a" Dsm.Protocol.pp o.case.protocol)
-           o.case.read_fraction (mode_to_string o.case.mode) o.committed o.aborted o.messages
-           o.bytes vs_base o.lease_hits o.cache_hits o.cache_misses (hit_rate o) o.cache_fills
-           o.cache_invalidations o.completion_us))
-    outcomes;
-  Buffer.add_string buf "\n]\n";
-  Buffer.contents buf
+          roots_committed;
+          roots_aborted;
+          total_messages;
+          total_bytes;
+          counter "lease_hits" (fun t -> t.lease_hits);
+          counter "cache_hits" (fun t -> t.cache_hits);
+          counter "cache_misses" (fun t -> t.cache_misses);
+          ( "cache_hit_rate",
+            fun run ->
+              let t = Dsm.Metrics.totals (Runner.metrics run) in
+              let consults = t.cache_hits + t.cache_misses in
+              Float
+                (if consults = 0 then 0.0
+                 else float_of_int t.cache_hits /. float_of_int consults) );
+          counter "cache_fills" (fun t -> t.cache_fills);
+          counter "cache_invalidations" (fun t -> t.cache_invalidations);
+          completion_time_us;
+        ];
+    gates =
+      [
+        {
+          Suite.claim = "best cached-LOTEC hit rate";
+          select = cached_lotec;
+          metric = (fun ~base:_ row -> Suite.get row "cache_hit_rate");
+          bound = At_least 0.5;
+          every = false;
+        };
+        {
+          Suite.claim =
+            "best cached-LOTEC message reduction factor vs baseline at read share >= 0.95";
+          select =
+            (fun row ->
+              cached_lotec row && float_of_string (Suite.label row "read_fraction") >= 0.95);
+          metric =
+            (fun ~base row -> Suite.get base "total_messages" /. Suite.get row "total_messages");
+          bound = At_least 5.0;
+          every = false;
+        };
+      ];
+  }

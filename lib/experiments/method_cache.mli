@@ -1,106 +1,32 @@
-(** Method-cache sweep: the method-result cache (see {!Dsm.Method_cache})
-    against two baselines, on the web-serving workloads.
+(** Method-cache suite: the method-result cache (see {!Dsm.Method_cache})
+    against two baselines, on the web-serving workload.
 
-    For each protocol and read-heaviness level, the same workload runs three
-    ways: [Baseline] (leases and cache off — the paper's plain protocol),
-    [Lease_only] (read leases on), and [Cached] (leases {e and} the
-    method-result cache on; the cache requires the lease as its
-    invalidation signal, see {!Core.Config}). The sweep reports messages
-    and bytes, the message-reduction factor against the matching baseline,
-    the cache hit rate, and fill/invalidation counts.
+    For each protocol and request-level read share, the same workload runs
+    three ways: [baseline] (leases and cache off — the paper's plain
+    protocol), [lease] (read leases on), and the cached arm (leases {e and}
+    the method-result cache on; the cache requires the lease as its
+    invalidation signal, see {!Core.Config}).
 
     The lease does the message-elimination heavy lifting — a cache hit was
-    already a zero-message acquisition under [Lease_only]. What the cache
+    already a zero-message acquisition with the lease alone. What the cache
     adds on top is skipping the method body entirely: no local page reads,
     no per-statement CPU, no lock-table churn — visible in completion
-    time and in the hit-rate column rather than in messages.
-
-    Every case re-asserts the chaos-harness invariants: the committed
-    history is serializable (a cache hit must be indistinguishable from
-    re-execution — checked inside {!Runner.execute}), every root is
-    accounted for, cache counters are exactly zero when the cache is off,
-    lease counters are exactly zero in the baseline, and the wire ledger
-    reconciles exactly with the network's ledger (a cache hit sends
-    nothing, so the send-time and delivery-time ledgers must still
-    agree). *)
-
-type mode =
-  | Baseline  (** leases off, cache off — the paper's plain protocol *)
-  | Lease_only  (** read leases on, cache off *)
-  | Cached of Dsm.Method_cache.policy  (** leases on, cache on *)
-
-type case = {
-  protocol : Dsm.Protocol.t;
-  read_fraction : float;
-      (** request-level read share: the workload runs with
-          [root_update_fraction = Some (1 - read_fraction)] *)
-  mode : mode;
-}
-
-type outcome = {
-  case : case;
-  committed : int;
-  aborted : int;
-  messages : int;
-  bytes : int;
-  lease_hits : int;
-  cache_hits : int;
-  cache_misses : int;
-  cache_fills : int;
-  cache_invalidations : int;
-  completion_us : float;
-}
+    time and in the hit-rate column rather than in messages. The shared
+    oracle's serializability check is what pins "a cache hit is
+    indistinguishable from re-execution". *)
 
 val default_spec : Workload.Spec.t
 (** {!Workload.Scenarios.web_sessions}: tiny hot objects re-read from every
-    node. [read_only_method_fraction] is overridden per case. *)
+    node. [root_update_fraction] is overridden per case. *)
 
 val default_lease : Gdo.Lease.policy
-(** The [Fixed_ttl] policy paired with every lease-on case. *)
+(** The [Fixed_ttl] policy paired with every lease-on arm. *)
 
 val default_policy : Dsm.Method_cache.policy
 (** LRU at {!Dsm.Method_cache.default_capacity}. *)
 
-val mode_to_string : mode -> string
-val case_name : case -> string
-
-val hit_rate : outcome -> float
-(** [cache_hits / (cache_hits + cache_misses)], 0 when the cache was never
-    consulted. *)
-
-val message_factor : baseline:outcome -> on:outcome -> float
-(** How many times fewer messages [on] moved than [baseline]; 5.0 = a 5x
-    reduction. *)
-
-val run_case :
-  ?config:Core.Config.t -> ?lease:Gdo.Lease.policy -> spec:Workload.Spec.t -> case -> outcome
-(** Run one case; the workload is regenerated from [spec] with the case's
-    read fraction, and [config]'s lease and cache policies are replaced
-    according to the case's mode.
-    @raise Failure on any violated invariant (see above). *)
-
-val sweep :
-  ?config:Core.Config.t ->
-  ?lease:Gdo.Lease.policy ->
-  ?spec:Workload.Spec.t ->
-  ?protocols:Dsm.Protocol.t list ->
-  ?read_fractions:float list ->
-  ?policies:Dsm.Method_cache.policy list ->
-  unit ->
-  outcome list
-(** Cartesian product protocols × read fractions ×
-    ([Baseline] + [Lease_only] + [Cached] per policy). Defaults: all four
-    protocols, read fractions [[0.8; 0.95; 0.99]], policies
-    [[default_policy]]. *)
-
-val baseline_of : outcome list -> outcome -> outcome option
-(** The [Baseline] row with the same protocol and read fraction. *)
-
-val pp_outcome : Format.formatter -> outcome -> unit
-
-val pp_report : Format.formatter -> outcome list -> unit
-(** Table of the sweep; lease/cache rows show the message-reduction factor
-    against the matching [Baseline] row, cache rows also the hit rate. *)
-
-val to_json : outcome list -> string
-(** The sweep as a JSON array (one object per case), for BENCH_cache.json. *)
+val suite : Suite.t
+(** All four protocols × read shares [[0.8; 0.95; 0.99]], arms [baseline],
+    [lease] and cached. Gates: the best cached-LOTEC hit rate is at least
+    0.5, and the best cached-LOTEC message reduction against [baseline] at
+    a read share of at least 0.95 is at least 5×. *)

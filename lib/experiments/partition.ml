@@ -1,136 +1,90 @@
 (* Partition / gray-failure nemesis: scheduled network partitions,
    asymmetric cuts and slow links driven against the quorum membership
-   protocol, with the split-brain auditor run over every outcome.
+   protocol.
 
    Windows open at 1 ms — inside the workload's arrival span, so some
    roots are submitted mid-partition and the in-window availability
-   column measures something real.
+   columns measure something real.
 
-   Unlike the crash sweep ([Chaos.crash_sweep]) nothing here ever
-   crashes: every node stays up and keeps executing, and any death
-   declaration the quorum produces is by construction FALSE — which is
-   exactly the regime the membership protocol must survive. The
-   invariants asserted per case:
-
-   - root accounting: every submitted root committed or gave up;
-   - exact wire-ledger reconciliation, extra Suspect / View_change
-     membership traffic included;
-   - the split-brain audit ([Core.Runtime.audit]) comes back clean: at
-     most one exclusive holder per directory entry, at most one serving
-     node per (membership epoch, partition);
-   - serializability (checked by [Runner.execute] on every run);
-   - on scenarios built to force a false declaration: at least one node
-     declared dead, counted as a false suspicion, and readmitted —
-     message-driven, with no state wiped. *)
+   Unlike the crash suite nothing here ever crashes: every node stays up
+   and keeps executing, and any death declaration the quorum produces is
+   by construction FALSE — which is exactly the regime the membership
+   protocol must survive. The shared oracle checks every run (clean
+   split-brain audit, exact wire reconciliation with the extra Suspect /
+   View_change traffic, every declaration counted false, nobody left
+   declared or parked); the gates check that the schedules built to force
+   a false declaration really produced one, counted it as false, and
+   readmitted the node. *)
 
 type schedule = {
   sched_name : string;
   sched_link_windows : Sim.Fault.link_window list;
   sched_expect_false : bool;
-      (* the schedule is built to force a false declaration: assert
-         declared >= 1, false_suspicions >= 1, readmissions >= 1 *)
-}
-
-type case = {
-  pc_schedule : schedule;
-  pc_protocol : Dsm.Protocol.t;
-  pc_gdo_replicas : int;
-  pc_fault_seed : int;
-}
-
-type outcome = {
-  pc_case : case;
-  pc_committed : int;
-  pc_aborted : int;
-  pc_declared_dead : int;
-  pc_false_suspicions : int;
-  pc_readmissions : int;
-  pc_quorum_votes : int;
-  pc_stale_epoch_rejects : int;
-  pc_fence_deferrals : int;
-  pc_node_parks : int;
-  pc_failovers : int;
-  pc_declaration_p50_us : float;
-  pc_declaration_p99_us : float;
-  pc_window_submitted : int;
-      (* roots submitted while some link window was open *)
-  pc_window_committed : int;  (* of those, how many eventually committed *)
-  pc_membership_epoch : int;
-  pc_messages : int;
-  pc_completion_us : float;
+  sched_config : Core.Config.t -> Core.Config.t;
+  sched_replicas : int list;
 }
 
 (* ------------------------------------------------------------------ *)
-(* Schedules. Timers are tightened by [run_case] (heartbeat 500 us,
-   suspect timeout 1.5 ms), so windows a few milliseconds long are
-   plenty for suspicion to ripen into a declaration before the heal. *)
+(* Schedules. Timers are tightened ([Chaos.tight_timers]: heartbeat
+   500 us, suspect timeout 1.5 ms), so windows a few milliseconds long
+   are plenty for suspicion to ripen into a declaration before the heal. *)
 
 let lw kind ~from_us ~until_us =
   { Sim.Fault.lw_kind = kind; lw_from_us = from_us; lw_until_us = until_us }
+
+let schedule ?(expect_false = false) name windows =
+  {
+    sched_name = name;
+    sched_link_windows = windows;
+    sched_expect_false = expect_false;
+    sched_config = Fun.id;
+    sched_replicas = [ 0; 1 ];
+  }
 
 (* Node 3 cut off from the {0,1,2} majority. The majority declares it
    dead (falsely — it is parked, not crashed), fails its partition over
    when replicas are configured, and readmits it when its first
    post-heal message is delivered. *)
 let minority_isolated =
-  {
-    sched_name = "minority-iso";
-    sched_link_windows = [ lw (Sim.Fault.Partition [ 3 ]) ~from_us:1_000.0 ~until_us:7_000.0 ];
-    sched_expect_false = true;
-  }
+  schedule ~expect_false:true "minority-iso"
+    [ lw (Sim.Fault.Partition [ 3 ]) ~from_us:1_000.0 ~until_us:7_000.0 ]
 
 (* Symmetric 2-2 split: neither side has a quorum (3 of 4), so nobody is
    declared — both sides park and the run resumes at the heal. *)
 let even_split =
-  {
-    sched_name = "even-split";
-    sched_link_windows =
-      [ lw (Sim.Fault.Partition [ 0; 1 ]) ~from_us:1_000.0 ~until_us:5_000.0 ];
-    sched_expect_false = false;
-  }
+  schedule "even-split" [ lw (Sim.Fault.Partition [ 0; 1 ]) ~from_us:1_000.0 ~until_us:5_000.0 ]
 
 (* Asymmetric cut 1 -> 2: node 2 stops hearing node 1 and suspects it,
    but nobody else does — a single observer cannot manufacture a quorum,
    so no declaration. *)
 let one_way_cut =
-  {
-    sched_name = "one-way";
-    sched_link_windows =
-      [
-        lw (Sim.Fault.One_way { cut_src = 1; cut_dst = 2 }) ~from_us:1_000.0 ~until_us:5_000.0;
-      ];
-    sched_expect_false = false;
-  }
+  schedule "one-way"
+    [ lw (Sim.Fault.One_way { cut_src = 1; cut_dst = 2 }) ~from_us:1_000.0 ~until_us:5_000.0 ]
 
 (* Gray failure: the 0 -> 1 link delivers, 2 ms late — beyond the
    suspect timeout, so node 1 suspects node 0 intermittently, yet the
    quorum never corroborates and no declaration happens. *)
 let slow_link =
-  {
-    sched_name = "slow-link";
-    sched_link_windows =
-      [
-        lw
-          (Sim.Fault.Slow { slow_src = 0; slow_dst = 1; extra_us = 2_000.0 })
-          ~from_us:1_000.0 ~until_us:7_000.0;
-      ];
-    sched_expect_false = false;
-  }
+  schedule "slow-link"
+    [
+      lw
+        (Sim.Fault.Slow { slow_src = 0; slow_dst = 1; extra_us = 2_000.0 })
+        ~from_us:1_000.0 ~until_us:7_000.0;
+    ]
 
-(* The false-suspicion scenario of the issue, window sized so the
-   declaration strictly precedes the heal: isolation ends at 4.5 ms,
-   ~2 ms after the majority's detectors fire. *)
+(* The false-suspicion scenario, window sized so the declaration strictly
+   precedes the heal: isolation ends at 4.5 ms, ~2 ms after the
+   majority's detectors fire. *)
 let false_suspicion =
-  {
-    sched_name = "false-suspicion";
-    sched_link_windows = [ lw (Sim.Fault.Partition [ 2 ]) ~from_us:1_000.0 ~until_us:4_500.0 ];
-    sched_expect_false = true;
-  }
+  schedule ~expect_false:true "false-suspicion"
+    [ lw (Sim.Fault.Partition [ 2 ]) ~from_us:1_000.0 ~until_us:4_500.0 ]
 
 (* The false-suspicion scenario again, with read leases on: the isolated
    home has granted leases before the cut, so after its (false)
    declaration the successor must sit out the lease fence before serving
-   — fence deferrals become visible in the metrics. *)
+   — fence deferrals become visible in the metrics. The 10 ms leases are
+   long enough to straddle the declaration. Replicated only: without a
+   successor there is nobody to hold at the fence. *)
 let false_suspicion_leased =
   {
     false_suspicion with
@@ -139,233 +93,99 @@ let false_suspicion_leased =
        the readmission, so the heal must come well after the successor
        has had acquires to hold at the fence. *)
     sched_link_windows = [ lw (Sim.Fault.Partition [ 2 ]) ~from_us:1_000.0 ~until_us:9_000.0 ];
+    sched_config =
+      (fun c -> { c with Core.Config.lease = Gdo.Lease.Fixed_ttl { ttl_us = 10_000.0 } });
+    sched_replicas = [ 1 ];
   }
 
 let default_schedules =
-  [ minority_isolated; even_split; one_way_cut; slow_link; false_suspicion ]
+  [ minority_isolated; even_split; one_way_cut; slow_link; false_suspicion; false_suspicion_leased ]
 
 (* ------------------------------------------------------------------ *)
 
 let default_spec = Chaos.default_spec
 
-let fault_config c =
-  {
-    Sim.Fault.none with
-    Sim.Fault.seed = c.pc_fault_seed;
-    link_windows = c.pc_schedule.sched_link_windows;
-  }
+let case s ~replicas =
+  Suite.case
+    [ ("schedule", s.sched_name); ("gdo_replicas", string_of_int replicas); ("fault_seed", "1") ]
+    ~config:(fun c ->
+      s.sched_config
+        (Chaos.tight_timers
+           {
+             c with
+             Core.Config.faults =
+               Some { Sim.Fault.none with Sim.Fault.seed = 1; link_windows = s.sched_link_windows };
+             gdo_replicas = replicas;
+           }))
 
-let case_name c =
-  Format.asprintf "%a %s replicas=%d fseed=%d" Dsm.Protocol.pp c.pc_protocol
-    c.pc_schedule.sched_name c.pc_gdo_replicas c.pc_fault_seed
+(* Roots submitted while some link window was open, and how many of those
+   eventually committed: in-window availability. *)
+let window_roots ~committed_only run =
+  let rt = run.Runner.runtime in
+  let windows =
+    match (Core.Runtime.config rt).Core.Config.faults with
+    | Some f -> f.Sim.Fault.link_windows
+    | None -> []
+  in
+  let counted (r : Core.Runtime.root_result) =
+    List.exists
+      (fun (w : Sim.Fault.link_window) ->
+        r.submitted_at >= w.Sim.Fault.lw_from_us && r.submitted_at < w.Sim.Fault.lw_until_us)
+      windows
+    && ((not committed_only) || r.outcome = Core.Runtime.Committed)
+  in
+  Suite.Int (List.length (List.filter counted (Core.Runtime.results rt)))
 
-let in_some_window c at =
+let forced_false row =
   List.exists
-    (fun (w : Sim.Fault.link_window) ->
-      at >= w.Sim.Fault.lw_from_us && at < w.Sim.Fault.lw_until_us)
-    c.pc_schedule.sched_link_windows
+    (fun s -> s.sched_expect_false && s.sched_name = Suite.label row "schedule")
+    default_schedules
 
-let run_case ?(config = Core.Config.default) ?(dump_stalls = false) ~spec c =
-  (* Same tightened timers as the crash sweep: detection, quorum
-     agreement and failover all land well inside a few-millisecond
-     window. The leased variant grants 10 ms read leases, long enough to
-     straddle the declaration and force the successor onto the fence. *)
-  let config =
-    {
-      config with
-      Core.Config.faults = Some (fault_config c);
-      gdo_replicas = c.pc_gdo_replicas;
-      request_timeout_us = 500.0;
-      max_retransmits = 3;
-      heartbeat_interval_us = 500.0;
-      suspect_timeout_us = 1_500.0;
-      lease =
-        (if c.pc_schedule.sched_name = "false-susp-lease" then
-           Gdo.Lease.Fixed_ttl { ttl_us = 10_000.0 }
-         else config.Core.Config.lease);
-    }
-  in
-  let wl = Workload.Generator.generate spec ~page_size:config.Core.Config.page_size in
-  let on_stall =
-    if dump_stalls then
-      Some
-        (fun rt ->
-          prerr_endline "--- directory at stall ---";
-          prerr_endline (Core.Runtime.dump_directory rt))
-    else None
-  in
-  let run = Runner.execute ~config ?on_stall ~protocol:c.pc_protocol wl in
-  let m = Runner.metrics run in
-  let t = Dsm.Metrics.totals m in
-  let fail fmt =
-    Format.kasprintf (fun s -> failwith ("partition [" ^ case_name c ^ "]: " ^ s)) fmt
-  in
-  let submitted = spec.Workload.Spec.root_count in
-  if t.Dsm.Metrics.roots_committed + t.Dsm.Metrics.roots_aborted <> submitted then
-    fail "root accounting broken: %d committed + %d aborted <> %d submitted"
-      t.Dsm.Metrics.roots_committed t.Dsm.Metrics.roots_aborted submitted;
-  (* Exact wire-ledger reconciliation: the membership protocol's extra
-     Suspect / View_change traffic must be fully accounted. *)
-  if Dsm.Metrics.wire_messages_total m <> Dsm.Metrics.total_messages m then
-    fail "wire ledger out of balance: %d wire messages <> %d network messages"
-      (Dsm.Metrics.wire_messages_total m)
-      (Dsm.Metrics.total_messages m);
-  if Dsm.Metrics.wire_bytes_total m <> Dsm.Metrics.total_bytes m then
-    fail "wire ledger out of balance: %d wire bytes <> %d network bytes"
-      (Dsm.Metrics.wire_bytes_total m) (Dsm.Metrics.total_bytes m);
-  (* The split-brain audit: directory structure and acting-home log. *)
-  (match Core.Runtime.audit run.Runner.runtime with
-  | [] -> ()
-  | violations -> fail "split-brain audit failed:\n  %s" (String.concat "\n  " violations));
-  (* Nobody crashes in this nemesis, so every declaration is false and
-     every declared node must have been readmitted by the end. *)
-  if t.Dsm.Metrics.nodes_declared_dead <> t.Dsm.Metrics.false_suspicions then
-    fail "%d declarations but %d counted false (no node ever crashed)"
-      t.Dsm.Metrics.nodes_declared_dead t.Dsm.Metrics.false_suspicions;
-  for node = 0 to spec.Workload.Spec.node_count - 1 do
-    if Core.Runtime.node_declared_down run.Runner.runtime ~node then
-      fail "node %d still declared dead after the run" node;
-    if Core.Runtime.node_parked run.Runner.runtime ~node then
-      fail "node %d still parked after the run" node
-  done;
-  if c.pc_schedule.sched_expect_false then begin
-    if t.Dsm.Metrics.nodes_declared_dead = 0 then
-      fail "schedule built to force a false declaration produced none";
-    if t.Dsm.Metrics.false_suspicions = 0 then fail "false declaration not counted as such";
-    if t.Dsm.Metrics.node_readmissions = 0 then fail "falsely declared node never readmitted"
-  end;
-  let window_submitted, window_committed =
-    List.fold_left
-      (fun (ws, wc) (r : Core.Runtime.root_result) ->
-        if in_some_window c r.Core.Runtime.submitted_at then
-          ( ws + 1,
-            wc + match r.Core.Runtime.outcome with Core.Runtime.Committed -> 1 | _ -> 0 )
-        else (ws, wc))
-      (0, 0)
-      (Core.Runtime.results run.Runner.runtime)
-  in
-  let dh = Dsm.Metrics.declaration_latency m in
+let at_least_one claim column =
   {
-    pc_case = c;
-    pc_committed = t.Dsm.Metrics.roots_committed;
-    pc_aborted = t.Dsm.Metrics.roots_aborted;
-    pc_declared_dead = t.Dsm.Metrics.nodes_declared_dead;
-    pc_false_suspicions = t.Dsm.Metrics.false_suspicions;
-    pc_readmissions = t.Dsm.Metrics.node_readmissions;
-    pc_quorum_votes = t.Dsm.Metrics.quorum_votes;
-    pc_stale_epoch_rejects = t.Dsm.Metrics.stale_epoch_rejects;
-    pc_fence_deferrals = t.Dsm.Metrics.fence_deferrals;
-    pc_node_parks = t.Dsm.Metrics.node_parks;
-    pc_failovers = t.Dsm.Metrics.failovers;
-    pc_declaration_p50_us = Dsm.Histogram.percentile dh 50.0;
-    pc_declaration_p99_us = Dsm.Histogram.percentile dh 99.0;
-    pc_window_submitted = window_submitted;
-    pc_window_committed = window_committed;
-    pc_membership_epoch = Core.Runtime.membership_epoch run.Runner.runtime;
-    pc_messages = Dsm.Metrics.total_messages m;
-    pc_completion_us = Dsm.Metrics.completion_time_us m;
+    Suite.claim;
+    select = forced_false;
+    metric = (fun ~base:_ row -> Suite.get row column);
+    bound = Suite.At_least 1.0;
+    every = true;
   }
 
-let sweep ?config ?(spec = default_spec) ?(schedules = default_schedules)
-    ?(protocols = Dsm.Protocol.[ Cotec; Otec; Lotec ]) ?(replicas = [ 0; 1 ])
-    ?(fault_seeds = [ 1 ]) ?dump_stalls () =
-  (* The leased fence scenario rides along on the replicated columns
-     only: without a successor there is nobody to hold at the fence. *)
-  let schedules =
-    if List.exists (fun r -> r > 0) replicas then schedules @ [ false_suspicion_leased ]
-    else schedules
-  in
-  List.concat_map
-    (fun pc_protocol ->
+let suite =
+  {
+    Suite.name = "partition";
+    protocols = Dsm.Protocol.[ Cotec; Otec; Lotec ];
+    spec = default_spec;
+    cases =
       List.concat_map
-        (fun pc_schedule ->
-          let replicas =
-            if pc_schedule.sched_name = "false-susp-lease" then
-              List.filter (fun r -> r > 0) replicas
-            else replicas
-          in
-          List.concat_map
-            (fun pc_gdo_replicas ->
-              List.map
-                (fun pc_fault_seed ->
-                  run_case ?config ?dump_stalls ~spec
-                    { pc_schedule; pc_protocol; pc_gdo_replicas; pc_fault_seed })
-                fault_seeds)
-            replicas)
-        schedules)
-    protocols
-
-(* ------------------------------------------------------------------ *)
-
-let to_json outcomes =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "[\n";
-  List.iteri
-    (fun i o ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b
-        (Printf.sprintf
-           "  {\"protocol\": \"%s\", \"schedule\": \"%s\", \"gdo_replicas\": %d, \
-            \"fault_seed\": %d, \"committed\": %d, \"aborted\": %d, \"declared_dead\": %d, \
-            \"false_suspicions\": %d, \"readmissions\": %d, \"quorum_votes\": %d, \
-            \"stale_epoch_rejects\": %d, \"fence_deferrals\": %d, \"node_parks\": %d, \
-            \"failovers\": %d, \"declaration_p50_us\": %.1f, \"declaration_p99_us\": %.1f, \
-            \"window_submitted\": %d, \"window_committed\": %d, \"membership_epoch\": %d, \
-            \"messages\": %d, \"completion_us\": %.1f}"
-           (Format.asprintf "%a" Dsm.Protocol.pp o.pc_case.pc_protocol)
-           o.pc_case.pc_schedule.sched_name o.pc_case.pc_gdo_replicas o.pc_case.pc_fault_seed
-           o.pc_committed o.pc_aborted o.pc_declared_dead o.pc_false_suspicions
-           o.pc_readmissions o.pc_quorum_votes o.pc_stale_epoch_rejects o.pc_fence_deferrals
-           o.pc_node_parks o.pc_failovers o.pc_declaration_p50_us o.pc_declaration_p99_us
-           o.pc_window_submitted o.pc_window_committed o.pc_membership_epoch o.pc_messages
-           o.pc_completion_us))
-    outcomes;
-  Buffer.add_string b "\n]\n";
-  Buffer.contents b
-
-let pp_outcome fmt o =
-  Format.fprintf fmt
-    "%s: %d/%d committed, %d declared (%d false, %d readmitted), %d parks, %d failovers, \
-     %.0f us"
-    (case_name o.pc_case) o.pc_committed
-    (o.pc_committed + o.pc_aborted)
-    o.pc_declared_dead o.pc_false_suspicions o.pc_readmissions o.pc_node_parks o.pc_failovers
-    o.pc_completion_us
-
-let pp_report fmt outcomes =
-  let header =
-    [
-      "protocol"; "schedule"; "repl"; "ok/roots"; "win-ok"; "dead"; "false"; "readmit";
-      "votes"; "stale-rej"; "fence"; "parks"; "failover"; "decl-p50"; "completion";
-    ]
-  in
-  let rows =
-    List.map
-      (fun o ->
+        (fun s -> List.map (fun replicas -> case s ~replicas) s.sched_replicas)
+        default_schedules;
+    arms = Suite.default_arm;
+    columns =
+      Suite.
         [
-          Format.asprintf "%a" Dsm.Protocol.pp o.pc_case.pc_protocol;
-          o.pc_case.pc_schedule.sched_name;
-          string_of_int o.pc_case.pc_gdo_replicas;
-          Printf.sprintf "%d/%d" o.pc_committed (o.pc_committed + o.pc_aborted);
-          Printf.sprintf "%d/%d" o.pc_window_committed o.pc_window_submitted;
-          string_of_int o.pc_declared_dead;
-          string_of_int o.pc_false_suspicions;
-          string_of_int o.pc_readmissions;
-          string_of_int o.pc_quorum_votes;
-          string_of_int o.pc_stale_epoch_rejects;
-          string_of_int o.pc_fence_deferrals;
-          string_of_int o.pc_node_parks;
-          string_of_int o.pc_failovers;
-          Report.fmt_us o.pc_declaration_p50_us;
-          Report.fmt_us o.pc_completion_us;
-        ])
-      outcomes
-  in
-  Format.fprintf fmt "partition nemesis: all invariants held (split-brain audit clean)@.%s@."
-    (Report.render ~header
-       ~align:
-         [
-           Report.Left; Left; Right; Right; Right; Right; Right; Right; Right; Right; Right;
-           Right; Right; Right; Right;
-         ]
-       rows)
+          roots_committed;
+          roots_aborted;
+          counter "nodes_declared_dead" (fun t -> t.nodes_declared_dead);
+          counter "false_suspicions" (fun t -> t.false_suspicions);
+          counter "node_readmissions" (fun t -> t.node_readmissions);
+          counter "quorum_votes" (fun t -> t.quorum_votes);
+          counter "stale_epoch_rejects" (fun t -> t.stale_epoch_rejects);
+          counter "fence_deferrals" (fun t -> t.fence_deferrals);
+          counter "node_parks" (fun t -> t.node_parks);
+          counter "failovers" (fun t -> t.failovers);
+          percentile "declaration_p50_us" Dsm.Metrics.declaration_latency 50.0;
+          percentile "declaration_p99_us" Dsm.Metrics.declaration_latency 99.0;
+          ("window_submitted", window_roots ~committed_only:false);
+          ("window_committed", window_roots ~committed_only:true);
+          ( "membership_epoch",
+            fun run -> Int (Core.Runtime.membership_epoch run.Runner.runtime) );
+          total_messages;
+          completion_time_us;
+        ];
+    gates =
+      [
+        at_least_one "every forced-false schedule declares a node dead" "nodes_declared_dead";
+        at_least_one "every forced-false schedule counts the declaration false" "false_suspicions";
+        at_least_one "every forced-false schedule readmits the node" "node_readmissions";
+      ];
+  }

@@ -8,18 +8,20 @@
     falsely declared node is fenced by the membership epoch, readmitted
     by message delivery, and nothing it holds is ever reclaimed.
 
-    Every case asserts, fail-loud: exact root accounting, exact wire
-    ledger reconciliation (membership traffic included), a clean
-    split-brain audit ({!Core.Runtime.audit}), serializability, no node
-    left declared or parked at the end, and — on schedules built to
-    force a false declaration — that a declaration, false-suspicion
-    count and readmission all actually happened. *)
+    Every run passes the shared oracle ({!Runner.oracle}): exact root
+    accounting, exact wire reconciliation (membership traffic included),
+    a clean split-brain audit ({!Core.Runtime.audit}), serializability,
+    every declaration counted false, and no node left declared or parked
+    at the end. The suite's gates require that on every schedule built to
+    force a false declaration, a declaration, its false-suspicion count
+    and a readmission all actually happened. *)
 
 type schedule = {
   sched_name : string;
   sched_link_windows : Sim.Fault.link_window list;
-  sched_expect_false : bool;
-      (** assert declared/false/readmitted >= 1 on this schedule *)
+  sched_expect_false : bool;  (** the forced-false gates cover this schedule *)
+  sched_config : Core.Config.t -> Core.Config.t;  (** applied after the timers *)
+  sched_replicas : int list;  (** the GDO replica counts the schedule runs with *)
 }
 
 val minority_isolated : schedule
@@ -39,70 +41,22 @@ val slow_link : schedule
     no declaration. *)
 
 val false_suspicion : schedule
-(** The issue's false-suspicion scenario: a healthy home isolated just
-    long enough that the declaration strictly precedes the heal. *)
+(** A healthy home isolated just long enough that the declaration
+    strictly precedes the heal. *)
 
 val false_suspicion_leased : schedule
-(** {!false_suspicion} with 10 ms read leases on (replicas >= 1): the
+(** {!false_suspicion} with 10 ms read leases on, replicated only: the
     successor of the falsely declared home must wait out the lease fence
-    before serving — fence deferrals show up in the metrics. Not in
-    {!default_schedules}; the sweep adds it for the replicated column. *)
+    before serving — fence deferrals show up in the metrics. *)
 
 val default_schedules : schedule list
-
-type case = {
-  pc_schedule : schedule;
-  pc_protocol : Dsm.Protocol.t;
-  pc_gdo_replicas : int;
-  pc_fault_seed : int;
-}
-
-type outcome = {
-  pc_case : case;
-  pc_committed : int;
-  pc_aborted : int;
-  pc_declared_dead : int;
-  pc_false_suspicions : int;
-  pc_readmissions : int;
-  pc_quorum_votes : int;
-  pc_stale_epoch_rejects : int;
-  pc_fence_deferrals : int;
-  pc_node_parks : int;
-  pc_failovers : int;
-  pc_declaration_p50_us : float;
-  pc_declaration_p99_us : float;
-  pc_window_submitted : int;
-      (** roots submitted while some link window was open *)
-  pc_window_committed : int;  (** of those, how many eventually committed *)
-  pc_membership_epoch : int;
-  pc_messages : int;
-  pc_completion_us : float;
-}
+(** All six schedules above. *)
 
 val default_spec : Workload.Spec.t
 
-val run_case :
-  ?config:Core.Config.t -> ?dump_stalls:bool -> spec:Workload.Spec.t -> case -> outcome
-(** One nemesis run, with detection/membership timers tightened so a
-    few-millisecond window suffices for declaration and failover.
-    @raise Failure on any violated invariant (see module doc). *)
+val case : schedule -> replicas:int -> Suite.case
+(** The schedule's link windows (fault seed 1) under
+    {!Chaos.tight_timers}, with [replicas] GDO replicas. *)
 
-val sweep :
-  ?config:Core.Config.t ->
-  ?spec:Workload.Spec.t ->
-  ?schedules:schedule list ->
-  ?protocols:Dsm.Protocol.t list ->
-  ?replicas:int list ->
-  ?fault_seeds:int list ->
-  ?dump_stalls:bool ->
-  unit ->
-  outcome list
-(** The full grid: schedules x protocols x replica counts x fault seeds.
-    Defaults: {!default_schedules}, COTEC/OTEC/LOTEC, replicas [0; 1],
-    one seed. *)
-
-val to_json : outcome list -> string
-(** JSON array, one object per outcome — the BENCH_partition.json shape. *)
-
-val pp_outcome : Format.formatter -> outcome -> unit
-val pp_report : Format.formatter -> outcome list -> unit
+val suite : Suite.t
+(** COTEC/OTEC/LOTEC × every schedule × its replica counts. *)

@@ -1,4 +1,5 @@
-(** Run a generated workload under a protocol and collect the metrics. *)
+(** Run a generated workload under a protocol, check it, and collect the
+    metrics. *)
 
 type run = {
   protocol : Dsm.Protocol.t;
@@ -15,14 +16,34 @@ val execute :
 (** Build a runtime for the workload's catalog (node count taken from the
     workload spec; everything else from [config], default
     {!Core.Config.default}), submit every root, drive the simulation to
-    completion, and verify the committed history is serializable and —
-    when the config enables escrow — that the escrow op log replays within
-    bounds ({!Core.Runtime.check_escrow}).
+    completion, and check the finished run with {!oracle}.
     [on_stall], if given, is called with the runtime when the run raises
-    (e.g. {!Sim.Engine.Stalled}) before the exception propagates — a hook
-    for dumping diagnostic state such as {!Gdo.Directory.dump}.
-    @raise Failure if the serializability check fails — that would be a
+    {!Sim.Engine.Stalled}, before the exception propagates — a hook for
+    dumping diagnostic state such as {!Core.Runtime.dump_directory}.
+    @raise Failure if the oracle reports any violation — that would be a
     protocol bug, not a workload property. *)
+
+val oracle : run -> string list
+(** The one correctness oracle every run passes, as a list of violations
+    (empty when clean), each prefixed with the name of the broken clause:
+
+    - [serializability]: the committed history has no conflict cycle;
+    - [escrow replay]: the escrow op log replays within bounds
+      ({!Core.Runtime.check_escrow});
+    - [root accounting]: committed + aborted roots = submitted roots;
+    - [ledger balance]: per object, messages = control + data messages,
+      and an object with messages has bytes;
+    - [wire reconciliation]: the send-time wire ledger equals the network
+      ledger exactly, in messages and in bytes;
+    - [split-brain audit]: {!Core.Runtime.audit} is empty;
+    - [lease hygiene], [cache hygiene], [batching hygiene] (riders
+      included), [shipping hygiene], [escrow hygiene]: a lever the config
+      leaves off records zero in every one of its counters;
+    - [fault hygiene]: with faults inactive, zero drops, duplicates,
+      retransmits, timeouts and give-ups;
+    - [crash accounting]: with no crash window, zero crash aborts and
+      every death declaration counted as a false suspicion;
+    - [membership]: no node is still declared dead or parked at the end. *)
 
 val execute_all :
   ?config:Core.Config.t -> protocols:Dsm.Protocol.t list -> Workload.Generator.t -> run list

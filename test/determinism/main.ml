@@ -85,18 +85,22 @@ let escrow_sweep () =
      escrowed finals twice. *)
   Format.printf "escrow finals:@.";
   let run () =
-    let case =
+    let config =
       {
-        Experiments.Escrow.protocol = Dsm.Protocol.Lotec;
-        skew = 1.2;
-        mode = Experiments.Escrow.Escrow Experiments.Escrow.default_params;
+        Core.Config.default with
+        Core.Config.escrow = Dsm.Escrow.On Experiments.Escrow.default_params;
       }
     in
-    let o = Experiments.Escrow.run_case case in
-    o.Experiments.Escrow.escrow_finals
+    let wl =
+      Workload.Generator.generate
+        (Experiments.Escrow.default_spec ~skew:1.2)
+        ~page_size:config.Core.Config.page_size
+    in
+    let run = Experiments.Runner.execute ~config ~protocol:Dsm.Protocol.Lotec wl in
+    Core.Runtime.check_escrow run.Experiments.Runner.runtime
   in
   let a = run () in
-  check "escrow replay non-trivial" (a <> []);
+  check "escrow replay non-trivial" (a <> Ok []);
   check "escrow finals identical across runs" (a = run ())
 
 let () =

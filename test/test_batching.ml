@@ -345,37 +345,36 @@ let test_batching_sweep_headline () =
      (see Sim.Backoff) — a couple of tail retransmits landing differently
      shifts completion by several percent on this 3%-loss run, so the band
      is wide; the message reduction, not completion, is the headline. *)
-  let outcomes = Experiments.Batching.sweep ~protocols:[ Dsm.Protocol.Lotec ] () in
-  Alcotest.(check int) "two rows" 2 (List.length outcomes);
-  match Experiments.Batching.lotec_message_reduction_pct outcomes with
-  | None -> Alcotest.fail "missing lotec rows"
-  | Some pct ->
+  let rows =
+    Experiments.Suite.run
+      { Experiments.Batching.suite with Experiments.Suite.protocols = [ Dsm.Protocol.Lotec ] }
+  in
+  Alcotest.(check int) "two rows" 2 (List.length rows);
+  let row arm = List.find (fun (r : Experiments.Suite.row) -> r.Experiments.Suite.arm = arm) rows in
+  let off = row "off" and on = row "all" in
+  let get = Experiments.Suite.get in
+  let pct =
+    100.0 *. (get on "total_messages" -. get off "total_messages") /. get off "total_messages"
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "message reduction >= 15%% (got %+.1f%%)" pct)
+    true (pct <= -15.0);
+  let slack = 1.15 *. get off "completion_time_us" in
+  Alcotest.(check bool)
+    (Printf.sprintf "completion no worse (%.0f vs %.0f us)" (get on "completion_time_us")
+       (get off "completion_time_us"))
+    true
+    (get on "completion_time_us" <= slack);
+  (* The software-cost replay: batching must win at high per-message
+     cost — the paper's regime where LOTEC's message count hurts. *)
+  List.iter
+    (fun sw ->
+      let at r = get r (Printf.sprintf "total_time_us_sw%g" sw) in
       Alcotest.(check bool)
-        (Printf.sprintf "message reduction >= 15%% (got %+.1f%%)" pct)
-        true (pct <= -15.0);
-      let off = List.find (fun (o : Experiments.Batching.outcome) ->
-          not (Dsm.Batching.enabled o.Experiments.Batching.case.Experiments.Batching.policy))
-          outcomes
-      and on = List.find (fun (o : Experiments.Batching.outcome) ->
-          Dsm.Batching.enabled o.Experiments.Batching.case.Experiments.Batching.policy)
-          outcomes
-      in
-      let slack = 1.15 *. off.Experiments.Batching.completion_us in
-      Alcotest.(check bool)
-        (Printf.sprintf "completion no worse (%.0f vs %.0f us)"
-           on.Experiments.Batching.completion_us off.Experiments.Batching.completion_us)
+        (Printf.sprintf "replayed time improves at sw=%g" sw)
         true
-        (on.Experiments.Batching.completion_us <= slack);
-      (* The software-cost replay: batching must win at high per-message
-         cost — the paper's regime where LOTEC's message count hurts. *)
-      let at sw (o : Experiments.Batching.outcome) = List.assoc sw o.Experiments.Batching.time_us in
-      List.iter
-        (fun sw ->
-          Alcotest.(check bool)
-            (Printf.sprintf "replayed time improves at sw=%g" sw)
-            true
-            (at sw on < at sw off))
-        [ 100.0; 20.0 ]
+        (at on < at off))
+    [ 100.0; 20.0 ]
 
 let tests =
   [

@@ -83,15 +83,15 @@ let run_traced config protocol =
     | Some tr -> Sim.Trace.events tr
     | None -> Alcotest.fail "tracing was enabled but absent"
   in
-  (m, events)
+  (run, m, events)
 
 (* Two runs with identical workload + fault seeds must produce identical
    event streams — fault injection is deterministic, not merely statistically
    similar. *)
 let test_faulty_run_deterministic () =
   let config = faulty_config ~fault_seed:13 ~drop:0.1 ~dup:0.1 ~jitter:50.0 () in
-  let m1, ev1 = run_traced config Dsm.Protocol.Lotec in
-  let m2, ev2 = run_traced config Dsm.Protocol.Lotec in
+  let _, m1, ev1 = run_traced config Dsm.Protocol.Lotec in
+  let _, m2, ev2 = run_traced config Dsm.Protocol.Lotec in
   Alcotest.(check int) "same event count" (List.length ev1) (List.length ev2);
   List.iter2
     (fun (a : Dsm.Event.t Sim.Trace.entry) (b : Dsm.Event.t Sim.Trace.entry) ->
@@ -107,32 +107,36 @@ let test_faulty_run_deterministic () =
     (Dsm.Metrics.completion_time_us m2);
   (* A different fault seed must actually perturb the run. *)
   let config' = faulty_config ~fault_seed:14 ~drop:0.1 ~dup:0.1 ~jitter:50.0 () in
-  let _, ev3 = run_traced config' Dsm.Protocol.Lotec in
+  let _, _, ev3 = run_traced config' Dsm.Protocol.Lotec in
   Alcotest.(check bool) "different seed diverges" true (ev1 <> ev3)
 
-(* The harness sweep: rates x seeds x all three paper protocols. Chaos
-   raises on any violated invariant, so surviving the call is the test. *)
+(* The chaos suite over rates x seeds x all three paper protocols. Every
+   run passes the shared oracle, so an error row fails the test. *)
 let test_sweep_invariants () =
-  let outcomes =
-    Experiments.Chaos.sweep ~spec:chaos_spec
-      ~rates:[ (0.0, 0.0, 0.0); (0.1, 0.1, 50.0); (0.2, 0.2, 100.0) ]
-      ~fault_seeds:[ 1; 2 ] ()
+  let rows =
+    Experiments.Suite.run
+      {
+        Experiments.Chaos.chaos with
+        Experiments.Suite.spec = chaos_spec;
+        cases =
+          Experiments.Chaos.rate_cases ~fault_seeds:[ 1; 2 ]
+            [ (0.0, 0.0, 0.0); (0.1, 0.1, 50.0); (0.2, 0.2, 100.0) ];
+      }
   in
   (* 3 protocols x (1 fault-free + 2 rates x 2 seeds) = 15 cases. *)
-  Alcotest.(check int) "case count" 15 (List.length outcomes);
+  Alcotest.(check int) "case count" 15 (List.length rows);
   List.iter
-    (fun (o : Experiments.Chaos.outcome) ->
-      Alcotest.(check int)
-        (Format.asprintf "%a all roots" Dsm.Protocol.pp o.Experiments.Chaos.case.protocol)
-        chaos_spec.Workload.Spec.root_count
-        (o.Experiments.Chaos.committed + o.Experiments.Chaos.aborted);
-      if o.Experiments.Chaos.case.Experiments.Chaos.drop = 0.0 then
-        Alcotest.(check int) "fault-free case clean" 0
-          (o.Experiments.Chaos.drops + o.Experiments.Chaos.duplicates
-         + o.Experiments.Chaos.retransmits)
-      else
-        Alcotest.(check bool) "faults actually injected" true (o.Experiments.Chaos.drops > 0))
-    outcomes
+    (fun (r : Experiments.Suite.row) ->
+      let get = Experiments.Suite.get r in
+      Alcotest.(check (float 0.0))
+        (Format.asprintf "%a all roots" Dsm.Protocol.pp r.Experiments.Suite.protocol)
+        (float_of_int chaos_spec.Workload.Spec.root_count)
+        (get "roots_committed" +. get "roots_aborted");
+      if Experiments.Suite.label r "drop" = "0.00" then
+        Alcotest.(check (float 0.0)) "fault-free case clean" 0.0
+          (get "drops" +. get "duplicates" +. get "retransmits")
+      else Alcotest.(check bool) "faults actually injected" true (get "drops" > 0.0))
+    rows
 
 (* Node pause and crash-restart windows in the middle of a full run: the
    transport retransmits into the outage and the run still completes. *)
@@ -144,17 +148,18 @@ let test_windows_survived () =
     ]
   in
   let config = faulty_config ~windows ~fault_seed:5 ~drop:0.0 ~dup:0.0 ~jitter:0.0 () in
-  let m, _ = run_traced config Dsm.Protocol.Lotec in
+  let run, m, _ = run_traced config Dsm.Protocol.Lotec in
   let t = Dsm.Metrics.totals m in
   Alcotest.(check int) "all roots accounted" chaos_spec.Workload.Spec.root_count
     (t.Dsm.Metrics.roots_committed + t.Dsm.Metrics.roots_aborted);
-  Alcotest.(check bool) "ledger balanced" true (Experiments.Chaos.ledger_balanced m);
+  Alcotest.(check (list string)) "oracle clean (ledger balanced)" []
+    (Experiments.Runner.oracle run);
   (* The crash window must have cost something: losses then retransmits. *)
   Alcotest.(check bool) "crash losses recovered" true (t.Dsm.Metrics.retransmits > 0)
 
 (* QCheck property: for arbitrary small fault rates and seeds, every
-   invariant Chaos.run_case asserts (serializability, root accounting,
-   ledger balance, drained simulation) holds for every protocol. *)
+   protocol passes the shared oracle (serializability, root accounting,
+   ledger balance, drained simulation). *)
 let prop_chaos_invariants =
   let gen =
     QCheck2.Gen.(
@@ -163,14 +168,22 @@ let prop_chaos_invariants =
   in
   let protocols = Dsm.Protocol.[ Cotec; Otec; Lotec ] in
   QCheck2.Test.make ~name:"chaos invariants hold for rates <= 0.2" ~count:12 gen
-    (fun (fault_seed, drop, dup, jitter_us) ->
+    (fun (fault_seed, drop, duplicate, jitter_us) ->
+      let config =
+        {
+          Core.Config.default with
+          Core.Config.faults =
+            Experiments.Chaos.fault_config ~drop ~duplicate ~jitter_us ~fault_seed;
+        }
+      in
+      let wl = Workload.Generator.generate chaos_spec ~page_size:4096 in
       List.for_all
         (fun protocol ->
-          let o =
-            Experiments.Chaos.run_case ~spec:chaos_spec
-              { Experiments.Chaos.protocol; drop; duplicate = dup; jitter_us; fault_seed }
+          let t =
+            Dsm.Metrics.totals
+              (Experiments.Runner.metrics (Experiments.Runner.execute ~config ~protocol wl))
           in
-          o.Experiments.Chaos.committed + o.Experiments.Chaos.aborted
+          t.Dsm.Metrics.roots_committed + t.Dsm.Metrics.roots_aborted
           = chaos_spec.Workload.Spec.root_count)
         protocols)
 

@@ -1,6 +1,6 @@
 (* Crash-recovery tests: the failure detector, dead-family eviction at the
    directory (QCheck property: no dangling residue), lease eviction, and
-   full runs through Chaos.run_crash_case — crash windows, dead
+   full runs under the crash suite's timers — crash windows, dead
    declaration, reclamation and GDO home failover, with the recovery
    invariants asserted end to end. *)
 
@@ -175,96 +175,91 @@ let test_lease_eviction () =
 
 let spec = Experiments.Chaos.default_spec
 
-let crash_case ?(replicas = 0) ?(windows = [ (2, 3_000.0, 9_000.0) ]) protocol =
-  {
-    Experiments.Chaos.cc_protocol = protocol;
-    cc_windows = windows;
-    cc_gdo_replicas = replicas;
-    cc_drop = 0.0;
-    cc_fault_seed = 1;
-  }
+(* One run under the crash suite's tightened recovery timers. The shared
+   oracle (root accounting, exact wire-ledger reconciliation, ledger
+   balance, serializability) raises on any violation, and so does a
+   stall, so most of the checking is surviving the call. *)
+let crash_run ?(replicas = 0) ?(windows = [ (2, 3_000.0, 9_000.0) ]) protocol =
+  let config =
+    Experiments.Chaos.tight_timers
+      {
+        Core.Config.default with
+        Core.Config.faults = Some (Experiments.Chaos.crash_faults ~fault_seed:1 windows);
+        gdo_replicas = replicas;
+      }
+  in
+  let wl = Workload.Generator.generate spec ~page_size:config.Core.Config.page_size in
+  let m = Experiments.Runner.metrics (Experiments.Runner.execute ~config ~protocol wl) in
+  (m, Dsm.Metrics.totals m)
 
-(* run_crash_case raises on any violated invariant (root accounting, exact
-   wire-ledger reconciliation, ledger balance, serializability, stall), so
-   most of the checking is surviving the call. *)
 let test_crash_run_recovers () =
   List.iter
     (fun protocol ->
-      let o = Experiments.Chaos.run_crash_case ~spec (crash_case protocol) in
+      let m, t = crash_run protocol in
       let name = Format.asprintf "%a" Dsm.Protocol.pp protocol in
       Alcotest.(check int)
         (name ^ " all roots accounted") spec.Workload.Spec.root_count
-        (o.Experiments.Chaos.cc_committed + o.Experiments.Chaos.cc_aborted);
+        (t.Dsm.Metrics.roots_committed + t.Dsm.Metrics.roots_aborted);
       Alcotest.(check bool) (name ^ " crash aborted some families") true
-        (o.Experiments.Chaos.cc_crash_aborts > 0);
+        (t.Dsm.Metrics.crash_aborts > 0);
       Alcotest.(check int) (name ^ " one node declared dead") 1
-        o.Experiments.Chaos.cc_declared_dead;
+        t.Dsm.Metrics.nodes_declared_dead;
       Alcotest.(check bool) (name ^ " dead families reclaimed") true
-        (o.Experiments.Chaos.cc_reclaimed > 0);
-      Alcotest.(check int) (name ^ " no failover without replicas") 0
-        o.Experiments.Chaos.cc_failovers;
+        (t.Dsm.Metrics.families_reclaimed > 0);
+      Alcotest.(check int) (name ^ " no failover without replicas") 0 t.Dsm.Metrics.failovers;
+      let recovery = Dsm.Metrics.recovery_latency m in
       Alcotest.(check bool) (name ^ " crash-affected roots recovered") true
-        (o.Experiments.Chaos.cc_recovered > 0);
+        (Dsm.Histogram.count recovery > 0);
       Alcotest.(check bool) (name ^ " recovery latency recorded") true
-        (o.Experiments.Chaos.cc_recovery_p50_us > 0.0))
+        (Dsm.Histogram.percentile recovery 50.0 > 0.0))
     Dsm.Protocol.[ Cotec; Otec; Lotec ]
 
 let test_gdo_home_failover () =
   (* Node 2 is the GDO home of every object with oid mod 4 = 2; with one
      replica its partition fails over to node 3 and back at rejoin. *)
-  let with_repl =
-    Experiments.Chaos.run_crash_case ~spec (crash_case ~replicas:1 Dsm.Protocol.Lotec)
-  in
-  let without =
-    Experiments.Chaos.run_crash_case ~spec (crash_case ~replicas:0 Dsm.Protocol.Lotec)
-  in
-  Alcotest.(check int) "exactly one failover" 1 with_repl.Experiments.Chaos.cc_failovers;
+  let with_repl, t = crash_run ~replicas:1 Dsm.Protocol.Lotec in
+  let without, _ = crash_run ~replicas:0 Dsm.Protocol.Lotec in
+  Alcotest.(check int) "exactly one failover" 1 t.Dsm.Metrics.failovers;
   Alcotest.(check int) "all roots commit or abort" spec.Workload.Spec.root_count
-    (with_repl.Experiments.Chaos.cc_committed + with_repl.Experiments.Chaos.cc_aborted);
+    (t.Dsm.Metrics.roots_committed + t.Dsm.Metrics.roots_aborted);
   (* Serving the partition from the successor instead of stalling on the
      dead home must not be slower. *)
   Alcotest.(check bool) "failover does not hurt completion" true
-    (with_repl.Experiments.Chaos.cc_completion_us
-    <= without.Experiments.Chaos.cc_completion_us +. 1.0)
+    (Dsm.Metrics.completion_time_us with_repl
+    <= Dsm.Metrics.completion_time_us without +. 1.0)
 
 let test_staggered_crashes () =
-  let o =
-    Experiments.Chaos.run_crash_case ~spec
-      (crash_case ~replicas:1
-         ~windows:[ (1, 2_000.0, 6_000.0); (3, 8_000.0, 13_000.0) ]
-         Dsm.Protocol.Lotec)
+  let _, t =
+    crash_run ~replicas:1
+      ~windows:[ (1, 2_000.0, 6_000.0); (3, 8_000.0, 13_000.0) ]
+      Dsm.Protocol.Lotec
   in
-  Alcotest.(check int) "both nodes declared dead" 2 o.Experiments.Chaos.cc_declared_dead;
-  Alcotest.(check int) "two failovers" 2 o.Experiments.Chaos.cc_failovers;
+  Alcotest.(check int) "both nodes declared dead" 2 t.Dsm.Metrics.nodes_declared_dead;
+  Alcotest.(check int) "two failovers" 2 t.Dsm.Metrics.failovers;
   Alcotest.(check int) "all roots accounted" spec.Workload.Spec.root_count
-    (o.Experiments.Chaos.cc_committed + o.Experiments.Chaos.cc_aborted)
+    (t.Dsm.Metrics.roots_committed + t.Dsm.Metrics.roots_aborted)
 
 (* Crash runs are deterministic: same case, same numbers. *)
 let test_crash_run_deterministic () =
-  let c = crash_case ~replicas:1 Dsm.Protocol.Otec in
-  let a = Experiments.Chaos.run_crash_case ~spec c in
-  let b = Experiments.Chaos.run_crash_case ~spec c in
-  Alcotest.(check int) "same traffic" a.Experiments.Chaos.cc_messages
-    b.Experiments.Chaos.cc_messages;
-  Alcotest.(check (float 0.0)) "same completion" a.Experiments.Chaos.cc_completion_us
-    b.Experiments.Chaos.cc_completion_us;
-  Alcotest.(check int) "same crash aborts" a.Experiments.Chaos.cc_crash_aborts
-    b.Experiments.Chaos.cc_crash_aborts
+  let a, ta = crash_run ~replicas:1 Dsm.Protocol.Otec in
+  let b, tb = crash_run ~replicas:1 Dsm.Protocol.Otec in
+  Alcotest.(check int) "same traffic" (Dsm.Metrics.total_messages a)
+    (Dsm.Metrics.total_messages b);
+  Alcotest.(check (float 0.0)) "same completion" (Dsm.Metrics.completion_time_us a)
+    (Dsm.Metrics.completion_time_us b);
+  Alcotest.(check int) "same crash aborts" ta.Dsm.Metrics.crash_aborts tb.Dsm.Metrics.crash_aborts
 
 (* A crash window entirely after completion must not perturb the run: the
    recovery machinery arms (heartbeats and all) but no crash ever fires
    during useful work — traffic differs only by the heartbeat/ack noise,
    while commits, aborts and crash counters stay clean. *)
 let test_late_window_is_harmless () =
-  let o =
-    Experiments.Chaos.run_crash_case ~spec
-      (crash_case ~windows:[ (2, 500_000.0, 501_000.0) ] Dsm.Protocol.Lotec)
-  in
+  let _, t = crash_run ~windows:[ (2, 500_000.0, 501_000.0) ] Dsm.Protocol.Lotec in
   Alcotest.(check int) "all roots committed" spec.Workload.Spec.root_count
-    o.Experiments.Chaos.cc_committed;
-  Alcotest.(check int) "no crash aborts" 0 o.Experiments.Chaos.cc_crash_aborts;
-  Alcotest.(check int) "nobody declared dead" 0 o.Experiments.Chaos.cc_declared_dead;
-  Alcotest.(check int) "no failovers" 0 o.Experiments.Chaos.cc_failovers
+    t.Dsm.Metrics.roots_committed;
+  Alcotest.(check int) "no crash aborts" 0 t.Dsm.Metrics.crash_aborts;
+  Alcotest.(check int) "nobody declared dead" 0 t.Dsm.Metrics.nodes_declared_dead;
+  Alcotest.(check int) "no failovers" 0 t.Dsm.Metrics.failovers
 
 let tests =
   [

@@ -312,30 +312,40 @@ let test_escrow_off_byte_identity () =
 (* The acceptance numbers: on the hottest-skew bank workload, LOTEC with
    escrow must complete at least 25% sooner than its exclusive-locking
    baseline — with real coordination avoidance behind it (local zero-
-   message commits and lazy reconciles, not just admissions). run_case
-   itself asserts serializability, the escrow-ledger replay, root
+   message commits and lazy reconciles, not just admissions). The shared
+   oracle asserts serializability, the escrow-ledger replay, root
    accounting, zero-counter hygiene and exact wire reconciliation for
-   both rows. *)
+   both runs. *)
 let test_lotec_headline_gate () =
-  let outcomes =
-    Experiments.Escrow.sweep ~protocols:[ Dsm.Protocol.Lotec ] ~skews:[ 1.2 ] ()
+  let run escrow =
+    let config = { Core.Config.default with Core.Config.escrow } in
+    let wl =
+      Workload.Generator.generate
+        (Experiments.Escrow.default_spec ~skew:1.2)
+        ~page_size:config.Core.Config.page_size
+    in
+    Experiments.Runner.execute ~config ~protocol:Dsm.Protocol.Lotec wl
   in
-  match Experiments.Escrow.headline outcomes with
-  | None -> Alcotest.fail "sweep produced no headline row"
-  | Some (baseline, on, ratio) ->
-      Alcotest.(check int) "baseline runs no escrow" 0 baseline.Experiments.Escrow.reserves;
-      Alcotest.(check bool) "escrow run reserves" true (on.Experiments.Escrow.reserves > 0);
-      Alcotest.(check bool) "zero-message local commits happen" true
-        (on.Experiments.Escrow.local_commits > 0);
-      Alcotest.(check bool) "lazy reconciles happen" true
-        (on.Experiments.Escrow.reconciles > 0);
-      Alcotest.(check bool) "recalls drain quotas for exclusive access" true
-        (on.Experiments.Escrow.recalls > 0);
-      Alcotest.(check bool) "replay reports escrowed finals" true
-        (on.Experiments.Escrow.escrow_finals <> []);
-      if ratio > 0.75 then
-        Alcotest.failf "completion ratio %.3f misses the 0.75 ceiling (%.0f vs %.0f us)" ratio
-          on.Experiments.Escrow.completion_us baseline.Experiments.Escrow.completion_us
+  let baseline = run Dsm.Escrow.off in
+  let on = run (Dsm.Escrow.On Experiments.Escrow.default_params) in
+  let totals r = Dsm.Metrics.totals (Experiments.Runner.metrics r) in
+  let tb = totals baseline and t = totals on in
+  Alcotest.(check int) "baseline runs no escrow" 0 tb.Dsm.Metrics.escrow_reserves;
+  Alcotest.(check bool) "escrow run reserves" true (t.Dsm.Metrics.escrow_reserves > 0);
+  Alcotest.(check bool) "zero-message local commits happen" true
+    (t.Dsm.Metrics.escrow_local_commits > 0);
+  Alcotest.(check bool) "lazy reconciles happen" true (t.Dsm.Metrics.escrow_reconciles > 0);
+  Alcotest.(check bool) "recalls drain quotas for exclusive access" true
+    (t.Dsm.Metrics.escrow_recalls > 0);
+  Alcotest.(check bool) "replay reports escrowed finals" true
+    (match Core.Runtime.check_escrow on.Experiments.Runner.runtime with
+    | Ok finals -> finals <> []
+    | Error _ -> false);
+  let completion r = Dsm.Metrics.completion_time_us (Experiments.Runner.metrics r) in
+  let ratio = completion on /. completion baseline in
+  if not (ratio <= 0.75) then
+    Alcotest.failf "completion ratio %.3f misses the 0.75 ceiling (%.0f vs %.0f us)" ratio
+      (completion on) (completion baseline)
 
 let tests =
   [

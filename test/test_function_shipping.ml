@@ -159,29 +159,32 @@ let test_shipping_off_byte_identity () =
 (* The acceptance numbers: on the skewed workload at the cheapest
    messaging (the least favourable sigma), LOTEC with shipping moves at
    least 30% fewer bytes than its own data-ship baseline with completion
-   no worse than +2%. run_case itself asserts serializability, root
+   no worse than +2%. The shared oracle asserts serializability, root
    accounting, zero-counter hygiene and exact wire-ledger reconciliation
    for both rows. *)
 let test_lotec_headline_gate () =
-  let outcomes =
-    Experiments.Function_shipping.sweep ~protocols:[ Dsm.Protocol.Lotec ] ~skews:[ 1.5 ]
-      ~software_costs:[ 20.0 ] ()
+  let rows =
+    Experiments.Suite.run
+      {
+        Experiments.Function_shipping.suite with
+        Experiments.Suite.protocols = [ Dsm.Protocol.Lotec ];
+        cases = [ Experiments.Function_shipping.case ~skew:1.5 ~software_us:20.0 ];
+      }
   in
-  match Experiments.Function_shipping.headline outcomes with
-  | None -> Alcotest.fail "sweep produced no headline row"
-  | Some (baseline, on, reduction, ratio) ->
-      Alcotest.(check bool) "baseline never ships" true (baseline.Experiments.Function_shipping.ships = 0);
-      Alcotest.(check bool) "shipping run actually ships" true
-        (on.Experiments.Function_shipping.ships > 0);
-      Alcotest.(check bool) "model predicts savings" true
-        (on.Experiments.Function_shipping.predicted_saved_bytes > 0);
-      if reduction < 30.0 then
-        Alcotest.failf "bytes reduction %.1f%% misses the 30%% floor (%d vs %d bytes)" reduction
-          on.Experiments.Function_shipping.bytes baseline.Experiments.Function_shipping.bytes;
-      if ratio > 1.02 then
-        Alcotest.failf "completion ratio %.3f exceeds the 1.02 ceiling (%.0f vs %.0f us)" ratio
-          on.Experiments.Function_shipping.completion_us
-          baseline.Experiments.Function_shipping.completion_us
+  let row arm = List.find (fun (r : Experiments.Suite.row) -> r.Experiments.Suite.arm = arm) rows in
+  let baseline = Experiments.Suite.get (row "data-ship") in
+  let on = Experiments.Suite.get (row "shipping") in
+  Alcotest.(check bool) "baseline never ships" true (baseline "ships" = 0.0);
+  Alcotest.(check bool) "shipping run actually ships" true (on "ships" > 0.0);
+  Alcotest.(check bool) "model predicts savings" true (on "ship_bytes_saved" > 0.0);
+  let reduction = 100.0 *. (1.0 -. (on "total_bytes" /. baseline "total_bytes")) in
+  if not (reduction >= 30.0) then
+    Alcotest.failf "bytes reduction %.1f%% misses the 30%% floor (%.0f vs %.0f bytes)" reduction
+      (on "total_bytes") (baseline "total_bytes");
+  let ratio = on "completion_time_us" /. baseline "completion_time_us" in
+  if not (ratio <= 1.02) then
+    Alcotest.failf "completion ratio %.3f exceeds the 1.02 ceiling (%.0f vs %.0f us)" ratio
+      (on "completion_time_us") (baseline "completion_time_us")
 
 (* ---------- crash with a shipped invocation in flight ---------- *)
 
@@ -190,8 +193,8 @@ let test_lotec_headline_gate () =
    dies. The families they belong to must be doomed (not wedged), roots
    must stay fully accounted, and the wire ledger — Ship_invoke/Ship_reply
    rows included, crashed senders suppressed — must still reconcile
-   exactly. Timers are tightened like Chaos.run_crash_case so detection
-   and reclamation land inside the window. *)
+   exactly. Timers are the crash suite's, so detection and reclamation
+   land inside the window. *)
 let test_crash_with_shipped_invocations () =
   let spec =
     {
@@ -199,26 +202,15 @@ let test_crash_with_shipped_invocations () =
       Workload.Spec.root_count = 60;
     }
   in
-  let crash_case =
-    {
-      Experiments.Chaos.cc_protocol = Dsm.Protocol.Lotec;
-      cc_windows = [ (2, 10_000.0, 30_000.0) ];
-      cc_gdo_replicas = 1;
-      cc_drop = 0.0;
-      cc_fault_seed = 1;
-    }
-  in
   let config =
-    {
-      Core.Config.default with
-      Core.Config.shipping = Dsm.Shipping.On Dsm.Shipping.default_params;
-      faults = Some (Experiments.Chaos.crash_fault_config crash_case);
-      gdo_replicas = 1;
-      request_timeout_us = 500.0;
-      max_retransmits = 3;
-      heartbeat_interval_us = 500.0;
-      suspect_timeout_us = 1_500.0;
-    }
+    Experiments.Chaos.tight_timers
+      {
+        Core.Config.default with
+        Core.Config.shipping = Dsm.Shipping.On Dsm.Shipping.default_params;
+        faults =
+          Some (Experiments.Chaos.crash_faults ~fault_seed:1 [ (2, 10_000.0, 30_000.0) ]);
+        gdo_replicas = 1;
+      }
   in
   let wl = Workload.Generator.generate spec ~page_size:config.Core.Config.page_size in
   let run = Experiments.Runner.execute ~config ~protocol:Dsm.Protocol.Lotec wl in
@@ -228,7 +220,8 @@ let test_crash_with_shipped_invocations () =
     (t.Dsm.Metrics.roots_committed + t.Dsm.Metrics.roots_aborted);
   Alcotest.(check bool) "invocations were shipped" true (t.Dsm.Metrics.ships > 0);
   Alcotest.(check bool) "the crash doomed families" true (t.Dsm.Metrics.crash_aborts > 0);
-  Alcotest.(check bool) "metrics ledger balances" true (Experiments.Chaos.ledger_balanced m);
+  Alcotest.(check (list string)) "oracle clean (ledger balanced)" []
+    (Experiments.Runner.oracle run);
   Alcotest.(check int) "wire ledger reconciles (messages)" (Dsm.Metrics.total_messages m)
     (Dsm.Metrics.wire_messages_total m);
   Alcotest.(check int) "wire ledger reconciles (bytes)" (Dsm.Metrics.total_bytes m)

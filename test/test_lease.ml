@@ -219,36 +219,48 @@ let test_cache_validation () =
 
 (* ---------- runtime integration ---------- *)
 
-let lotec_case policy read_fraction =
-  { Experiments.Lease.protocol = Dsm.Protocol.Lotec; read_fraction; policy }
+(* One run of the lease suite's workload at the given read-only method
+   fraction and lease policy; the shared oracle asserts serializability,
+   root accounting and zero-counter hygiene. *)
+let run_lease ?(spec = Experiments.Lease.default_spec) protocol read_fraction policy =
+  let spec = { spec with Workload.Spec.read_only_method_fraction = read_fraction } in
+  let config = { Core.Config.default with Core.Config.lease = policy } in
+  let wl = Workload.Generator.generate spec ~page_size:config.Core.Config.page_size in
+  Experiments.Runner.metrics (Experiments.Runner.execute ~config ~protocol wl)
+
+(* Relative change of home-node lock operations, in percent (negative =
+   fewer home operations with leases on). *)
+let reduction ~off ~on =
+  let off = Dsm.Metrics.home_lock_ops off and on = Dsm.Metrics.home_lock_ops on in
+  if off = 0 then 0.0 else 100.0 *. float_of_int (on - off) /. float_of_int off
 
 (* The tentpole acceptance number: on a read-dominated workload (the 0.95
-   read-only-method fraction of the sweep spec runs ~89% read acquisitions),
-   leases cut home-node lock operations by at least 30%. run_case itself
-   asserts serializability, root accounting and zero-counter hygiene. *)
+   read-only-method fraction of the suite spec runs ~89% read
+   acquisitions), leases cut home-node lock operations by at least 30%. *)
 let test_home_lock_reduction () =
   let spec = Experiments.Lease.default_spec in
-  let off = Experiments.Lease.run_case ~spec (lotec_case Gdo.Lease.Off 0.95) in
-  let on = Experiments.Lease.run_case ~spec (lotec_case Experiments.Lease.default_policy 0.95) in
-  Alcotest.(check int) "all committed (off)" spec.Workload.Spec.root_count off.committed;
-  Alcotest.(check int) "all committed (on)" spec.Workload.Spec.root_count on.committed;
-  Alcotest.(check bool) "leases actually hit" true (on.lease_hits > 0);
-  Alcotest.(check bool) "writes actually recalled" true (on.lease_recalls > 0);
-  let red = Experiments.Lease.reduction ~off ~on in
+  let off = run_lease Dsm.Protocol.Lotec 0.95 Gdo.Lease.Off in
+  let on = run_lease Dsm.Protocol.Lotec 0.95 Experiments.Lease.default_policy in
+  let t_off = Dsm.Metrics.totals off and t_on = Dsm.Metrics.totals on in
+  Alcotest.(check int) "all committed (off)" spec.Workload.Spec.root_count
+    t_off.Dsm.Metrics.roots_committed;
+  Alcotest.(check int) "all committed (on)" spec.Workload.Spec.root_count
+    t_on.Dsm.Metrics.roots_committed;
+  Alcotest.(check bool) "leases actually hit" true (t_on.Dsm.Metrics.lease_hits > 0);
+  Alcotest.(check bool) "writes actually recalled" true (t_on.Dsm.Metrics.lease_recalls > 0);
+  let red = reduction ~off ~on in
   if red > -30.0 then
     Alcotest.failf "home_lock_ops reduction %.1f%% misses the -30%% target (off %d, on %d)" red
-      off.home_lock_ops on.home_lock_ops
+      (Dsm.Metrics.home_lock_ops off) (Dsm.Metrics.home_lock_ops on)
 
 (* Same comparison, all four protocols: leases must preserve every
    protocol's invariants and reduce home traffic on the read-heavy point. *)
 let test_all_protocols_reduce () =
   List.iter
     (fun protocol ->
-      let spec = Experiments.Lease.default_spec in
-      let case policy = { Experiments.Lease.protocol; read_fraction = 0.95; policy } in
-      let off = Experiments.Lease.run_case ~spec (case Gdo.Lease.Off) in
-      let on = Experiments.Lease.run_case ~spec (case Experiments.Lease.default_policy) in
-      let red = Experiments.Lease.reduction ~off ~on in
+      let off = run_lease protocol 0.95 Gdo.Lease.Off in
+      let on = run_lease protocol 0.95 Experiments.Lease.default_policy in
+      let red = reduction ~off ~on in
       if red >= 0.0 then
         Alcotest.failf "%s: leases did not reduce home ops (%.1f%%)"
           (Dsm.Protocol.to_string protocol) red)
@@ -258,22 +270,23 @@ let test_all_protocols_reduce () =
    traffic, bytes and completion to a run without the lease code paths. *)
 let test_off_is_invisible () =
   let spec = { Experiments.Lease.default_spec with Workload.Spec.root_count = 40 } in
-  let o = Experiments.Lease.run_case ~spec (lotec_case Gdo.Lease.Off 0.8) in
-  Alcotest.(check int) "no grants" 0 o.lease_grants;
-  Alcotest.(check int) "no hits" 0 o.lease_hits;
-  Alcotest.(check int) "no recalls" 0 o.lease_recalls
+  let t = Dsm.Metrics.totals (run_lease ~spec Dsm.Protocol.Lotec 0.8 Gdo.Lease.Off) in
+  Alcotest.(check int) "no grants" 0 t.Dsm.Metrics.lease_grants;
+  Alcotest.(check int) "no hits" 0 t.Dsm.Metrics.lease_hits;
+  Alcotest.(check int) "no recalls" 0 t.Dsm.Metrics.lease_recalls
 
 (* Determinism: leases introduce timers and extra messages, but a repeated
    run must still be byte-identical. *)
 let test_leased_run_deterministic () =
   let spec = { Experiments.Lease.default_spec with Workload.Spec.root_count = 60 } in
-  let case = lotec_case Experiments.Lease.default_policy 0.9 in
-  let a = Experiments.Lease.run_case ~spec case in
-  let b = Experiments.Lease.run_case ~spec case in
-  Alcotest.(check int) "messages" a.messages b.messages;
-  Alcotest.(check int) "bytes" a.bytes b.bytes;
-  Alcotest.(check int) "hits" a.lease_hits b.lease_hits;
-  Alcotest.(check (float 0.0)) "completion" a.completion_us b.completion_us
+  let run () = run_lease ~spec Dsm.Protocol.Lotec 0.9 Experiments.Lease.default_policy in
+  let a = run () and b = run () in
+  Alcotest.(check int) "messages" (Dsm.Metrics.total_messages a) (Dsm.Metrics.total_messages b);
+  Alcotest.(check int) "bytes" (Dsm.Metrics.total_bytes a) (Dsm.Metrics.total_bytes b);
+  Alcotest.(check int) "hits" (Dsm.Metrics.totals a).Dsm.Metrics.lease_hits
+    (Dsm.Metrics.totals b).Dsm.Metrics.lease_hits;
+  Alcotest.(check (float 0.0)) "completion" (Dsm.Metrics.completion_time_us a)
+    (Dsm.Metrics.completion_time_us b)
 
 (* ---------- leases under chaos ---------- *)
 
@@ -311,7 +324,8 @@ let test_leases_under_faults () =
   let t = Dsm.Metrics.totals m in
   Alcotest.(check int) "all roots accounted" chaos_spec.Workload.Spec.root_count
     (t.Dsm.Metrics.roots_committed + t.Dsm.Metrics.roots_aborted);
-  Alcotest.(check bool) "ledger balanced" true (Experiments.Chaos.ledger_balanced m);
+  Alcotest.(check (list string)) "oracle clean (ledger balanced)" []
+    (Experiments.Runner.oracle run);
   Alcotest.(check bool) "faults were injected" true (t.Dsm.Metrics.drops > 0);
   Alcotest.(check bool) "leases were exercised" true (t.Dsm.Metrics.lease_grants > 0)
 
@@ -332,7 +346,8 @@ let test_leases_across_crash_windows () =
   let t = Dsm.Metrics.totals m in
   Alcotest.(check int) "all roots accounted" chaos_spec.Workload.Spec.root_count
     (t.Dsm.Metrics.roots_committed + t.Dsm.Metrics.roots_aborted);
-  Alcotest.(check bool) "ledger balanced" true (Experiments.Chaos.ledger_balanced m);
+  Alcotest.(check (list string)) "oracle clean (ledger balanced)" []
+    (Experiments.Runner.oracle run);
   Alcotest.(check bool) "outage cost retransmits" true (t.Dsm.Metrics.retransmits > 0);
   Alcotest.(check bool) "leases were exercised" true (t.Dsm.Metrics.lease_grants > 0)
 
@@ -356,11 +371,10 @@ let prop_leased_chaos_invariants =
           in
           let wl = Workload.Generator.generate chaos_spec ~page_size:4096 in
           let run = Experiments.Runner.execute ~config ~protocol wl in
-          let m = Experiments.Runner.metrics run in
-          let t = Dsm.Metrics.totals m in
+          let t = Dsm.Metrics.totals (Experiments.Runner.metrics run) in
           t.Dsm.Metrics.roots_committed + t.Dsm.Metrics.roots_aborted
             = chaos_spec.Workload.Spec.root_count
-          && Experiments.Chaos.ledger_balanced m)
+          && Experiments.Runner.oracle run = [])
         Dsm.Protocol.[ Otec; Lotec ])
 
 let tests =

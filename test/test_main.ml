@@ -37,4 +37,5 @@ let () =
          Test_function_shipping.tests;
          Test_escrow.tests;
          Test_partition.tests;
+         Test_suite.tests;
        ])

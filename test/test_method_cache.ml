@@ -187,80 +187,85 @@ let test_cache_off_byte_identity () =
 
 (* ---------- runtime integration: the headline gates ---------- *)
 
-let cached_case protocol read_fraction =
-  {
-    Experiments.Method_cache.protocol;
-    read_fraction;
-    mode = Experiments.Method_cache.Cached Experiments.Method_cache.default_policy;
-  }
-
-let baseline_case protocol read_fraction =
-  { Experiments.Method_cache.protocol; read_fraction; mode = Experiments.Method_cache.Baseline }
+(* One web-sessions run at a request-level read share: [1 - read_fraction]
+   of roots hit the writer endpoint. [cached] turns on the lease and the
+   cache (the cache suite's cached arm); otherwise both stay off (its
+   baseline arm). The shared oracle asserts serializability, root
+   accounting, zero-counter hygiene and exact wire-ledger reconciliation. *)
+let run_web ?(spec = Workload.Scenarios.web_sessions) ~cached protocol read_fraction =
+  let spec = { spec with Workload.Spec.root_update_fraction = Some (1.0 -. read_fraction) } in
+  let config =
+    if cached then
+      {
+        Core.Config.default with
+        Core.Config.lease = Experiments.Method_cache.default_lease;
+        method_cache = Experiments.Method_cache.default_policy;
+      }
+    else Core.Config.default
+  in
+  let wl = Workload.Generator.generate spec ~page_size:config.Core.Config.page_size in
+  let m = Experiments.Runner.metrics (Experiments.Runner.execute ~config ~protocol wl) in
+  (m, Dsm.Metrics.totals m)
 
 (* The acceptance numbers: on web-sessions at a 0.99 request read share,
    LOTEC with the cache serves at least half its consults from cache and
-   moves at least 5x fewer messages than the everything-off baseline.
-   run_case itself asserts serializability, root accounting, zero-counter
-   hygiene and exact wire-ledger reconciliation. *)
+   moves at least 5x fewer messages than the everything-off baseline. *)
 let test_lotec_headline_gates () =
   let spec = Workload.Scenarios.web_sessions in
-  let base =
-    Experiments.Method_cache.run_case ~spec (baseline_case Dsm.Protocol.Lotec 0.99)
-  in
-  let on = Experiments.Method_cache.run_case ~spec (cached_case Dsm.Protocol.Lotec 0.99) in
+  let base, tb = run_web ~cached:false Dsm.Protocol.Lotec 0.99 in
+  let on, t = run_web ~cached:true Dsm.Protocol.Lotec 0.99 in
   Alcotest.(check int) "all committed (baseline)" spec.Workload.Spec.root_count
-    (base.committed + base.aborted);
+    (tb.Dsm.Metrics.roots_committed + tb.Dsm.Metrics.roots_aborted);
   Alcotest.(check int) "all committed (cached)" spec.Workload.Spec.root_count
-    (on.committed + on.aborted);
-  let rate = Experiments.Method_cache.hit_rate on in
+    (t.Dsm.Metrics.roots_committed + t.Dsm.Metrics.roots_aborted);
+  let hits = t.Dsm.Metrics.cache_hits and misses = t.Dsm.Metrics.cache_misses in
+  let rate = if hits + misses = 0 then 0.0 else float_of_int hits /. float_of_int (hits + misses) in
   if rate < 0.5 then
-    Alcotest.failf "hit rate %.2f misses the 0.5 floor (%d hits, %d misses)" rate on.cache_hits
-      on.cache_misses;
-  let factor = Experiments.Method_cache.message_factor ~baseline:base ~on in
+    Alcotest.failf "hit rate %.2f misses the 0.5 floor (%d hits, %d misses)" rate hits misses;
+  let factor =
+    float_of_int (Dsm.Metrics.total_messages base) /. float_of_int (Dsm.Metrics.total_messages on)
+  in
   if factor < 5.0 then
     Alcotest.failf "message factor %.2fx misses the 5x floor (%d vs %d msgs)" factor
-      base.messages on.messages
+      (Dsm.Metrics.total_messages base) (Dsm.Metrics.total_messages on)
 
 (* Every protocol must keep its invariants with the cache on and actually
-   use it on the read-heavy point (run_case asserts the rest). *)
+   use it on the read-heavy point (the oracle asserts the rest). *)
 let test_all_protocols_cache () =
   List.iter
     (fun protocol ->
-      let o =
-        Experiments.Method_cache.run_case ~spec:Workload.Scenarios.web_sessions
-          (cached_case protocol 0.95)
-      in
-      if o.cache_hits = 0 then
+      let _, t = run_web ~cached:true protocol 0.95 in
+      if t.Dsm.Metrics.cache_hits = 0 then
         Alcotest.failf "%s: cache never hit" (Dsm.Protocol.to_string protocol))
     Dsm.Protocol.all
 
 (* Recall racing an in-flight cached invocation: at a 0.8 read share the
    web-sessions run interleaves writes (lease recalls, epoch bumps) with a
    steady stream of cached reads, so invalidations land while cached
-   invocations are outstanding. run_case asserts the committed history
+   invocations are outstanding. The oracle asserts the committed history
    stays serializable and the wire ledger still reconciles exactly. *)
 let test_recall_races_cached_reads () =
-  let o =
-    Experiments.Method_cache.run_case ~spec:Workload.Scenarios.web_sessions
-      (cached_case Dsm.Protocol.Lotec 0.8)
-  in
-  Alcotest.(check bool) "cache hit under write pressure" true (o.cache_hits > 0);
-  Alcotest.(check bool) "recalls invalidated entries" true (o.cache_invalidations > 0);
-  Alcotest.(check bool) "writes were present" true (o.aborted + o.committed > 0 && o.cache_misses > 0)
+  let _, t = run_web ~cached:true Dsm.Protocol.Lotec 0.8 in
+  Alcotest.(check bool) "cache hit under write pressure" true (t.Dsm.Metrics.cache_hits > 0);
+  Alcotest.(check bool) "recalls invalidated entries" true (t.Dsm.Metrics.cache_invalidations > 0);
+  Alcotest.(check bool) "writes were present" true
+    (t.Dsm.Metrics.roots_aborted + t.Dsm.Metrics.roots_committed > 0
+    && t.Dsm.Metrics.cache_misses > 0)
 
 (* Determinism: the cache adds lookups and invalidation hooks, but a
    repeated run must still be byte-identical. *)
 let test_cached_run_deterministic () =
   let spec = { Workload.Scenarios.web_sessions with Workload.Spec.root_count = 200 } in
-  let case = cached_case Dsm.Protocol.Lotec 0.95 in
-  let a = Experiments.Method_cache.run_case ~spec case in
-  let b = Experiments.Method_cache.run_case ~spec case in
-  Alcotest.(check int) "messages" a.messages b.messages;
-  Alcotest.(check int) "bytes" a.bytes b.bytes;
-  Alcotest.(check int) "hits" a.cache_hits b.cache_hits;
-  Alcotest.(check int) "fills" a.cache_fills b.cache_fills;
-  Alcotest.(check int) "invalidations" a.cache_invalidations b.cache_invalidations;
-  Alcotest.(check (float 0.0)) "completion" a.completion_us b.completion_us
+  let run () = run_web ~spec ~cached:true Dsm.Protocol.Lotec 0.95 in
+  let a, ta = run () and b, tb = run () in
+  Alcotest.(check int) "messages" (Dsm.Metrics.total_messages a) (Dsm.Metrics.total_messages b);
+  Alcotest.(check int) "bytes" (Dsm.Metrics.total_bytes a) (Dsm.Metrics.total_bytes b);
+  Alcotest.(check int) "hits" ta.Dsm.Metrics.cache_hits tb.Dsm.Metrics.cache_hits;
+  Alcotest.(check int) "fills" ta.Dsm.Metrics.cache_fills tb.Dsm.Metrics.cache_fills;
+  Alcotest.(check int) "invalidations" ta.Dsm.Metrics.cache_invalidations
+    tb.Dsm.Metrics.cache_invalidations;
+  Alcotest.(check (float 0.0)) "completion" (Dsm.Metrics.completion_time_us a)
+    (Dsm.Metrics.completion_time_us b)
 
 (* ---------- cache under chaos and crash windows ---------- *)
 
@@ -288,11 +293,13 @@ let cached_config ?(windows = []) ~fault_seed ~drop ~dup ~jitter () =
         };
   }
 
-let check_chaos_invariants name m =
+let check_chaos_invariants name run =
+  let m = Experiments.Runner.metrics run in
   let t = Dsm.Metrics.totals m in
   Alcotest.(check int) (name ^ ": all roots accounted") chaos_spec.Workload.Spec.root_count
     (t.Dsm.Metrics.roots_committed + t.Dsm.Metrics.roots_aborted);
-  Alcotest.(check bool) (name ^ ": ledger balanced") true (Experiments.Chaos.ledger_balanced m);
+  Alcotest.(check (list string)) (name ^ ": oracle clean (ledger balanced)") []
+    (Experiments.Runner.oracle run);
   Alcotest.(check int) (name ^ ": wire messages reconcile") (Dsm.Metrics.total_messages m)
     (Dsm.Metrics.wire_messages_total m);
   Alcotest.(check int) (name ^ ": wire bytes reconcile") (Dsm.Metrics.total_bytes m)
@@ -304,8 +311,8 @@ let check_chaos_invariants name m =
 let test_cache_under_faults () =
   let config = cached_config ~fault_seed:11 ~drop:0.06 ~dup:0.06 ~jitter:30.0 () in
   let wl = Workload.Generator.generate chaos_spec ~page_size:4096 in
-  let m = Experiments.Runner.metrics (Experiments.Runner.execute ~config ~protocol:Dsm.Protocol.Lotec wl) in
-  let t = check_chaos_invariants "faults" m in
+  let run = Experiments.Runner.execute ~config ~protocol:Dsm.Protocol.Lotec wl in
+  let t = check_chaos_invariants "faults" run in
   Alcotest.(check bool) "faults were injected" true (t.Dsm.Metrics.drops > 0);
   Alcotest.(check bool) "cache was exercised" true (t.Dsm.Metrics.cache_hits > 0)
 
@@ -321,8 +328,8 @@ let test_epoch_bump_in_crash_window () =
   in
   let config = cached_config ~windows ~fault_seed:3 ~drop:0.02 ~dup:0.02 ~jitter:10.0 () in
   let wl = Workload.Generator.generate chaos_spec ~page_size:4096 in
-  let m = Experiments.Runner.metrics (Experiments.Runner.execute ~config ~protocol:Dsm.Protocol.Lotec wl) in
-  let t = check_chaos_invariants "crash window" m in
+  let run = Experiments.Runner.execute ~config ~protocol:Dsm.Protocol.Lotec wl in
+  let t = check_chaos_invariants "crash window" run in
   Alcotest.(check bool) "outage cost retransmits" true (t.Dsm.Metrics.retransmits > 0);
   Alcotest.(check bool) "cache survived the window" true (t.Dsm.Metrics.cache_hits > 0);
   Alcotest.(check bool) "entries were invalidated" true (t.Dsm.Metrics.cache_invalidations > 0)

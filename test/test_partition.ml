@@ -3,7 +3,7 @@
    over reachable directory states), quorum membership under heartbeat
    suppression, lease fencing of a falsely-declared home's successor,
    fault-free byte-identity goldens for all four protocols, and the
-   nemesis harness's own invariants. *)
+   nemesis suite's rows. *)
 
 open Objmodel
 
@@ -317,40 +317,36 @@ let test_lease_fence_defers_successor () =
   | vs -> Alcotest.failf "split-brain audit: %s" (String.concat "; " vs)
 
 (* ------------------------------------------------------------------ *)
-(* Nemesis harness invariants (run_case raises on any violation).      *)
+(* Nemesis suite rows (every run passes the shared oracle).            *)
 
 let run_nemesis schedule ~replicas =
-  Experiments.Partition.run_case ~spec:Experiments.Partition.default_spec
-    {
-      Experiments.Partition.pc_schedule = schedule;
-      pc_protocol = Dsm.Protocol.Lotec;
-      pc_gdo_replicas = replicas;
-      pc_fault_seed = 1;
-    }
+  match
+    Experiments.Suite.run
+      {
+        Experiments.Partition.suite with
+        Experiments.Suite.protocols = [ Dsm.Protocol.Lotec ];
+        cases = [ Experiments.Partition.case schedule ~replicas ];
+      }
+  with
+  | [ row ] -> Experiments.Suite.get row
+  | rows -> Alcotest.failf "expected one row, got %d" (List.length rows)
 
 let test_nemesis_false_suspicion () =
-  (* Surviving run_case already asserts accounting, the wire ledger and a
-     clean audit; pin the membership outcome on top. *)
-  let o = run_nemesis Experiments.Partition.false_suspicion ~replicas:1 in
-  Alcotest.(check int) "one false declaration" 1
-    o.Experiments.Partition.pc_declared_dead;
-  Alcotest.(check int) "counted as false" 1 o.Experiments.Partition.pc_false_suspicions;
-  Alcotest.(check bool) "readmitted" true (o.Experiments.Partition.pc_readmissions >= 1);
-  Alcotest.(check bool) "failover happened" true
-    (o.Experiments.Partition.pc_failovers >= 1);
-  Alcotest.(check bool) "epoch advanced" true
-    (o.Experiments.Partition.pc_membership_epoch >= 2);
-  Alcotest.(check bool) "declaration latency measured" true
-    (o.Experiments.Partition.pc_declaration_p50_us > 0.0)
+  (* The oracle already asserts accounting, the wire ledger and a clean
+     audit; pin the membership outcome on top. *)
+  let get = run_nemesis Experiments.Partition.false_suspicion ~replicas:1 in
+  Alcotest.(check (float 0.0)) "one false declaration" 1.0 (get "nodes_declared_dead");
+  Alcotest.(check (float 0.0)) "counted as false" 1.0 (get "false_suspicions");
+  Alcotest.(check bool) "readmitted" true (get "node_readmissions" >= 1.0);
+  Alcotest.(check bool) "failover happened" true (get "failovers" >= 1.0);
+  Alcotest.(check bool) "epoch advanced" true (get "membership_epoch" >= 2.0);
+  Alcotest.(check bool) "declaration latency measured" true (get "declaration_p50_us" > 0.0)
 
 let test_nemesis_even_split_parks_without_declaring () =
-  let o = run_nemesis Experiments.Partition.even_split ~replicas:0 in
-  Alcotest.(check int) "no quorum on either side" 0
-    o.Experiments.Partition.pc_declared_dead;
-  Alcotest.(check int) "no false suspicions" 0
-    o.Experiments.Partition.pc_false_suspicions;
-  Alcotest.(check bool) "both sides parked" true
-    (o.Experiments.Partition.pc_node_parks >= 2)
+  let get = run_nemesis Experiments.Partition.even_split ~replicas:0 in
+  Alcotest.(check (float 0.0)) "no quorum on either side" 0.0 (get "nodes_declared_dead");
+  Alcotest.(check (float 0.0)) "no false suspicions" 0.0 (get "false_suspicions");
+  Alcotest.(check bool) "both sides parked" true (get "node_parks" >= 2.0)
 
 (* ------------------------------------------------------------------ *)
 
