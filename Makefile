@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench figures examples scale scale-smoke determinism check-links doc clean
+.PHONY: all build test bench examples scale scale-smoke determinism check-links doc clean
 
 all: build
 
@@ -13,13 +13,13 @@ test:
 bench:
 	dune exec bench/main.exe
 
-figures:
-	dune exec bin/lotec_sim.exe -- figures
-
-# Feature suites: make suite-chaos, suite-crash, suite-partition, suite-lease,
-# suite-cache, suite-batch, suite-ship, suite-escrow. Every run passes the
-# shared oracle; the suite writes BENCH_<name>.json and exits nonzero on
-# an error row or a missed gate.
+# Suites: the paper's evaluation (make suite-paper, suite-protocols,
+# suite-ablation, suite-per-class, suite-granularity, suite-sweep,
+# suite-scaling) and the feature suites (suite-chaos, suite-crash,
+# suite-partition, suite-lease, suite-cache, suite-batch, suite-ship,
+# suite-escrow). Every run passes the shared oracle; the suite writes
+# BENCH_<name>.json and exits nonzero on an error row or a missed blocking
+# gate.
 suite-%:
 	dune exec bin/lotec_sim.exe -- suite $* --json BENCH_$*.json
 

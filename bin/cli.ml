@@ -1,19 +1,13 @@
 (* Cmdliner-based driver for the LOTEC simulator.
 
    Subcommands:
-     run         — one scenario under one protocol (rich config flags)
-     figure      — regenerate one paper figure (2-8), optionally as a chart
-     figures     — regenerate figures 2-8 + the headline ratio table
-     ratios      — the section-5 headline byte-reduction table
-     ablation    — RC-nested, prefetch, per-class, GDO-replication and
-                   active-message ablations
-     granularity — lock overhead vs object granularity (section 5.1)
-     sweep       — object count / object size / transaction count sweeps
-     throughput  — per-protocol throughput + LOTEC cluster scaling
-     trace       — run with protocol-event tracing and print the tail
-     suite       — one feature suite (chaos, crash, partition, lease, cache,
-                   batch, ship, escrow) with its oracle and gates
-     scale       — large-run sweep (streaming metrics) + engine micro-bench *)
+     run   — one scenario under one protocol (rich config flags)
+     suite — one suite with its oracle and gates: the paper's evaluation
+             (paper, protocols, ablation, per-class, granularity, sweep,
+             scaling) or a feature suite (chaos, crash, partition, lease,
+             cache, batch, ship, escrow)
+     trace — run with protocol-event tracing and print the tail
+     scale — large-run sweep (streaming metrics) + engine micro-bench *)
 
 open Cmdliner
 
@@ -502,112 +496,6 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one scenario under one protocol.") term
 
-let figure_result n =
-  match n with
-  | 2 -> `Bytes (Experiments.Fig_bytes.figure2 ())
-  | 3 -> `Bytes (Experiments.Fig_bytes.figure3 ())
-  | 4 -> `Bytes (Experiments.Fig_bytes.figure4 ())
-  | 5 -> `Bytes (Experiments.Fig_bytes.figure5 ())
-  | 6 -> `Time (Experiments.Fig_time.figure6 (Experiments.Fig_bytes.figure2 ()))
-  | 7 -> `Time (Experiments.Fig_time.figure7 (Experiments.Fig_bytes.figure2 ()))
-  | 8 -> `Time (Experiments.Fig_time.figure8 (Experiments.Fig_bytes.figure2 ()))
-  | _ -> invalid_arg "figure number must be 2-8"
-
-let figure_cmd =
-  let n_arg =
-    let doc = "Figure number (2-8)." in
-    Arg.(required & pos 0 (some int) None & info [] ~docv:"N" ~doc)
-  in
-  let chart_arg =
-    let doc = "Render byte figures as an ASCII bar chart (paper style)." in
-    Arg.(value & flag & info [ "chart" ] ~doc)
-  in
-  let action n chart =
-    if n < 2 || n > 8 then prerr_endline "figure number must be between 2 and 8"
-    else
-      match figure_result n with
-      | `Bytes fb ->
-          if chart then Format.printf "%a@." (Experiments.Fig_bytes.pp_chart ?objects:None) fb
-          else Format.printf "%a@." Experiments.Fig_bytes.pp fb
-      | `Time ft -> Format.printf "%a@." Experiments.Fig_time.pp ft
-  in
-  let term = Term.(const action $ n_arg $ chart_arg) in
-  Cmd.v (Cmd.info "figure" ~doc:"Regenerate one paper figure (2-8).") term
-
-let figures_cmd =
-  let action () =
-    let figures, summary = Experiments.Summary.run_all () in
-    List.iter (fun fb -> Format.printf "%a@." Experiments.Fig_bytes.pp fb) figures;
-    let fig2 = List.hd figures in
-    Format.printf "%a@." Experiments.Fig_time.pp (Experiments.Fig_time.figure6 fig2);
-    Format.printf "%a@." Experiments.Fig_time.pp (Experiments.Fig_time.figure7 fig2);
-    Format.printf "%a@." Experiments.Fig_time.pp (Experiments.Fig_time.figure8 fig2);
-    Format.printf "headline ratios (paper: OTEC -20..25%% vs COTEC; LOTEC -5..10%% vs OTEC)@.%a@."
-      Experiments.Summary.pp summary
-  in
-  let term = Term.(const action $ const ()) in
-  Cmd.v (Cmd.info "figures" ~doc:"Regenerate every figure and the headline ratio table.") term
-
-let ratios_cmd =
-  let action () =
-    let _, summary = Experiments.Summary.run_all () in
-    Format.printf "%a@." Experiments.Summary.pp summary
-  in
-  let term = Term.(const action $ const ()) in
-  Cmd.v (Cmd.info "ratios" ~doc:"Print the headline byte-reduction ratios (paper §5).") term
-
-let ablation_cmd =
-  let action () =
-    Format.printf "%a@." Experiments.Ablation.pp (Experiments.Ablation.rc_comparison ());
-    Format.printf "%a@." Experiments.Ablation.pp (Experiments.Ablation.prefetch_comparison ());
-    Format.printf "%a@." Experiments.Ablation.pp (Experiments.Ablation.per_class_comparison ());
-    Format.printf "%a@." Experiments.Ablation.pp (Experiments.Ablation.replication_comparison ());
-    Format.printf "%a@." Experiments.Active_messages.pp (Experiments.Active_messages.run ())
-  in
-  let term = Term.(const action $ const ()) in
-  Cmd.v (Cmd.info "ablation" ~doc:"Run the RC-nested and prefetch ablations.") term
-
-let granularity_cmd =
-  let pages_arg =
-    let doc = "Total shared pages (must be divisible by every granularity)." in
-    Arg.(value & opt int 96 & info [ "pages" ] ~doc)
-  in
-  let roots_g_arg =
-    let doc = "Root transactions." in
-    Arg.(value & opt int 120 & info [ "roots" ] ~doc)
-  in
-  let action total_pages root_count =
-    Format.printf "%a@." Experiments.Granularity.pp
-      (Experiments.Granularity.run ~total_pages ~root_count ())
-  in
-  let term = Term.(const action $ pages_arg $ roots_g_arg) in
-  Cmd.v
-    (Cmd.info "granularity"
-       ~doc:"Locking overhead vs object granularity (paper section 5.1).")
-    term
-
-let throughput_cmd =
-  let action () =
-    Format.printf "%a@." Experiments.Throughput.pp (Experiments.Throughput.protocols ());
-    Format.printf "%a@." Experiments.Throughput.pp (Experiments.Throughput.scaling ())
-  in
-  let term = Term.(const action $ const ()) in
-  Cmd.v
-    (Cmd.info "throughput" ~doc:"Throughput/latency per protocol and LOTEC cluster scaling.")
-    term
-
-let sweep_cmd =
-  let action () =
-    List.iter
-      (fun r -> Format.printf "%a@." Experiments.Sweep.pp r)
-      (Experiments.Sweep.run_all ())
-  in
-  let term = Term.(const action $ const ()) in
-  Cmd.v
-    (Cmd.info "sweep"
-       ~doc:"Sweep object count, object size and transaction count (paper section 5).")
-    term
-
 let suite_cmd =
   let suite_arg =
     let suites =
@@ -637,9 +525,9 @@ let suite_cmd =
   Cmd.v
     (Cmd.info "suite"
        ~doc:
-         "Run one feature suite (protocols x cases x arms), every run checked by the shared \
-          oracle; print the table and the gate verdicts, and exit 1 on any error row or gate \
-          miss.")
+         "Run one suite (protocols x cases x arms): a section of the paper's evaluation or a \
+          feature sweep, every run checked by the shared oracle; print the table and the gate \
+          verdicts, and exit 1 on any error row or blocking gate miss.")
     Term.(const action $ suite_arg $ json_arg)
 
 let scale_cmd =
@@ -814,7 +702,4 @@ let main () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [
-            run_cmd; figure_cmd; figures_cmd; ratios_cmd; ablation_cmd; granularity_cmd;
-            sweep_cmd; throughput_cmd; trace_cmd; suite_cmd; scale_cmd;
-          ]))
+          [ run_cmd; trace_cmd; suite_cmd; scale_cmd ]))

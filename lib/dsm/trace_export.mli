@@ -30,6 +30,11 @@ val to_chrome : node_count:int -> Event.t Sim.Trace.entry list -> string
     events left unmatched at the end of the trace (e.g. the ring evicted
     the close, or a request was still in flight) degrade to instants. *)
 
+val escape_json : string -> string
+(** The body of a JSON string literal for [s] (without the quotes): quote,
+    backslash and control characters escaped, every other byte — UTF-8
+    included — passed through. *)
+
 val validate_json : string -> (unit, string) result
 (** Strict well-formedness check of one JSON document (objects, arrays,
     strings with escapes, numbers, [true]/[false]/[null]); trailing

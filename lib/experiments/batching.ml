@@ -18,16 +18,6 @@ let default_faults =
 
 let default_bandwidth_bps = 1e8
 
-(* The Fig_time replay: per-message software cost x the measured ledgers.
-   This is where combining pays — at high software cost the per-message
-   overhead dominates, which is exactly LOTEC's weakness in the paper. *)
-let replay software_cost_us =
-  ( Printf.sprintf "total_time_us_sw%g" software_cost_us,
-    fun run ->
-      Suite.Float
-        (Dsm.Metrics.total_time_us (Runner.metrics run)
-           ~link:{ Sim.Network.bandwidth_bps = default_bandwidth_bps; software_cost_us }) )
-
 let suite =
   {
     Suite.name = "batch";
@@ -57,6 +47,10 @@ let suite =
           counter "retransmits" (fun t -> t.retransmits);
           completion_time_us;
         ]
-      @ List.map replay Fig_time.software_costs_us;
+      (* The Figures 6-8 replay: per-message software cost x the measured
+         ledgers. This is where combining pays — at high software cost the
+         per-message overhead dominates, which is exactly LOTEC's weakness
+         in the paper. *)
+      @ List.map (Suite.time_replay ~bandwidth_bps:default_bandwidth_bps) Paper.software_costs_us;
     gates = [];
   }

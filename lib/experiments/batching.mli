@@ -1,5 +1,5 @@
 (** Message-combining suite: protocols × batching policy under light
-    interconnect faults, replayed over the Fig_time software-cost grid.
+    interconnect faults, replayed over the Figures 6–8 software-cost grid.
 
     LOTEC's weakness in the paper is message {e count}: it trades bytes
     for many small messages, so a high per-message software cost erodes
@@ -25,6 +25,6 @@ val default_bandwidth_bps : float
 
 val suite : Suite.t
 (** OTEC and LOTEC under {!default_faults}, arms batching [off] and [all].
-    Besides the counters, one [total_time_us_swN] column per software cost
-    N of {!Fig_time.software_costs_us}:
+    Besides the counters, one [total_time_us_100Mbps_swN] column
+    ({!Suite.time_replay}) per software cost N of {!Paper.software_costs_us}:
     [messages * N + bytes * 8 / default_bandwidth_bps]. *)

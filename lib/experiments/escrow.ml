@@ -40,19 +40,12 @@ let suite =
       [
         (* The hottest hot-account fight, where coordination avoidance has
            to show. *)
-        {
-          Suite.claim = "LOTEC skew 1.2: completion reduction vs exclusive (%)";
-          select =
-            (fun row ->
-              row.Suite.protocol = Dsm.Protocol.Lotec
-              && row.Suite.arm = "escrow"
-              && Suite.label row "skew" = "1.2");
-          metric =
-            (fun ~base row ->
-              let time r = Suite.get r "completion_time_us" in
-              100.0 *. (1.0 -. (time row /. time base)));
-          bound = At_least 25.0;
-          every = true;
-        };
+        Suite.gate "LOTEC skew 1.2: completion reduction vs exclusive (%)"
+          ~select:
+            (Suite.matches ~protocol:Dsm.Protocol.Lotec ~arm:"escrow" ~case:[ ("skew", "1.2") ])
+          ~metric:(fun ~peer row ->
+            let time r = Suite.get r "completion_time_us" in
+            100.0 *. (1.0 -. (time row /. time (peer ~arm:"exclusive" ()))))
+          (At_least 25.0);
       ];
   }

@@ -92,24 +92,16 @@ let suite =
                    ~link:(Core.Runtime.config run.Runner.runtime).Core.Config.link) );
         ];
     gates =
-      [
-        {
-          Suite.claim = "LOTEC skew 1.5 sw 20: bytes reduction vs data-ship (%)";
-          select = headline;
-          metric =
-            (fun ~base row ->
-              100.0 *. (1.0 -. (Suite.get row "total_bytes" /. Suite.get base "total_bytes")));
-          bound = At_least 30.0;
-          every = true;
-        };
-        {
-          Suite.claim = "LOTEC skew 1.5 sw 20: completion time ratio vs data-ship";
-          select = headline;
-          metric =
-            (fun ~base row ->
-              Suite.get row "completion_time_us" /. Suite.get base "completion_time_us");
-          bound = At_most 1.02;
-          every = true;
-        };
-      ];
+      Suite.
+        [
+          gate "LOTEC skew 1.5 sw 20: bytes reduction vs data-ship (%)" ~select:headline
+            ~metric:(fun ~peer row ->
+              100.0
+              *. (1.0 -. (get row "total_bytes" /. get (peer ~arm:"data-ship" ()) "total_bytes")))
+            (At_least 30.0);
+          gate "LOTEC skew 1.5 sw 20: completion time ratio vs data-ship" ~select:headline
+            ~metric:(fun ~peer row ->
+              get row "completion_time_us" /. get (peer ~arm:"data-ship" ()) "completion_time_us")
+            (At_most 1.02);
+        ];
   }

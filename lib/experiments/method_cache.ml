@@ -68,24 +68,17 @@ let suite =
           completion_time_us;
         ];
     gates =
-      [
-        {
-          Suite.claim = "best cached-LOTEC hit rate";
-          select = cached_lotec;
-          metric = (fun ~base:_ row -> Suite.get row "cache_hit_rate");
-          bound = At_least 0.5;
-          every = false;
-        };
-        {
-          Suite.claim =
-            "best cached-LOTEC message reduction factor vs baseline at read share >= 0.95";
-          select =
-            (fun row ->
-              cached_lotec row && float_of_string (Suite.label row "read_fraction") >= 0.95);
-          metric =
-            (fun ~base row -> Suite.get base "total_messages" /. Suite.get row "total_messages");
-          bound = At_least 5.0;
-          every = false;
-        };
-      ];
+      Suite.
+        [
+          gate ~every:false "best cached-LOTEC hit rate" ~select:cached_lotec
+            ~metric:(fun ~peer:_ row -> get row "cache_hit_rate")
+            (At_least 0.5);
+          gate ~every:false
+            "best cached-LOTEC message reduction factor vs baseline at read share >= 0.95"
+            ~select:(fun row ->
+              cached_lotec row && float_of_string (label row "read_fraction") >= 0.95)
+            ~metric:(fun ~peer row ->
+              get (peer ~arm:"baseline" ()) "total_messages" /. get row "total_messages")
+            (At_least 5.0);
+        ];
   }

@@ -61,15 +61,16 @@ let to_json rows =
     (fun i r ->
       if i > 0 then Buffer.add_string buf ",\n";
       Buffer.add_string buf
-        (Printf.sprintf "  {\"protocol\": %S, \"messages\": %d, \"bytes\": %d, \
+        (Printf.sprintf "  {\"protocol\": \"%s\", \"messages\": %d, \"bytes\": %d, \
                          \"completion_us\": %.3f, \"by_type\": {"
-           (Format.asprintf "%a" Dsm.Protocol.pp r.protocol)
+           (Dsm.Trace_export.escape_json (Format.asprintf "%a" Dsm.Protocol.pp r.protocol))
            r.messages r.bytes r.completion_us);
       List.iteri
         (fun j (w, m, b) ->
           if j > 0 then Buffer.add_string buf ", ";
           Buffer.add_string buf
-            (Printf.sprintf "%S: {\"messages\": %d, \"bytes\": %d}" (Dsm.Wire.to_string w) m b))
+            (Printf.sprintf "\"%s\": {\"messages\": %d, \"bytes\": %d}"
+               (Dsm.Trace_export.escape_json (Dsm.Wire.to_string w)) m b))
         r.breakdown;
       Buffer.add_string buf "}}")
     rows;

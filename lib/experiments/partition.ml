@@ -142,13 +142,9 @@ let forced_false row =
     default_schedules
 
 let at_least_one claim column =
-  {
-    Suite.claim;
-    select = forced_false;
-    metric = (fun ~base:_ row -> Suite.get row column);
-    bound = Suite.At_least 1.0;
-    every = true;
-  }
+  Suite.gate claim ~select:forced_false
+    ~metric:(fun ~peer:_ row -> Suite.get row column)
+    (At_least 1.0)
 
 let suite =
   {

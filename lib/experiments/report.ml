@@ -29,48 +29,4 @@ let render ~header ?align rows =
   let rule = String.concat "  " (List.map (fun w -> String.make w '-') widths) in
   String.concat "\n" (render_row header :: rule :: List.map render_row rows)
 
-let fmt_bytes n =
-  let s = string_of_int n in
-  let len = String.length s in
-  let buf = Buffer.create (len + (len / 3)) in
-  String.iteri
-    (fun i c ->
-      if i > 0 && (len - i) mod 3 = 0 then Buffer.add_char buf ',';
-      Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let fmt_us v = Printf.sprintf "%.1f" v
-
-let fmt_pct v = Printf.sprintf "%+.1f%%" v
-
-type bar_group = { group : string; bars : (string * float) list }
-
-let bar_chart ?(width = 50) ?(value_fmt = fun v -> Printf.sprintf "%.0f" v) groups =
-  let max_value =
-    List.fold_left
-      (fun acc g -> List.fold_left (fun acc (_, v) -> Float.max acc v) acc g.bars)
-      0.0 groups
-  in
-  let group_w = List.fold_left (fun acc g -> max acc (String.length g.group)) 0 groups in
-  let series_w =
-    List.fold_left
-      (fun acc g -> List.fold_left (fun acc (s, _) -> max acc (String.length s)) acc g.bars)
-      0 groups
-  in
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun g ->
-      List.iteri
-        (fun i (series, v) ->
-          let bar_len =
-            if max_value <= 0.0 || v <= 0.0 then 0
-            else max 1 (int_of_float (Float.round (v /. max_value *. float_of_int width)))
-          in
-          Buffer.add_string buf
-            (Printf.sprintf "%-*s  %-*s  %s  %s\n" group_w
-               (if i = 0 then g.group else "")
-               series_w series (String.make bar_len '#') (value_fmt v)))
-        g.bars)
-    groups;
-  Buffer.contents buf

@@ -6,28 +6,5 @@ val render : header:string list -> ?align:align list -> string list list -> stri
 (** Fixed-width table with a header rule. [align] defaults to Right for every
     column. *)
 
-val fmt_bytes : int -> string
-(** Human-ish byte count, e.g. "12,345". *)
-
 val fmt_us : float -> string
 (** Microseconds with one decimal. *)
-
-val fmt_pct : float -> string
-(** Signed percentage with one decimal, e.g. "-23.4%". *)
-
-type bar_group = {
-  group : string;  (** e.g. the object label "O13" *)
-  bars : (string * float) list;  (** series label, value *)
-}
-
-val bar_chart : ?width:int -> ?value_fmt:(float -> string) -> bar_group list -> string
-(** Horizontal grouped bar chart, in the spirit of the paper's figures:
-
-    {v
-    O13  COTEC  ########################################  1,157,476
-         OTEC   ################  478,772
-         LOTEC  ##########  303,776
-    v}
-
-    Bars are scaled to the global maximum; [width] is the longest bar
-    (default 50). Zero/negative values render as empty bars. *)

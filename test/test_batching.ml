@@ -369,7 +369,7 @@ let test_batching_sweep_headline () =
      cost — the paper's regime where LOTEC's message count hurts. *)
   List.iter
     (fun sw ->
-      let at r = get r (Printf.sprintf "total_time_us_sw%g" sw) in
+      let at r = get r (Printf.sprintf "total_time_us_100Mbps_sw%g" sw) in
       Alcotest.(check bool)
         (Printf.sprintf "replayed time improves at sw=%g" sw)
         true

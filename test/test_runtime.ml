@@ -309,8 +309,8 @@ let test_byte_ordering_across_protocols () =
   let lotec = data Dsm.Protocol.Lotec in
   (* Cross-protocol runs take different interleavings, which adds a few
      percent of schedule noise in either direction on small workloads (see
-     test_properties.ml); the paper-scale scenarios in Fig_bytes assert the
-     strict ordering. *)
+     test_properties.ml); at paper scale the [paper] suite's blocking gates
+     assert the strict ordering. *)
   Alcotest.(check bool)
     (Printf.sprintf "otec (%d) <= cotec (%d)" otec cotec)
     true (otec <= int_of_float (float_of_int cotec *. 1.05));

@@ -1,5 +1,5 @@
 (* Tests for the descriptive-statistics helpers and the granularity
-   experiment. *)
+   suite. *)
 
 let test_mean () =
   Alcotest.(check (float 1e-9)) "empty" 0.0 (Experiments.Stats.mean []);
@@ -50,30 +50,37 @@ let test_root_latencies () =
   List.iter (fun l -> Alcotest.(check bool) "positive" true (l > 0.0)) lats
 
 let test_granularity_experiment () =
-  let r =
-    Experiments.Granularity.run ~total_pages:48 ~root_count:60 ~granularities:[ 2; 8 ] ()
+  (* The granularity suite over 48 shared pages and 60 roots, cut into
+     2-page and 8-page objects. *)
+  let case pages =
+    Experiments.Suite.case
+      [ ("objects", string_of_int (48 / pages)); ("pages_per_object", string_of_int pages) ]
+      ~workload:(fun s ->
+        { s with Workload.Spec.object_count = 48 / pages; min_pages = pages; max_pages = pages })
   in
-  Alcotest.(check int) "two rows" 2 (List.length r.Experiments.Granularity.rows);
-  (match r.Experiments.Granularity.rows with
+  let g = Experiments.Paper.granularity in
+  let suite =
+    {
+      g with
+      Experiments.Suite.spec = { g.Experiments.Suite.spec with Workload.Spec.root_count = 60 };
+      cases = [ case 2; case 8 ];
+    }
+  in
+  let rows = Experiments.Suite.run suite in
+  Alcotest.(check int) "two rows" 2 (List.length rows);
+  (match rows with
   | [ fine; coarse ] ->
-      Alcotest.(check int) "fine objects" 24 fine.Experiments.Granularity.object_count;
-      Alcotest.(check int) "coarse objects" 6 coarse.Experiments.Granularity.object_count;
+      Alcotest.(check string) "fine objects" "24" (Experiments.Suite.label fine "objects");
+      Alcotest.(check string) "coarse objects" "6" (Experiments.Suite.label coarse "objects");
       (* The §5.1 claim: coarser granularity -> fewer global lock ops. *)
+      let locks r = Experiments.Suite.get r "global_acquisitions" in
       Alcotest.(check bool)
-        (Printf.sprintf "coarse locks (%d) < fine locks (%d)"
-           coarse.Experiments.Granularity.global_acquisitions
-           fine.Experiments.Granularity.global_acquisitions)
+        (Printf.sprintf "coarse locks (%.0f) < fine locks (%.0f)" (locks coarse) (locks fine))
         true
-        (coarse.Experiments.Granularity.global_acquisitions
-        < fine.Experiments.Granularity.global_acquisitions)
+        (locks coarse < locks fine)
   | _ -> Alcotest.fail "rows");
-  let s = Format.asprintf "%a" Experiments.Granularity.pp r in
+  let s = Format.asprintf "%a" Experiments.Suite.pp_report (suite, rows) in
   Alcotest.(check bool) "renders" true (String.length s > 0)
-
-let test_granularity_validation () =
-  Alcotest.check_raises "non-divisor"
-    (Invalid_argument "Granularity.run: granularity must divide total_pages") (fun () ->
-      ignore (Experiments.Granularity.run ~total_pages:10 ~granularities:[ 3 ] ()))
 
 let tests =
   [
@@ -85,6 +92,5 @@ let tests =
         Alcotest.test_case "median" `Quick test_median;
         Alcotest.test_case "root latencies" `Quick test_root_latencies;
         Alcotest.test_case "granularity experiment" `Slow test_granularity_experiment;
-        Alcotest.test_case "granularity validation" `Quick test_granularity_validation;
       ] );
   ]
