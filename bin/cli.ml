@@ -52,48 +52,31 @@ let apply_overrides spec seed roots =
   let spec = match seed with Some s -> { spec with Workload.Spec.seed = s } | None -> spec in
   match roots with Some r -> { spec with Workload.Spec.root_count = r } | None -> spec
 
-let recovery_conv =
-  let parse s = Result.map_error (fun e -> `Msg e) (Txn.Recovery.strategy_of_string s) in
-  let print fmt s = Format.pp_print_string fmt (Txn.Recovery.strategy_to_string s) in
-  Arg.conv (parse, print)
-
-(* Read-lease policy. *)
-let lease_policy_arg =
-  let doc = "Read-lease policy: off, ttl or adaptive." in
-  Arg.(value & opt string "off" & info [ "lease-policy" ] ~doc)
-
-let lease_ttl_arg =
-  let doc = "Lease TTL in simulated microseconds (with --lease-policy ttl|adaptive)." in
-  Arg.(value & opt (some float) None & info [ "lease-ttl-us" ] ~doc)
-
-let lease_ratio_arg =
-  let doc = "Minimum observed read ratio for adaptive leasing, in [0,1]." in
-  Arg.(value & opt (some float) None & info [ "lease-min-read-ratio" ] ~doc)
-
-let lease_samples_arg =
-  let doc = "Global acquires observed before adaptive leasing may start." in
-  Arg.(value & opt (some int) None & info [ "lease-min-samples" ] ~doc)
-
-(* Build a policy from the flags: the string picks the shape, the optional
-   numeric flags override that shape's parameters. *)
-let lease_policy ~policy ~ttl ~ratio ~samples =
-  match Gdo.Lease.policy_of_string policy with
+(* A policy named on the command line, or exit 2 with the parser's message
+   (which names the valid set). *)
+let parse_policy of_string s =
+  match of_string s with
+  | Ok p -> p
   | Error e ->
       prerr_endline e;
       exit 2
-  | Ok p -> (
-      let or_else o d = Option.value o ~default:d in
-      match p with
-      | Gdo.Lease.Off -> Gdo.Lease.Off
-      | Gdo.Lease.Fixed_ttl { ttl_us } ->
-          Gdo.Lease.Fixed_ttl { ttl_us = or_else ttl ttl_us }
-      | Gdo.Lease.Adaptive { ttl_us; min_read_ratio; min_samples } ->
-          Gdo.Lease.Adaptive
-            {
-              ttl_us = or_else ttl ttl_us;
-              min_read_ratio = or_else ratio min_read_ratio;
-              min_samples = or_else samples min_samples;
-            })
+
+(* Read-lease policy. *)
+let lease_policy_arg =
+  let doc = "Read-lease policy: off or ttl." in
+  Arg.(value & opt string "off" & info [ "lease-policy" ] ~doc)
+
+let lease_ttl_arg =
+  let doc = "Lease TTL in simulated microseconds (with --lease-policy ttl)." in
+  Arg.(value & opt (some float) None & info [ "lease-ttl-us" ] ~doc)
+
+(* Build a policy from the flags: the string picks the shape, the optional
+   TTL flag overrides its parameter. *)
+let lease_policy ~policy ~ttl =
+  match parse_policy Gdo.Lease.policy_of_string policy with
+  | Gdo.Lease.Off -> Gdo.Lease.Off
+  | Gdo.Lease.Fixed_ttl { ttl_us } ->
+      Gdo.Lease.Fixed_ttl { ttl_us = Option.value ttl ~default:ttl_us }
 
 (* Method-result cache policy. *)
 let cache_arg =
@@ -110,12 +93,9 @@ let cache_capacity_arg =
 (* Build a policy from the flags: the string picks the shape, the optional
    capacity flag overrides that shape's parameter. *)
 let cache_policy ~policy ~capacity =
-  match Dsm.Method_cache.policy_of_string policy with
-  | Error e ->
-      prerr_endline e;
-      exit 2
-  | Ok Dsm.Method_cache.Off -> Dsm.Method_cache.Off
-  | Ok (Dsm.Method_cache.Lru { capacity = c }) ->
+  match parse_policy Dsm.Method_cache.policy_of_string policy with
+  | Dsm.Method_cache.Off -> Dsm.Method_cache.Off
+  | Dsm.Method_cache.Lru { capacity = c } ->
       Dsm.Method_cache.Lru { capacity = Option.value capacity ~default:c }
 
 (* Message-combining policy. *)
@@ -123,57 +103,16 @@ let batching_arg =
   let doc = "Message-combining policy: off or all." in
   Arg.(value & opt string "off" & info [ "batching" ] ~doc)
 
-let batch_ack_flush_arg =
-  let doc = "Deferred-ack flush timer in microseconds (with --batching all)." in
-  Arg.(value & opt (some float) None & info [ "batch-ack-flush-us" ] ~doc)
-
-let batch_ack_rider_arg =
-  let doc = "Bytes one piggybacked ack adds to its carrier message." in
-  Arg.(value & opt (some int) None & info [ "batch-ack-rider-bytes" ] ~doc)
-
-let batch_release_flush_arg =
-  let doc = "Release-coalescing window in microseconds (0 combines same-instant commits)." in
-  Arg.(value & opt (some float) None & info [ "batch-release-flush-us" ] ~doc)
-
-(* Build a policy from the flags: the string picks the shape, the optional
-   numeric flags override that shape's parameters. *)
-let batching_policy ~policy ~ack_flush ~ack_rider ~release_flush =
-  match Dsm.Batching.of_string policy with
-  | Error e ->
-      prerr_endline e;
-      exit 2
-  | Ok p ->
-      let or_else o d = Option.value o ~default:d in
-      {
-        p with
-        Dsm.Batching.ack_flush_us = or_else ack_flush p.Dsm.Batching.ack_flush_us;
-        ack_rider_bytes = or_else ack_rider p.Dsm.Batching.ack_rider_bytes;
-        release_flush_us = or_else release_flush p.Dsm.Batching.release_flush_us;
-      }
-
-(* Function shipping. *)
+(* Function shipping: the cost model takes its per-message and per-byte
+   costs from the link. *)
 let shipping_arg =
-  let doc = "Function-shipping policy: off, on, or on:<software-us>." in
+  let doc = "Function-shipping policy: off or on." in
   Arg.(value & opt string "off" & info [ "shipping" ] ~doc)
 
 (* Escrow commit. *)
 let escrow_arg =
   let doc = "Escrow-commit policy: off, on, or on:<local-quota>." in
   Arg.(value & opt string "off" & info [ "escrow" ] ~doc)
-
-let escrow_policy ~policy =
-  match Dsm.Escrow.policy_of_string policy with
-  | Error e ->
-      prerr_endline e;
-      exit 2
-  | Ok p -> p
-
-let shipping_policy ~policy =
-  match Dsm.Shipping.policy_of_string policy with
-  | Error e ->
-      prerr_endline e;
-      exit 2
-  | Ok p -> p
 
 (* Interconnect fault injection. *)
 let fault_drop_arg =
@@ -381,10 +320,6 @@ let run_cmd =
     let doc = "Serialise statement execution on one CPU per node." in
     Arg.(value & flag & info [ "cpu-limited" ] ~doc)
   in
-  let recovery_arg =
-    let doc = "Local UNDO mechanism: undo or shadow." in
-    Arg.(value & opt recovery_conv Txn.Recovery.Undo_logging & info [ "recovery" ] ~doc)
-  in
   let trace_capacity_arg =
     let doc = "Retain the last $(docv) protocol events (0 disables tracing)." in
     Arg.(value & opt int 0 & info [ "trace-capacity" ] ~docv:"N" ~doc)
@@ -404,12 +339,10 @@ let run_cmd =
     in
     Arg.(value & flag & info [ "profile" ] ~doc)
   in
-  let action spec protocol seed roots objects skew abort_probability prefetch cpu_limited
-      recovery drop duplicate jitter fault_seed crash_windows partition_windows slow_links
-      gdo_replicas dump_directory
-      request_timeout_us max_retransmits policy ttl ratio samples cache cache_capacity
-      batching ack_flush ack_rider release_flush shipping escrow trace_capacity trace_tail
-      trace_chrome profile =
+  let action spec protocol seed roots objects skew abort_probability prefetch cpu_limited drop
+      duplicate jitter fault_seed crash_windows partition_windows slow_links gdo_replicas
+      dump_directory request_timeout_us max_retransmits policy ttl cache cache_capacity
+      batching shipping escrow trace_capacity trace_tail trace_chrome profile =
     let spec = apply_overrides spec seed roots in
     let spec =
       match objects with
@@ -427,18 +360,17 @@ let run_cmd =
         Core.Config.abort_probability;
         prefetch;
         cpu_limited;
-        recovery;
         faults =
           fault_config ~drop ~duplicate ~jitter ~fault_seed ~crash_windows
             ~partition_windows ~slow_links;
         gdo_replicas;
         request_timeout_us;
         max_retransmits;
-        lease = lease_policy ~policy ~ttl ~ratio ~samples;
+        lease = lease_policy ~policy ~ttl;
         method_cache = cache_policy ~policy:cache ~capacity:cache_capacity;
-        batching = batching_policy ~policy:batching ~ack_flush ~ack_rider ~release_flush;
-        shipping = shipping_policy ~policy:shipping;
-        escrow = escrow_policy ~policy:escrow;
+        batching = parse_policy Dsm.Batching.of_string batching;
+        shipping = parse_policy Dsm.Shipping.policy_of_string shipping;
+        escrow = parse_policy Dsm.Escrow.policy_of_string escrow;
         trace_capacity;
       }
     in
@@ -484,15 +416,12 @@ let run_cmd =
   let term =
     Term.(
       const action $ scenario_arg $ protocol_arg $ seed_arg $ roots_arg $ objects_arg
-      $ skew_arg $ abort_arg $ prefetch_arg $ cpu_arg $ recovery_arg $ fault_drop_arg
-      $ fault_duplicate_arg $ fault_jitter_arg $ fault_seed_arg $ crash_windows_arg
-      $ partition_windows_arg $ slow_links_arg
-      $ gdo_replicas_arg $ dump_directory_arg $ timeout_arg $ retransmits_arg
-      $ lease_policy_arg $ lease_ttl_arg $ lease_ratio_arg $ lease_samples_arg
-      $ cache_arg $ cache_capacity_arg
-      $ batching_arg $ batch_ack_flush_arg $ batch_ack_rider_arg $ batch_release_flush_arg
-      $ shipping_arg $ escrow_arg $ trace_capacity_arg $ trace_tail_arg $ trace_chrome_arg
-      $ profile_arg)
+      $ skew_arg $ abort_arg $ prefetch_arg $ cpu_arg $ fault_drop_arg $ fault_duplicate_arg
+      $ fault_jitter_arg $ fault_seed_arg $ crash_windows_arg $ partition_windows_arg
+      $ slow_links_arg $ gdo_replicas_arg $ dump_directory_arg $ timeout_arg
+      $ retransmits_arg $ lease_policy_arg $ lease_ttl_arg $ cache_arg $ cache_capacity_arg
+      $ batching_arg $ shipping_arg $ escrow_arg $ trace_capacity_arg $ trace_tail_arg
+      $ trace_chrome_arg $ profile_arg)
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one scenario under one protocol.") term
 

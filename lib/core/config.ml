@@ -5,19 +5,9 @@ type t = {
   protocol : Dsm.Protocol.t;
   class_protocols : (string * Dsm.Protocol.t) list;
   control_msg_bytes : int;
-  page_header_bytes : int;
-  page_map_entry_bytes : int;
   gdo_replicas : int;
-  local_lock_op_us : float;
-  gdo_op_us : float;
   statement_us : float;
-  undo_page_us : float;
-  page_service_us : float;
-  recovery : Txn.Recovery.strategy;
   abort_probability : float;
-  max_sub_retries : int;
-  max_root_retries : int;
-  root_retry_backoff_us : float;
   prefetch : bool;
   multicast_push : bool;
   allow_recursive_catalogs : bool;
@@ -27,7 +17,6 @@ type t = {
   faults : Sim.Fault.config option;
   request_timeout_us : float;
   max_retransmits : int;
-  retransmit_backoff_cap_us : float;
   heartbeat_interval_us : float;
   suspect_timeout_us : float;
   lease : Gdo.Lease.policy;
@@ -37,6 +26,17 @@ type t = {
   escrow : Dsm.Escrow.policy;
 }
 
+let page_header_bytes = 64
+let page_map_entry_bytes = 4
+let local_lock_op_us = 1.0
+let gdo_op_us = 2.0
+let undo_page_us = 1.0
+let page_service_us = 1.0
+let max_sub_retries = 2
+let max_root_retries = 20
+let root_retry_backoff_us = 200.0
+let retransmit_backoff_cap_us = 40_000.0
+
 let default =
   {
     node_count = 8;
@@ -45,19 +45,9 @@ let default =
     protocol = Dsm.Protocol.Lotec;
     class_protocols = [];
     control_msg_bytes = 128;
-    page_header_bytes = 64;
-    page_map_entry_bytes = 4;
     gdo_replicas = 0;
-    local_lock_op_us = 1.0;
-    gdo_op_us = 2.0;
     statement_us = 0.2;
-    undo_page_us = 1.0;
-    page_service_us = 1.0;
-    recovery = Txn.Recovery.Undo_logging;
     abort_probability = 0.0;
-    max_sub_retries = 2;
-    max_root_retries = 20;
-    root_retry_backoff_us = 200.0;
     prefetch = false;
     multicast_push = false;
     allow_recursive_catalogs = false;
@@ -67,7 +57,6 @@ let default =
     faults = None;
     request_timeout_us = 5_000.0;
     max_retransmits = 10;
-    retransmit_backoff_cap_us = 40_000.0;
     heartbeat_interval_us = 1_000.0;
     suspect_timeout_us = 4_000.0;
     lease = Gdo.Lease.Off;
@@ -85,20 +74,11 @@ let validate t =
   let* () = check (t.link.Sim.Network.bandwidth_bps > 0.0) "bandwidth must be positive" in
   let* () = check (t.link.Sim.Network.software_cost_us >= 0.0) "software cost must be >= 0" in
   let* () = check (t.control_msg_bytes > 0) "control_msg_bytes must be positive" in
-  let* () = check (t.page_header_bytes >= 0) "page_header_bytes must be >= 0" in
   let* () =
     check (t.abort_probability >= 0.0 && t.abort_probability <= 1.0)
       "abort_probability must be in [0,1]"
   in
-  let* () = check (t.max_sub_retries >= 0) "max_sub_retries must be >= 0" in
-  let* () = check (t.max_root_retries >= 0) "max_root_retries must be >= 0" in
-  let* () = check (t.root_retry_backoff_us >= 0.0) "root_retry_backoff_us must be >= 0" in
-  let* () = check (t.local_lock_op_us >= 0.0) "local_lock_op_us must be >= 0" in
-  let* () = check (t.gdo_op_us >= 0.0) "gdo_op_us must be >= 0" in
   let* () = check (t.statement_us >= 0.0) "statement_us must be >= 0" in
-  let* () = check (t.undo_page_us >= 0.0) "undo_page_us must be >= 0" in
-  let* () = check (t.page_service_us >= 0.0) "page_service_us must be >= 0" in
-  let* () = check (t.page_map_entry_bytes >= 0) "page_map_entry_bytes must be >= 0" in
   let* () =
     check
       (t.gdo_replicas >= 0 && t.gdo_replicas < t.node_count)
@@ -114,8 +94,8 @@ let validate t =
   let* () = check (t.max_retransmits >= 0) "max_retransmits must be >= 0" in
   let* () =
     check
-      (t.retransmit_backoff_cap_us >= t.request_timeout_us)
-      "retransmit_backoff_cap_us must be >= request_timeout_us"
+      (retransmit_backoff_cap_us >= t.request_timeout_us)
+      "request_timeout_us must be <= the retransmit backoff cap"
   in
   let* () = check (t.heartbeat_interval_us > 0.0) "heartbeat_interval_us must be positive" in
   let* () =
@@ -124,7 +104,6 @@ let validate t =
       "suspect_timeout_us must be >= heartbeat_interval_us"
   in
   let* () = Gdo.Lease.validate_policy t.lease in
-  let* () = Dsm.Batching.validate t.batching in
   let* () = Dsm.Method_cache.validate_policy t.method_cache in
   let* () =
     check
@@ -134,9 +113,9 @@ let validate t =
   in
   let* () =
     check
-      ((not t.batching.Dsm.Batching.ack_piggyback)
-      || t.batching.Dsm.Batching.ack_flush_us < t.request_timeout_us)
-      "batching ack_flush_us must be below request_timeout_us"
+      ((not (Dsm.Batching.enabled t.batching))
+      || Dsm.Batching.ack_flush_us < t.request_timeout_us)
+      "batching requires request_timeout_us above the ack flush timer"
   in
   let* () = Dsm.Shipping.validate_policy t.shipping in
   let* () =
@@ -163,11 +142,6 @@ let validate t =
   in
   let* () =
     check
-      ((not (Dsm.Escrow.policy_enabled t.escrow)) || t.recovery = Txn.Recovery.Undo_logging)
-      "escrow requires undo-log recovery (reservations are undone, not shadowed)"
-  in
-  let* () =
-    check
       ((not (Dsm.Escrow.policy_enabled t.escrow)) || t.abort_probability = 0.0)
       "escrow requires abort_probability = 0 (escrow holds are family-level; an \
        injected sub-retry would re-apply its delta)"
@@ -182,8 +156,8 @@ let pp fmt t =
      prefetch: %b, multicast push: %b"
     Dsm.Protocol.pp t.protocol t.node_count t.page_size
     (t.link.Sim.Network.bandwidth_bps /. 1e6)
-    t.link.Sim.Network.software_cost_us t.abort_probability t.max_sub_retries
-    t.max_root_retries t.prefetch t.multicast_push;
+    t.link.Sim.Network.software_cost_us t.abort_probability max_sub_retries
+    max_root_retries t.prefetch t.multicast_push;
   (match t.faults with
   | Some f when Sim.Fault.is_active f ->
       Format.fprintf fmt "@,faults: %a; timeout %.0f us, max retransmits %d"

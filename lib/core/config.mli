@@ -14,10 +14,7 @@ type t = {
       (** per-class protocol overrides, by class name — the paper's §6
           future-work extension ("different consistency protocols ... on a
           per-class basis"). Classes not listed use [protocol]. *)
-  (* Message sizing. *)
   control_msg_bytes : int;  (** lock requests, page requests, acks *)
-  page_header_bytes : int;  (** per-page framing in data messages *)
-  page_map_entry_bytes : int;  (** per-page cost of shipping the page map in a grant *)
   gdo_replicas : int;
       (** The paper's GDO is "partitioned and replicated ... to ensure
           efficiency and reliability". Each directory mutation (lock grant,
@@ -30,18 +27,11 @@ type t = {
           until the home rejoins (see DESIGN.md, "Failure model &
           recovery"). With [gdo_replicas = 0] the partition is simply
           unavailable until the restart. *)
-  (* Local costs. *)
-  local_lock_op_us : float;
-  gdo_op_us : float;  (** directory processing per lock operation *)
   statement_us : float;  (** CPU cost per executed IR statement *)
-  undo_page_us : float;  (** cost of undoing one page write *)
-  page_service_us : float;  (** cost for a node to serve a page request *)
-  (* Failure injection and recovery policy. *)
-  recovery : Txn.Recovery.strategy;  (** local UNDO mechanism: undo logs or shadow pages *)
-  abort_probability : float;  (** chance an executing sub-transaction fails at its end *)
-  max_sub_retries : int;  (** re-executions of a failed sub-transaction *)
-  max_root_retries : int;  (** re-executions of a deadlock-aborted family *)
-  root_retry_backoff_us : float;  (** base backoff, doubled per retry, jittered *)
+  abort_probability : float;
+      (** chance an executing sub-transaction fails at its end (paper §3.2);
+          the failure is undone locally from the sub-transaction's undo log
+          ({!Txn.Undo_log}) and retried up to {!max_sub_retries} times *)
   (* Extensions (paper §5.1 / §6). *)
   prefetch : bool;  (** optimistic pre-acquisition of sub-invocation locks *)
   multicast_push : bool;  (** RC-nested pushes charged as one multicast message *)
@@ -84,8 +74,8 @@ type t = {
           subsequent retransmit delays grow by decorrelated jitter
           ({!Sim.Backoff}): drawn uniformly from [base, 3 * prev) on the
           sender's private seed-deterministic stream and clamped to
-          [retransmit_backoff_cap_us]. Only used when [faults] is
-          active. *)
+          {!retransmit_backoff_cap_us}, which it must not exceed. Only used
+          when [faults] is active. *)
   max_retransmits : int;
       (** retransmissions of one message before the transport gives up.
           A give-up is counted ({!Dsm.Metrics}), reported to the sender's
@@ -94,11 +84,6 @@ type t = {
           stalls the simulation. With the default 10 and drop rates
           <= 0.2 a give-up is a ~1e-8 per-message event; crash-window
           tests lower it to exercise the recovery path. *)
-  retransmit_backoff_cap_us : float;
-      (** upper bound on any single retransmit delay. Uncapped exponential
-          backoff pushes retries of a long partition far past its heal;
-          the cap bounds the post-heal recovery latency. Must be >=
-          [request_timeout_us]. *)
   heartbeat_interval_us : float;
       (** period of the liveness heartbeats every node broadcasts while
           crash windows are configured (crash-free runs send none) *)
@@ -107,7 +92,7 @@ type t = {
           ([Sim.Failure_detector]); must be >= the heartbeat interval *)
   lease : Gdo.Lease.policy;
       (** Read leases: {!Gdo.Lease.Off} (default) reproduces the paper's
-          protocol exactly; a TTL or adaptive policy lets the GDO home grant
+          protocol exactly; a [Fixed_ttl] policy lets the GDO home grant
           read leases alongside read grants, so repeat read acquisitions at a
           leased node complete with zero home-node messages, and write
           acquisitions first recall outstanding leases (see {!Gdo.Lease}). *)
@@ -117,9 +102,9 @@ type t = {
           transport acks on same-channel payloads, aggregates a method's
           demand fetches, coalesces same-instant per-home releases and
           suppresses heartbeats on recently active channels (see
-          {!Dsm.Batching}). When [ack_piggyback] is on, [ack_flush_us] must
-          be below [request_timeout_us] so a flushed ack always beats the
-          sender's retransmit timer. *)
+          {!Dsm.Batching}). With batching on, [request_timeout_us] must be
+          above {!Dsm.Batching.ack_flush_us} so a flushed ack always beats
+          the sender's retransmit timer. *)
   method_cache : Dsm.Method_cache.policy;
       (** Method-result caching: {!Dsm.Method_cache.Off} (default)
           reproduces the lease runtime exactly; an LRU policy lets a node
@@ -147,11 +132,47 @@ type t = {
           instead of page locks, with per-node quota delegation enabling a
           zero-message local pre-commit fast path, lazily reconciled and
           epoch-fence recalled like a lease (see {!Dsm.Escrow}). Requires a
-          fault-free run and undo-log recovery; excludes [prefetch] and
-          [shipping]. *)
+          fault-free run and [abort_probability = 0]; excludes [prefetch]
+          and [shipping]. *)
 }
 
 val default : t
+
+(** {1 Fixed costs}
+
+    Settings no workload varies: named constants rather than fields. *)
+
+val page_header_bytes : int
+(** per-page framing in data messages (64) *)
+
+val page_map_entry_bytes : int
+(** per-page cost of shipping the page map in a grant (4) *)
+
+val local_lock_op_us : float
+(** one local lock-table operation (1 µs) *)
+
+val gdo_op_us : float
+(** directory processing per lock operation (2 µs) *)
+
+val undo_page_us : float
+(** undoing one logged page write (1 µs) *)
+
+val page_service_us : float
+(** a node serving a page request (1 µs) *)
+
+val max_sub_retries : int
+(** re-executions of a failed sub-transaction (2) *)
+
+val max_root_retries : int
+(** re-executions of an aborted family before it gives up (20) *)
+
+val root_retry_backoff_us : float
+(** base family-retry backoff, doubled per retry and jittered (200 µs) *)
+
+val retransmit_backoff_cap_us : float
+(** upper bound on any single retransmit delay (40 ms). Uncapped
+    exponential backoff pushes retries of a long partition far past its
+    heal; the cap bounds the post-heal recovery latency. *)
 
 val validate : t -> (unit, string) result
 (** Sanity-check ranges (positive sizes, probability in [0,1], ...). *)

@@ -166,7 +166,7 @@ type t = {
   (* Family grant snapshots: the page map each family received for each
      object it holds; consulted for staleness checks and demand fetches. *)
   snapshots : Gdo.Directory.grant Oid.Table.t Txn_id.Table.t;
-  recovery_logs : Recovery.t Txn_id.Table.t;
+  undo_logs : Undo_log.t Txn_id.Table.t;
   (* object each transaction's method executes on; used by the run-time
      recursion check. *)
   txn_objects : Oid.t Txn_id.Table.t;
@@ -188,12 +188,12 @@ type t = {
   acked : unit Itbl.t;  (* at the sender: mids known delivered *)
   seen : unit Itbl.t;  (* at receivers: mids whose effect already ran *)
   (* Message-combining layer (see Dsm.Batching). [batch_acks] arms ack
-     piggybacking (policy on AND reliable transport active — without
+     piggybacking (batching on AND reliable transport active — without
      faults there are no transport acks to combine); [batch_heartbeat]
-     arms heartbeat suppression (policy on AND crash windows configured).
-     Everything here is inert when the policy is off, keeping batching-off
-     runs byte-identical to the pre-batching runtime. *)
-  batching : Dsm.Batching.t;
+     arms heartbeat suppression (batching on AND crash or link windows
+     configured). Everything here is inert when batching is off, keeping
+     batching-off runs byte-identical to the pre-batching runtime. *)
+  batching : bool;
   batch_acks : bool;
   batch_heartbeat : bool;
   (* (acking node, original sender) channel -> mids whose transport ack is
@@ -301,12 +301,12 @@ type t = {
   ship_params : Dsm.Shipping.params option;  (* Some iff [ship_enabled] *)
   ship_states : ship_state Txn_id.Table.t;  (* family -> pins + exec sites *)
   (* owner transaction -> undo state parked by its function-shipped
-     descendants, one Recovery log per remote execution site. A shipped
+     descendants, one undo log per remote execution site. A shipped
      child cannot merge its log into a parent executing elsewhere — the
      pre-images belong to the site's store — so precommit parks it here
      (and promotes parked entries up the chain), until root commit drops
      them or an abort replays them site by site. *)
-  parked_logs : (int * Recovery.t) list ref Txn_id.Table.t;
+  parked_logs : (int * Undo_log.t) list ref Txn_id.Table.t;
   mutable ship_waits : ship_wait list;
   (* Escrow-commit subsystem (see Dsm.Escrow). Everything below is inert
      when [escrow_enabled] is false — the default — keeping escrow-off
@@ -442,7 +442,7 @@ let create ~config:cfg ~catalog =
       inflight = Itbl.create 16;
       transfers = Itbl.create 16;
       snapshots = Txn_id.Table.create 64;
-      recovery_logs = Txn_id.Table.create 64;
+      undo_logs = Txn_id.Table.create 64;
       txn_objects = Txn_id.Table.create 64;
       read_logs = Txn_id.Table.create 64;
       write_logs = Txn_id.Table.create 64;
@@ -461,11 +461,10 @@ let create ~config:cfg ~catalog =
       next_mid = 0;
       acked = Itbl.create 256;
       seen = Itbl.create 256;
-      batching = cfg.Config.batching;
-      batch_acks =
-        cfg.Config.batching.Dsm.Batching.ack_piggyback && Sim.Network.faults_active net;
+      batching = Dsm.Batching.enabled cfg.Config.batching;
+      batch_acks = Dsm.Batching.enabled cfg.Config.batching && Sim.Network.faults_active net;
       batch_heartbeat =
-        (cfg.Config.batching.Dsm.Batching.piggyback_heartbeat
+        (Dsm.Batching.enabled cfg.Config.batching
         &&
         match cfg.Config.faults with
         | Some f -> Sim.Fault.has_crash_windows f || Sim.Fault.has_link_windows f
@@ -525,7 +524,7 @@ let create ~config:cfg ~catalog =
          in
          Array.init cfg.Config.node_count (fun node ->
              Sim.Backoff.stream ~seed ~node ~base_us:cfg.Config.request_timeout_us
-               ~cap_us:cfg.Config.retransmit_backoff_cap_us));
+               ~cap_us:Config.retransmit_backoff_cap_us));
       deliver_hook = (fun ~src:_ ~dst:_ -> ());
       fetch_waits = [];
       ship_enabled = Dsm.Shipping.policy_enabled cfg.Config.shipping;
@@ -595,8 +594,9 @@ let create ~config:cfg ~catalog =
     (Catalog.oids catalog);
   t
 
-(* Per-class protocol override (paper section 6 future work); cached per
-   object since it is consulted on every access. *)
+(* Per-class protocol override (paper section 6 future work), looked up
+   on every access; with no overrides configured it is the global
+   protocol. *)
 let protocol_for t oid =
   match t.cfg.Config.class_protocols with
   | [] -> t.cfg.Config.protocol
@@ -640,7 +640,7 @@ let attach_ack_riders t ~src ~dst f =
     | [] -> (0, f)
     | mids ->
         let k = List.length mids in
-        let bytes = k * t.batching.Dsm.Batching.ack_rider_bytes in
+        let bytes = k * Dsm.Batching.ack_rider_bytes in
         Dsm.Metrics.add_acks_piggybacked t.metrics k;
         Dsm.Metrics.record_rider t.metrics ~mtype:Dsm.Wire.Ack ~count:k ~bytes;
         record_event t (fun () -> Dsm.Event.Ack_piggyback { src; dst; acks = k });
@@ -688,7 +688,7 @@ let flush_acks t ~src ~dst =
       record_event t (fun () -> Dsm.Event.Ack_flush { src; dst; acks = k });
       let bytes =
         t.cfg.Config.control_msg_bytes
-        + ((k - 1) * t.batching.Dsm.Batching.ack_rider_bytes)
+        + ((k - 1) * Dsm.Batching.ack_rider_bytes)
       in
       send_exec t ~mtype:Dsm.Wire.Ack ~src ~dst ~kind:Sim.Network.Control ~bytes ~tag:(-1)
         (fun () -> List.iter (fun mid -> Itbl.replace t.acked mid ()) mids)
@@ -709,7 +709,7 @@ let queue_ack t ~src ~dst mid =
     q := mid :: !q;
     if not (Hashtbl.mem t.ack_flush_armed key) then begin
       Hashtbl.replace t.ack_flush_armed key ();
-      Sim.Engine.schedule t.engine ~delay:t.batching.Dsm.Batching.ack_flush_us (fun () ->
+      Sim.Engine.schedule t.engine ~delay:Dsm.Batching.ack_flush_us (fun () ->
           flush_acks t ~src ~dst)
     end
   end
@@ -795,16 +795,16 @@ let send_reliable ?(on_abandon = fun () -> ()) t ~mtype ~src ~dst ~kind ~bytes ~
 (* Per-transaction bookkeeping.                                        *)
 
 let init_txn_state t txn =
-  Txn_id.Table.replace t.recovery_logs txn (Recovery.create t.cfg.Config.recovery);
+  Txn_id.Table.replace t.undo_logs txn (Undo_log.create ());
   Txn_id.Table.replace t.read_logs txn (ref []);
   Txn_id.Table.replace t.write_logs txn (ref [])
 
-let recovery_of t txn = Txn_id.Table.find t.recovery_logs txn
+let undo_log_of t txn = Txn_id.Table.find t.undo_logs txn
 let read_log t txn = Txn_id.Table.find t.read_logs txn
 let write_log t txn = Txn_id.Table.find t.write_logs txn
 
 let drop_txn_state t txn =
-  Txn_id.Table.remove t.recovery_logs txn;
+  Txn_id.Table.remove t.undo_logs txn;
   Txn_id.Table.remove t.txn_objects txn;
   Txn_id.Table.remove t.read_logs txn;
   Txn_id.Table.remove t.write_logs txn
@@ -830,7 +830,7 @@ let set_snapshot t ~family ~oid grant = Oid.Table.replace (family_snapshots t fa
 (* ------------------------------------------------------------------ *)
 (* GDO interaction (Algorithms 4.2 and 4.4, message side).             *)
 
-let grant_bytes t pages = t.cfg.Config.control_msg_bytes + (pages * t.cfg.Config.page_map_entry_bytes)
+let grant_bytes t pages = t.cfg.Config.control_msg_bytes + (pages * Config.page_map_entry_bytes)
 
 (* Deliver a reply from the GDO home to the acquiring site. *)
 let reply_from_home t ~home ~dst ~oid (iv : reply Sim.Engine.Ivar.t) (r : reply) =
@@ -864,7 +864,9 @@ let reply_from_home t ~home ~dst ~oid (iv : reply Sim.Engine.Ivar.t) (r : reply)
    GDO is "partitioned and replicated"). Asynchronous and fire-and-forget:
    only the traffic cost is modelled, so these stay best-effort even under
    fault injection — a lost replica update loses nothing the simulation
-   tracks (directory failover is §6 future work). *)
+   tracks: the directory is shared in-process, and on failover the
+   successor re-confirms the partition's holders
+   ([send_failover_confirms]). *)
 let replicate_gdo_update t ~home ~oid =
   let n = t.cfg.Config.node_count in
   for i = 1 to t.cfg.Config.gdo_replicas do
@@ -901,7 +903,7 @@ let note_recall_resolved t ~oid =
       Dsm.Metrics.record_recall_latency_us t.metrics (Sim.Engine.now t.engine -. t0)
 
 let process_lease_yield t ~oid ~node =
-  Sim.Engine.schedule t.engine ~delay:t.cfg.Config.gdo_op_us (fun () ->
+  Sim.Engine.schedule t.engine ~delay:Config.gdo_op_us (fun () ->
       Dsm.Metrics.incr_lease_yields t.metrics;
       match Gdo.Lease.note_yield t.lease_mgr oid ~node with
       | `Cleared ->
@@ -1176,7 +1178,7 @@ and node_escrow_yield t ~node ~home ~oid ~epoch =
    closes a cycle through a carried family (they get the usual deadlock
    refusal), and deliver any promoted grants. *)
 and process_escrow_yield t ~home ~oid ~node ~epoch ~delta ~used_up ~used_down ~carried =
-  Sim.Engine.schedule t.engine ~delay:t.cfg.Config.gdo_op_us (fun () ->
+  Sim.Engine.schedule t.engine ~delay:Config.gdo_op_us (fun () ->
       let deliveries, victims =
         Gdo.Directory.escrow_yield t.gdo oid ~node ~epoch ~delta ~used_up ~used_down ~carried
       in
@@ -1200,7 +1202,7 @@ and process_escrow_yield t ~home ~oid ~node ~epoch ~delta ~used_up ~used_down ~c
    calls at that node commit with zero messages. *)
 let process_escrow_request t ~home ~requester ~family ~oid ~delta ~want_up ~want_down
     (iv : (bool * int * int) Sim.Engine.Ivar.t) =
-  Sim.Engine.schedule t.engine ~delay:t.cfg.Config.gdo_op_us (fun () ->
+  Sim.Engine.schedule t.engine ~delay:Config.gdo_op_us (fun () ->
       let result = Gdo.Directory.escrow_reserve t.gdo oid ~family ~node:requester ~delta in
       let admitted = result = Gdo.Directory.Escrow_admitted in
       record_event t (fun () ->
@@ -1318,7 +1320,7 @@ let gate_lease_write t ~home ~requester ~family ~oid ~block ~core
    fence. *)
 let rec process_acquire t ~home ~requester ~family ~oid ~mode ~block ~epoch
     (iv : reply Sim.Engine.Ivar.t) =
-  Sim.Engine.schedule t.engine ~delay:t.cfg.Config.gdo_op_us (fun () ->
+  Sim.Engine.schedule t.engine ~delay:Config.gdo_op_us (fun () ->
       let p = Oid.to_int oid mod t.cfg.Config.node_count in
       (* A home that crashed between delivery and processing mutates
          nothing (its requesters were unblocked by the crash sweep); a
@@ -1365,15 +1367,9 @@ let rec process_acquire t ~home ~requester ~family ~oid ~mode ~block ~epoch
       else begin
         Gdo.Directory.note_cached t.gdo oid ~node:requester;
         let core () = process_acquire_core t ~home ~requester ~family ~oid ~mode ~block iv in
-        if not t.lease_enabled then core ()
-        else begin
-          (match mode with
-          | Lock.Read -> Gdo.Lease.note_read t.lease_mgr oid
-          | Lock.Write -> Gdo.Lease.note_write t.lease_mgr oid);
-          if Lock.equal mode Lock.Write then
-            gate_lease_write t ~home ~requester ~family ~oid ~block ~core iv
-          else core ()
-        end
+        if t.lease_enabled && Lock.equal mode Lock.Write then
+          gate_lease_write t ~home ~requester ~family ~oid ~block ~core iv
+        else core ()
       end)
 
 (* Executed at the GDO home when a release arrives. [items] lists the objects
@@ -1381,23 +1377,17 @@ let rec process_acquire t ~home ~requester ~family ~oid ~mode ~block ~epoch
    releasing node, kept for the crash re-dispatch. *)
 let rec process_release t ~home ~from ~family items =
   let n_items = List.length items in
-  Sim.Engine.schedule t.engine ~delay:(t.cfg.Config.gdo_op_us *. float_of_int n_items)
+  Sim.Engine.schedule t.engine ~delay:(Config.gdo_op_us *. float_of_int n_items)
     (fun () ->
-      if t.crash_enabled && t.crashed.(home) then begin
-        (* The home crashed between delivery and processing. A release must
-           never be lost — the survivor's locks would leak — so re-dispatch
-           it from the origin; current routing sends it to the acting
-           home (or back here after the rejoin). *)
-        if not t.crashed.(from) then gdo_release t ~node:from ~family items
-      end
-      else if
+      if
         t.crash_enabled
-        && List.exists (fun (oid, _) -> home_of t oid <> home) items
+        && (t.crashed.(home) || List.exists (fun (oid, _) -> home_of t oid <> home) items)
       then begin
-        (* Membership moved the partition between send and processing (a
-           declaration or readmission re-routed it): re-dispatch from the
-           origin so the release lands at the current acting home — a
-           release must never be lost. *)
+        (* The home crashed between delivery and processing, or membership
+           moved the partition (a declaration or readmission re-routed it).
+           A release must never be lost — the survivor's locks would leak —
+           so re-dispatch it from the origin; current routing sends it to
+           the acting home (or back here after the rejoin). *)
         if not t.crashed.(from) then gdo_release t ~node:from ~family items
       end
       else begin
@@ -1429,7 +1419,7 @@ and gdo_release t ~node ~family items =
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   |> List.iter (fun (home, items) ->
          if home = node then process_release t ~home ~from:node ~family items
-         else if t.batching.Dsm.Batching.coalesce_release && not t.crash_enabled then
+         else if t.batching && not t.crash_enabled then
            (* Under crash injection coalescing stands down: a commit's
               releases must leave the node atomically with the commit point,
               or a crash inside the flush window could swallow a committed
@@ -1451,10 +1441,10 @@ and send_release t ~node ~home ~family items =
     (fun () -> process_release t ~home ~from:node ~family items)
 
 (* Coalescing: park the family's batch and flush the channel after
-   [release_flush_us]. A zero window still combines — the flush event is
-   scheduled behind every already-queued event of the current instant
-   (engine ties break by insertion order), so families committing at the
-   same simulated time share one Release message. *)
+   [Batching.release_flush_us]. The zero window still combines — the flush
+   event is scheduled behind every already-queued event of the current
+   instant (engine ties break by insertion order), so families committing
+   at the same simulated time share one Release message. *)
 and queue_release t ~node ~home ~family items =
   let key = (node, home) in
   let q =
@@ -1468,7 +1458,7 @@ and queue_release t ~node ~home ~family items =
   q := (family, items) :: !q;
   if not (Hashtbl.mem t.release_flush_armed key) then begin
     Hashtbl.replace t.release_flush_armed key ();
-    Sim.Engine.schedule t.engine ~delay:t.batching.Dsm.Batching.release_flush_us (fun () ->
+    Sim.Engine.schedule t.engine ~delay:Dsm.Batching.release_flush_us (fun () ->
         flush_releases t ~node ~home)
   end
 
@@ -1758,7 +1748,7 @@ let declare_dead t ~suspect:s ~by:o =
      stolen, which is exactly what makes a false declaration harmless to
      safety (doomed families are the only evictees; a false declaration
      dooms nothing). *)
-  let delay = Float.max t.cfg.Config.gdo_op_us (!fence -. now) in
+  let delay = Float.max Config.gdo_op_us (!fence -. now) in
   Sim.Engine.schedule t.engine ~delay (fun () ->
       if t.crashed.(s) && t.declared_down.(s) && t.incarnation.(s) = inc then
         reclaim_dead_node t ~node:s ~repoint:true)
@@ -2014,7 +2004,7 @@ let crash_rejoin t ~node:d =
      the node was never declared dead, so its doomed families' directory
      residue is still in place — the restarted node scans and evicts it.
      Pages are not repointed: this node's durable copies are live again. *)
-  Sim.Engine.schedule t.engine ~delay:t.cfg.Config.gdo_op_us (fun () ->
+  Sim.Engine.schedule t.engine ~delay:Config.gdo_op_us (fun () ->
       reclaim_dead_node t ~node:d ~repoint:false);
   match t.rejoin.(d) with
   | Some iv ->
@@ -2145,10 +2135,10 @@ let fetch_groups t ~family ~node ~oid groups =
         in
         let n_pages = List.length pages in
         let req_bytes = cfg.Config.control_msg_bytes + (4 * n_pages) in
-        let reply_bytes = n_pages * (cfg.Config.page_size + cfg.Config.page_header_bytes) in
+        let reply_bytes = n_pages * (cfg.Config.page_size + Config.page_header_bytes) in
         let serve () =
           (* At the source: look the pages up, then ship them. *)
-          Sim.Engine.schedule t.engine ~delay:cfg.Config.page_service_us (fun () ->
+          Sim.Engine.schedule t.engine ~delay:Config.page_service_us (fun () ->
               if t.crash_enabled && t.crashed.(src) then ()
               else
                 let copies =
@@ -2190,15 +2180,15 @@ let transfer_on_acquire t ~family ~node ~oid ~(grant : Gdo.Directory.grant) ~pre
         let n = List.length set in
         Dsm.Event.Transfer
           { oid; node; pages = n;
-            bytes = n * (t.cfg.Config.page_size + t.cfg.Config.page_header_bytes) });
+            bytes = n * (t.cfg.Config.page_size + Config.page_header_bytes) });
     fetch_groups t ~family ~node ~oid (group_by_source ~node ~oid grant set)
   end
 
 (* Make sure the pages an access touches are up to date locally, fetching on
    demand when the protocol allows it (LOTEC's lazy fetch; RC-nested cold
    pages). For COTEC/OTEC a stale page here is a protocol bug. [predicted]
-   is the running method's predicted access set, used by the
-   [aggregate_fetch] batching feature to widen the round. *)
+   is the running method's predicted access set, used by batching's fetch
+   aggregation to widen the round. *)
 let ensure_pages t ~family ~node ~oid ~predicted pages =
   let g = snapshot t ~family ~oid in
   let stale_of ps =
@@ -2221,7 +2211,7 @@ let ensure_pages t ~family ~node ~oid ~predicted pages =
        triggering one — staleness is judged against the same grant
        snapshot, so its newest copy is held remotely. *)
     let fetch =
-      if not t.batching.Dsm.Batching.aggregate_fetch then stale
+      if not t.batching then stale
       else begin
         let extra =
           stale_of
@@ -2244,7 +2234,7 @@ let ensure_pages t ~family ~node ~oid ~predicted pages =
         let n = List.length fetch in
         Dsm.Event.Demand_fetch
           { oid; node; pages = n;
-            bytes = n * (t.cfg.Config.page_size + t.cfg.Config.page_header_bytes) });
+            bytes = n * (t.cfg.Config.page_size + Config.page_header_bytes) });
     fetch_groups t ~family ~node ~oid (group_by_source ~node ~oid g fetch)
   end
 
@@ -2350,7 +2340,7 @@ let rec acquire_object t ~txn ~oid ~mode ~predicted ~optimistic =
      transport gave up on the round trip and unwound). Stop it at the next
      acquisition so it restores its writes instead of piling on more. *)
   if t.ship_enabled && family_defunct t family then raise Family_abort;
-  Sim.Engine.wait t.cfg.Config.local_lock_op_us;
+  Sim.Engine.wait Config.local_lock_op_us;
   let wake_iv = Sim.Engine.Ivar.create () in
   match
     Local_locks.acquire t.locks.(node) oid ~txn ~mode ~wake:(fun () ->
@@ -2566,13 +2556,13 @@ let parked_of t txn =
 
 let drop_parked t txn = Txn_id.Table.remove t.parked_logs txn
 
-(* Park a shipped descendant's recovery log under [owner], keyed by the
+(* Park a shipped descendant's undo log under [owner], keyed by the
    execution site whose store its pre-images belong to; a log already
    parked for the site absorbs the new one (the new log's entries are
    newer: family execution is sequential). Empty logs park nothing —
    read-only shipped children leave no undo state behind. *)
 let park_log t ~owner ~site log =
-  if not (Recovery.is_empty log) then begin
+  if not (Undo_log.is_empty log) then begin
     let cell =
       match Txn_id.Table.find_opt t.parked_logs owner with
       | Some c -> c
@@ -2582,14 +2572,14 @@ let park_log t ~owner ~site log =
           c
     in
     match List.assoc_opt site !cell with
-    | Some existing -> Recovery.merge_into_parent ~child:log ~parent:existing
+    | Some existing -> Undo_log.merge_into_parent ~child:log ~parent:existing
     | None ->
-        let fresh = Recovery.create t.cfg.Config.recovery in
-        Recovery.merge_into_parent ~child:log ~parent:fresh;
+        let fresh = Undo_log.create () in
+        Undo_log.merge_into_parent ~child:log ~parent:fresh;
         cell := !cell @ [ (site, fresh) ]
   end
 
-(* Apply recovery logs over a node's store. A single log restores exactly
+(* Apply undo logs over a node's store. A single log restores exactly
    as the single-site runtime always has (sequential newest-first
    application ends at the oldest pre-image per page). Several logs for one
    site — a shipped descendant wrote pages its owner also wrote, and the
@@ -2602,19 +2592,20 @@ let restore_logs t ~node logs =
   | [] -> ()
   | [ log ] ->
       List.iter
-        (fun (oid, page, version) -> Dsm.Page_store.restore t.stores.(node) oid ~page ~version)
-        (Recovery.restore_plan log)
+        (fun { Undo_log.oid; page; prev_version } ->
+          Dsm.Page_store.restore t.stores.(node) oid ~page ~version:prev_version)
+        (Undo_log.entries_newest_first log)
   | logs ->
       let oldest = Hashtbl.create 16 in
       List.iter
         (fun log ->
           List.iter
-            (fun (oid, page, version) ->
+            (fun { Undo_log.oid; page; prev_version = version } ->
               let key = (Oid.to_int oid, page) in
               match Hashtbl.find_opt oldest key with
               | Some (_, v) when v <= version -> ()
               | Some _ | None -> Hashtbl.replace oldest key (oid, version))
-            (Recovery.restore_plan log))
+            (Undo_log.entries_newest_first log))
         logs;
       Hashtbl.iter
         (fun (_, page) (oid, version) ->
@@ -2632,7 +2623,7 @@ let precommit_txn t txn =
   in
   let node = Txn_tree.node_of t.tree txn in
   let family = Txn_tree.root_of t.tree txn in
-  Sim.Engine.wait t.cfg.Config.local_lock_op_us;
+  Sim.Engine.wait Config.local_lock_op_us;
   (* The child's (and its precommitted descendants') locks may live in
      several sites' tables; the parent inherits them wherever they are. *)
   List.iter
@@ -2640,18 +2631,18 @@ let precommit_txn t txn =
     (family_exec_sites t ~family ~node);
   let pnode = Txn_tree.node_of t.tree parent in
   if node = pnode then
-    Recovery.merge_into_parent ~child:(recovery_of t txn) ~parent:(recovery_of t parent)
+    Undo_log.merge_into_parent ~child:(undo_log_of t txn) ~parent:(undo_log_of t parent)
   else
     (* Function-shipped child: its pre-images belong to [node]'s store and
        cannot merge into a parent log that restores at [pnode]; park them
        under the parent instead. *)
-    park_log t ~owner:parent ~site:node (recovery_of t txn);
+    park_log t ~owner:parent ~site:node (undo_log_of t txn);
   (* Promote undo state the child's own shipped descendants parked under
      it: logs for the parent's site join the parent's own log, the rest
      stay parked (now under the parent). *)
   List.iter
     (fun (site, log) ->
-      if site = pnode then Recovery.merge_into_parent ~child:log ~parent:(recovery_of t parent)
+      if site = pnode then Undo_log.merge_into_parent ~child:log ~parent:(undo_log_of t parent)
       else park_log t ~owner:parent ~site log)
     (parked_of t txn);
   drop_parked t txn;
@@ -2665,13 +2656,13 @@ let precommit_txn t txn =
 
 let undo_txn t txn =
   let node = Txn_tree.node_of t.tree txn in
-  let log = recovery_of t txn in
+  let log = undo_log_of t txn in
   let parked = parked_of t txn in
   let cost =
-    Recovery.restore_cost_units log
-    + List.fold_left (fun acc (_, l) -> acc + Recovery.restore_cost_units l) 0 parked
+    Undo_log.length log
+    + List.fold_left (fun acc (_, l) -> acc + Undo_log.length l) 0 parked
   in
-  if cost > 0 then Sim.Engine.wait (t.cfg.Config.undo_page_us *. float_of_int cost);
+  if cost > 0 then Sim.Engine.wait (Config.undo_page_us *. float_of_int cost);
   (* The node may have crashed during the undo wait; restoring pre-images
      into the wiped store would resurrect uncommitted state over the
      durable versions, so switch to the crash unwinding instead. *)
@@ -2705,7 +2696,7 @@ let crashed_purge_sub t txn =
      them here (and the parked state of shipped descendants), intact sites
      only. *)
   if t.ship_enabled then begin
-    if intact_site t ~family ~site:node then restore_logs t ~node [ recovery_of t txn ];
+    if intact_site t ~family ~site:node then restore_logs t ~node [ undo_log_of t txn ];
     List.iter
       (fun (site, log) ->
         if intact_site t ~family ~site then restore_logs t ~node:site [ log ])
@@ -2721,7 +2712,7 @@ let crashed_purge_sub t txn =
 let abort_sub_txn t txn =
   let node = Txn_tree.node_of t.tree txn in
   undo_txn t txn;
-  Sim.Engine.wait t.cfg.Config.local_lock_op_us;
+  Sim.Engine.wait Config.local_lock_op_us;
   check_crashed t ~txn_root:(Txn_tree.root_of t.tree txn);
   let family = Txn_tree.root_of t.tree txn in
   let release site oid =
@@ -2742,31 +2733,6 @@ let abort_sub_txn t txn =
   drop_parked t txn;
   drop_txn_state t txn
 
-(* Dirty info for the family's release: for every page its undo log touched,
-   report the final local version so the GDO page map points here. *)
-let dirty_items t ~node ~root released =
-  let log = recovery_of t root in
-  let dirty = Recovery.dirty_pages log in
-  let by_oid = Hashtbl.create 8 in
-  List.iter
-    (fun (oid, page) ->
-      let v = Dsm.Page_store.version t.stores.(node) oid ~page in
-      let cur = Option.value ~default:[] (Hashtbl.find_opt by_oid (Oid.to_int oid)) in
-      Hashtbl.replace by_oid (Oid.to_int oid) ((page, v, node) :: cur))
-    dirty;
-  (* Locks are held to root commit (rule 2), so every dirty object must
-     still be family-held — otherwise its dirty info would be lost here. *)
-  List.iter
-    (fun (oid, _) ->
-      if not (List.exists (fun o -> Oid.to_int o = Oid.to_int oid) released) then
-        failwith
-          (Format.asprintf "Runtime: dirty object %a not among released locks" Oid.pp oid))
-    dirty;
-  List.map
-    (fun oid ->
-      (oid, Option.value ~default:[] (Hashtbl.find_opt by_oid (Oid.to_int oid))))
-    released
-
 (* RC-nested: push dirty pages to every caching site at root release. The
    copyset is read straight from the directory rather than shipped with the
    grant — a simulation shortcut; the value is identical to what a real
@@ -2780,7 +2746,7 @@ let eager_push t ~node items =
         let dests = List.filter (fun d -> d <> node) (Gdo.Directory.copyset t.gdo oid) in
         if dests <> [] then begin
           let bytes =
-            List.length dirty * (cfg.Config.page_size + cfg.Config.page_header_bytes)
+            List.length dirty * (cfg.Config.page_size + Config.page_header_bytes)
           in
           let install dest () =
             List.iter
@@ -2859,7 +2825,7 @@ let escrow_send_reconcile t ~node oid (l : escrow_ledger) =
     record_event t (fun () -> Dsm.Event.Escrow_reconcile { oid; node; delta; commits });
     let home = home_of t oid in
     let apply () =
-      Sim.Engine.schedule t.engine ~delay:t.cfg.Config.gdo_op_us (fun () ->
+      Sim.Engine.schedule t.engine ~delay:Config.gdo_op_us (fun () ->
           Gdo.Directory.escrow_reconcile t.gdo oid ~node ~delta ~used_up ~used_down)
     in
     if home = node then apply ()
@@ -2910,7 +2876,7 @@ let escrow_resolve_family t root ~node ~commit =
         (fun oid ->
           let home = home_of t oid in
           let resolve () =
-            Sim.Engine.schedule t.engine ~delay:t.cfg.Config.gdo_op_us (fun () ->
+            Sim.Engine.schedule t.engine ~delay:Config.gdo_op_us (fun () ->
                 let deliveries =
                   if commit then Gdo.Directory.escrow_commit t.gdo oid ~family:root
                   else Gdo.Directory.escrow_abort t.gdo oid ~family:root
@@ -2934,85 +2900,67 @@ let escrow_resolve_family t root ~node ~commit =
    simulated time. *)
 let commit_root t root =
   let node = Txn_tree.node_of t.tree root in
-  let released_count =
-    if not t.ship_enabled then begin
-      let released = Local_locks.root_release t.locks.(node) ~root in
-      let released = split_lease_released t ~site:node ~family:root released in
-      let items = dirty_items t ~node ~root released in
-      let push_items =
-        List.filter (fun (oid, _) -> Dsm.Protocol.is_eager_push (protocol_for t oid)) items
-      in
-      if push_items <> [] then eager_push t ~node push_items;
-      gdo_release t ~node ~family:root items;
-      List.length released
-    end
-    else begin
-      (* Function shipping: the family's locks live in several sites' tables
-         and its dirty pages in several sites' stores. Collect the final
-         version of every dirty page across the root's own log and its
-         parked per-site logs (a page written at several sites reports its
-         newest version — version numbers are globally monotone), then
-         release per site; an object cached at more than one site (a
-         directory grant plus shipped re-acquisitions) releases globally
-         once, from the first site listing it. *)
-      let site_logs = (node, recovery_of t root) :: parked_of t root in
-      let by_page = Hashtbl.create 16 in
+  (* The family's locks live in its execution sites' tables and its dirty
+     pages in their stores — one site unless function shipping moved work.
+     Collect the final version of every dirty page across the root's own
+     log and its parked per-site logs (a page written at several sites
+     reports its newest version — version numbers are globally monotone),
+     then release per site; an object cached at more than one site (a
+     directory grant plus shipped re-acquisitions) releases globally once,
+     from the first site listing it. *)
+  let site_logs = (node, undo_log_of t root) :: parked_of t root in
+  let by_page = Hashtbl.create 16 in
+  List.iter
+    (fun (site, log) ->
       List.iter
-        (fun (site, log) ->
-          List.iter
-            (fun (oid, page) ->
-              let v = Dsm.Page_store.version t.stores.(site) oid ~page in
-              match Hashtbl.find_opt by_page (Oid.to_int oid, page) with
-              | Some (_, v0, _) when v0 >= v -> ()
-              | Some _ | None -> Hashtbl.replace by_page (Oid.to_int oid, page) (oid, v, site))
-            (Recovery.dirty_pages log))
-        site_logs;
-      let dirty_of oid =
-        (* Ascending-page order, not hash order: the list lands in release
-           messages, whose bytes must be hash-seed independent. *)
-        Hashtbl.fold
-          (fun (o, page) (_, v, n) acc ->
-            if o = Oid.to_int oid then (page, v, n) :: acc else acc)
-          by_page []
-        |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
-      in
-      let seen = Oid.Table.create 16 in
-      let total = ref 0 in
-      List.iter
-        (fun site ->
-          let released = Local_locks.root_release t.locks.(site) ~root in
-          let released = split_lease_released t ~site ~family:root released in
-          let released =
-            List.filter
-              (fun oid ->
-                if Oid.Table.mem seen oid then false
-                else begin
-                  Oid.Table.add seen oid ();
-                  true
-                end)
-              released
-          in
-          total := !total + List.length released;
-          if released <> [] then begin
-            let items = List.map (fun oid -> (oid, dirty_of oid)) released in
-            let push_items =
-              List.filter (fun (oid, _) -> Dsm.Protocol.is_eager_push (protocol_for t oid)) items
-            in
-            if push_items <> [] then eager_push t ~node:site push_items;
-            gdo_release t ~node:site ~family:root items
-          end)
-        (family_exec_sites t ~family:root ~node);
-      (* Locks are held to root commit (rule 2), so every dirty object must
-         have been among the released locks. *)
-      Hashtbl.iter
-        (fun _ (oid, _, _) ->
-          if not (Oid.Table.mem seen oid) then
-            failwith
-              (Format.asprintf "Runtime: dirty object %a not among released locks" Oid.pp oid))
-        by_page;
-      !total
-    end
+        (fun (oid, page) ->
+          let v = Dsm.Page_store.version t.stores.(site) oid ~page in
+          match Hashtbl.find_opt by_page (Oid.to_int oid, page) with
+          | Some (_, v0, _) when v0 >= v -> ()
+          | Some _ | None -> Hashtbl.replace by_page (Oid.to_int oid, page) (oid, v, site))
+        (Undo_log.dirty_pages log))
+    site_logs;
+  let dirty_of oid =
+    (* Ascending-page order, not hash order: the list lands in release
+       messages, whose bytes must be hash-seed independent. *)
+    Hashtbl.fold
+      (fun (o, page) (_, v, n) acc -> if o = Oid.to_int oid then (page, v, n) :: acc else acc)
+      by_page []
+    |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
   in
+  let seen = Oid.Table.create 16 in
+  let released_count = ref 0 in
+  List.iter
+    (fun site ->
+      let released = Local_locks.root_release t.locks.(site) ~root in
+      let released = split_lease_released t ~site ~family:root released in
+      let released =
+        List.filter
+          (fun oid ->
+            if Oid.Table.mem seen oid then false
+            else begin
+              Oid.Table.add seen oid ();
+              true
+            end)
+          released
+      in
+      released_count := !released_count + List.length released;
+      if released <> [] then begin
+        let items = List.map (fun oid -> (oid, dirty_of oid)) released in
+        let push_items =
+          List.filter (fun (oid, _) -> Dsm.Protocol.is_eager_push (protocol_for t oid)) items
+        in
+        if push_items <> [] then eager_push t ~node:site push_items;
+        gdo_release t ~node:site ~family:root items
+      end)
+    (family_exec_sites t ~family:root ~node);
+  (* Locks are held to root commit (rule 2), so every dirty object must
+     have been among the released locks. *)
+  Hashtbl.iter
+    (fun _ (oid, _, _) ->
+      if not (Oid.Table.mem seen oid) then
+        failwith (Format.asprintf "Runtime: dirty object %a not among released locks" Oid.pp oid))
+    by_page;
   if t.escrow_enabled then escrow_resolve_family t root ~node ~commit:true;
   if t.lease_enabled then drop_lease_reads t root;
   if not t.cfg.Config.streaming then
@@ -3025,7 +2973,7 @@ let commit_root t root =
       :: t.history;
   Txn_tree.set_status t.tree root Txn_tree.Committed;
   record_event t (fun () ->
-      Dsm.Event.Root_commit { family = root; node; released = released_count });
+      Dsm.Event.Root_commit { family = root; node; released = !released_count });
   Txn_id.Table.remove t.snapshots root;
   drop_ship_state t root;
   drop_txn_state t root;
@@ -3038,7 +2986,7 @@ let commit_root t root =
 let abort_root t root =
   let node = Txn_tree.node_of t.tree root in
   undo_txn t root;
-  Sim.Engine.wait t.cfg.Config.local_lock_op_us;
+  Sim.Engine.wait Config.local_lock_op_us;
   check_crashed t ~txn_root:root;
   let seen = Oid.Table.create 16 in
   List.iter
@@ -3077,7 +3025,7 @@ let abort_root t root =
 let crashed_purge_root t root =
   let node = Txn_tree.node_of t.tree root in
   if t.ship_enabled then begin
-    if intact_site t ~family:root ~site:node then restore_logs t ~node [ recovery_of t root ];
+    if intact_site t ~family:root ~site:node then restore_logs t ~node [ undo_log_of t root ];
     List.iter
       (fun (site, log) ->
         if intact_site t ~family:root ~site then restore_logs t ~node:site [ log ])
@@ -3145,7 +3093,7 @@ let try_cache_serve t ~txn ~oid ~(cm : Obj_class.compiled_method) =
     let family = Txn_tree.root_of t.tree txn in
     (* The consult is charged like a local lock probe; a miss pays it on
        top of the normal acquisition (cache-off runs never reach here). *)
-    Sim.Engine.wait t.cfg.Config.local_lock_op_us;
+    Sim.Engine.wait Config.local_lock_op_us;
     check_crashed t ~txn_root:family;
     match Local_locks.family_mode t.locks.(node) oid ~family with
     | Some _ ->
@@ -3266,7 +3214,7 @@ let check_no_recursion t ~parent ~target =
     | None -> depth
   in
   let depth = climb parent 1 in
-  Sim.Engine.wait (t.cfg.Config.local_lock_op_us *. float_of_int depth)
+  Sim.Engine.wait (Config.local_lock_op_us *. float_of_int depth)
 
 (* The escrow commit path for a declared-commutative invocation on an
    escrowed object: no lock, no page I/O — the method's effect is its unit
@@ -3377,7 +3325,7 @@ and run_body_exec t ~prng ~txn ~oid ~(cm : Obj_class.compiled_method) ~node ~fam
               t.next_version <- t.next_version + 1;
               let v = t.next_version in
               let prev = Dsm.Page_store.write t.stores.(node) oid ~page ~new_version:v in
-              Recovery.note_write (recovery_of t txn) ~oid ~page ~pre_image:prev;
+              Undo_log.record (undo_log_of t txn) ~oid ~page ~prev_version:prev;
               log_write t txn ~oid ~page ~version:v)
             pages);
       on_invoke =
@@ -3456,7 +3404,7 @@ and run_child_attempts t ~prng ~parent ~oid ~meth ~site =
        with Crashed_abort ->
          crashed_purge_sub t txn;
          raise Crashed_abort);
-      if k < t.cfg.Config.max_sub_retries then attempt (k + 1) else raise Family_abort
+      if k < Config.max_sub_retries then attempt (k + 1) else raise Family_abort
     end
     else if t.ship_enabled && family_defunct t family then begin
       (* A shipped fiber whose family aborted while the body ran must not
@@ -3494,8 +3442,11 @@ and decide_exec_site t ~parent ~oid ~(cm : Obj_class.compiled_method) =
       let fresh page =
         Dsm.Page_store.version t.stores.(pnode) oid ~page >= page_versions.(page)
       in
-      let page_bytes = t.cfg.Config.page_size + t.cfg.Config.page_header_bytes in
-      let decision = Dsm.Shipping.decide params ~invoker:pnode ~owners ~fresh ~page_bytes in
+      let page_bytes = t.cfg.Config.page_size + Config.page_header_bytes in
+      let decision =
+        Dsm.Shipping.decide params ~link:t.cfg.Config.link ~invoker:pnode ~owners ~fresh
+          ~page_bytes
+      in
       let site, saved_bytes =
         match decision with
         | Dsm.Shipping.Stay -> (pnode, 0)
@@ -3624,7 +3575,7 @@ let submit t ~at ~node ~oid ~meth ~seed =
                 if validate_lease_reads t ~family:root then begin
                   (* Commit point: after this check the family is no longer
                      doomable and [commit_root] runs without yielding. *)
-                  Sim.Engine.wait t.cfg.Config.local_lock_op_us;
+                  Sim.Engine.wait Config.local_lock_op_us;
                   check_crashed t ~txn_root:root;
                   if t.crash_enabled then Txn_id.Table.remove t.live_roots root;
                   commit_root t root;
@@ -3675,10 +3626,10 @@ let submit t ~at ~node ~oid ~meth ~seed =
             | `Fatal ->
                 Dsm.Metrics.incr_roots_aborted t.metrics;
                 (k + 1, Gave_up)
-            | `Retry when k < t.cfg.Config.max_root_retries -> begin
+            | `Retry when k < Config.max_root_retries -> begin
               Dsm.Metrics.incr_retries t.metrics;
               let backoff =
-                t.cfg.Config.root_retry_backoff_us
+                Config.root_retry_backoff_us
                 *. float_of_int (1 lsl min k 6)
                 *. (1.0 +. Sim.Prng.float prng 1.0)
               in

@@ -1,74 +1,25 @@
-(* Message-combining policy (paper §5: LOTEC trades bytes for more, smaller
+(* Message-combining switch (paper §5: LOTEC trades bytes for more, smaller
    messages, so per-message software cost is its Achilles heel; combining
-   small control messages is the standard countermeasure). Every feature is
-   independently gated so [off] leaves the runtime byte-identical to the
-   un-batched protocol. *)
+   small control messages is the standard countermeasure). [Off] leaves the
+   runtime byte-identical to the un-batched protocol. *)
 
-let default_ack_flush_us = 50.0
-let default_ack_rider_bytes = 8
+type t = Off | All
 
-type t = {
-  ack_piggyback : bool;
-  ack_flush_us : float;
-  ack_rider_bytes : int;
-  aggregate_fetch : bool;
-  coalesce_release : bool;
-  release_flush_us : float;
-  piggyback_heartbeat : bool;
-}
-
-let off =
-  {
-    ack_piggyback = false;
-    ack_flush_us = default_ack_flush_us;
-    ack_rider_bytes = default_ack_rider_bytes;
-    aggregate_fetch = false;
-    coalesce_release = false;
-    release_flush_us = 0.0;
-    piggyback_heartbeat = false;
-  }
-
-let all =
-  {
-    off with
-    ack_piggyback = true;
-    aggregate_fetch = true;
-    coalesce_release = true;
-    piggyback_heartbeat = true;
-  }
-
-let enabled t =
-  t.ack_piggyback || t.aggregate_fetch || t.coalesce_release || t.piggyback_heartbeat
-
-let validate t =
-  if t.ack_flush_us <= 0.0 then Error "batching ack_flush_us must be positive"
-  else if t.ack_rider_bytes < 0 then Error "batching ack_rider_bytes must be >= 0"
-  else if t.release_flush_us < 0.0 then Error "batching release_flush_us must be >= 0"
-  else Ok ()
+let ack_flush_us = 50.0
+let ack_rider_bytes = 8
+let release_flush_us = 0.0
+let off = Off
+let all = All
+let enabled = function Off -> false | All -> true
 
 let of_string s =
   match String.lowercase_ascii s with
-  | "off" | "none" -> Ok off
-  | "all" | "on" -> Ok all
+  | "off" | "none" -> Ok Off
+  | "all" | "on" -> Ok All
   | other -> Error (Printf.sprintf "unknown batching policy %S (expected off|all)" other)
 
-let to_string t = if enabled t then "all" else "off"
+let to_string = function Off -> "off" | All -> "all"
 
-let pp fmt t =
-  if not (enabled t) then Format.pp_print_string fmt "off"
-  else begin
-    let features =
-      List.filter_map
-        (fun (on, name) -> if on then Some name else None)
-        [
-          (t.ack_piggyback, Printf.sprintf "acks(flush %.0fus)" t.ack_flush_us);
-          (t.aggregate_fetch, "fetch");
-          ( t.coalesce_release,
-            if t.release_flush_us > 0.0 then
-              Printf.sprintf "release(%.0fus)" t.release_flush_us
-            else "release" );
-          (t.piggyback_heartbeat, "heartbeat");
-        ]
-    in
-    Format.pp_print_string fmt (String.concat "+" features)
-  end
+let pp fmt = function
+  | Off -> Format.pp_print_string fmt "off"
+  | All -> Format.fprintf fmt "acks(flush %.0fus)+fetch+release+heartbeat" ack_flush_us

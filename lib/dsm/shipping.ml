@@ -5,27 +5,13 @@
    it the invoked method's page prediction, the GDO page map and the
    invoker's local freshness, and acts on the verdict. *)
 
-type params = {
-  invoke_bytes : int;
-  reply_bytes : int;
-  min_remote_pages : int;
-  software_us : float;
-  byte_us : float;
-}
+type params = { invoke_bytes : int; reply_bytes : int; min_remote_pages : int }
 
 type policy = Off | On of params
 
 type decision = Stay | Ship of { site : int; saved_bytes : int }
 
-let default_params =
-  {
-    invoke_bytes = 256;
-    reply_bytes = 64;
-    min_remote_pages = 2;
-    software_us = 20.0;
-    (* 0.08 us/byte = an 100 Mbit/s link, the paper's base interconnect. *)
-    byte_us = 0.08;
-  }
+let default_params = { invoke_bytes = 256; reply_bytes = 64; min_remote_pages = 2 }
 
 let off = Off
 
@@ -38,38 +24,21 @@ let validate_policy = function
       let ( let* ) = Result.bind in
       let* () = check (p.invoke_bytes > 0) "shipping invoke_bytes must be positive" in
       let* () = check (p.reply_bytes > 0) "shipping reply_bytes must be positive" in
-      let* () =
-        check (p.min_remote_pages >= 1) "shipping min_remote_pages must be >= 1"
-      in
-      let* () = check (p.software_us >= 0.0) "shipping software_us must be >= 0" in
-      check (p.byte_us >= 0.0) "shipping byte_us must be >= 0"
+      check (p.min_remote_pages >= 1) "shipping min_remote_pages must be >= 1"
 
 let policy_of_string s =
   match String.lowercase_ascii s with
   | "off" | "none" -> Ok Off
   | "on" -> Ok (On default_params)
-  | other -> (
-      match String.index_opt other ':' with
-      | Some i when String.sub other 0 i = "on" -> (
-          let arg = String.sub other (i + 1) (String.length other - i - 1) in
-          match float_of_string_opt arg with
-          | Some c when c >= 0.0 -> Ok (On { default_params with software_us = c })
-          | Some _ | None ->
-              Error
-                (Printf.sprintf "shipping software cost %S must be a non-negative number"
-                   arg))
-      | _ ->
-          Error
-            (Printf.sprintf "unknown shipping policy %S (expected off|on|on:<software_us>)"
-               other))
+  | other -> Error (Printf.sprintf "unknown shipping policy %S (expected off|on)" other)
 
 let policy_to_string = function Off -> "off" | On _ -> "on"
 
 let pp_policy fmt = function
   | Off -> Format.pp_print_string fmt "off"
   | On p ->
-      Format.fprintf fmt "on(sw %.1fus, %.3fus/B, min %d, inv %dB, rep %dB)"
-        p.software_us p.byte_us p.min_remote_pages p.invoke_bytes p.reply_bytes
+      Format.fprintf fmt "on(min %d, inv %dB, rep %dB)" p.min_remote_pages p.invoke_bytes
+        p.reply_bytes
 
 (* Number of distinct source nodes in a page list: each source costs one
    request/reply exchange under the runtime's grouped demand fetch. *)
@@ -92,7 +61,11 @@ let plurality_owner stale =
       | _ -> Some (node, count))
     counts None
 
-let decide p ~invoker ~owners ~fresh ~page_bytes =
+let decide p ~(link : Sim.Network.link) ~invoker ~owners ~fresh ~page_bytes =
+  (* σ and β come from the link being costed: β is the wire time of one
+     byte, 8 bits at [bandwidth_bps]. *)
+  let software_us = link.Sim.Network.software_cost_us in
+  let byte_us = 8e6 /. link.Sim.Network.bandwidth_bps in
   (* Pages the invoker would have to pull over the wire: owned elsewhere and
      not already locally fresh. *)
   let stale = List.filter (fun (page, node) -> node <> invoker && not (fresh page)) owners in
@@ -107,15 +80,15 @@ let decide p ~invoker ~owners ~fresh ~page_bytes =
            the page map like any other site. *)
         let residual = List.filter (fun (_, node) -> node <> site) owners in
         let cost_fetch =
-          (2.0 *. p.software_us *. float_of_int (group_count stale))
-          +. (p.byte_us *. float_of_int (page_bytes * List.length stale))
+          (2.0 *. software_us *. float_of_int (group_count stale))
+          +. (byte_us *. float_of_int (page_bytes * List.length stale))
         in
         let ship_bytes =
           p.invoke_bytes + p.reply_bytes + (page_bytes * List.length residual)
         in
         let cost_ship =
-          (p.software_us *. float_of_int (2 + (2 * group_count residual)))
-          +. (p.byte_us *. float_of_int ship_bytes)
+          (software_us *. float_of_int (2 + (2 * group_count residual)))
+          +. (byte_us *. float_of_int ship_bytes)
         in
         if cost_ship < cost_fetch then
           Ship { site; saved_bytes = (page_bytes * List.length stale) - ship_bytes }

@@ -11,8 +11,8 @@
     the invocation as a sub-fiber at the chosen home under the unchanged
     O2PL/lease/commit rules.
 
-    The model compares, in microseconds, with [σ] the per-message software
-    cost and [β] the per-byte wire cost:
+    The model compares, in microseconds, with [σ] the link's per-message
+    software cost and [β] its per-byte wire time ([8e6 / bandwidth_bps]):
 
     - {e data shipping}: [C_fetch = 2σ·groups(stale) + β·page_bytes·|stale|],
       where [stale] is the set of predicted pages owned by another node and
@@ -27,9 +27,10 @@
     The invocation ships iff [|stale| >= min_remote_pages] and
     [C_ship < C_fetch] (a tie stays home). Consequences worth noting:
     methods with no (or one) predicted remote page never ship under the
-    default floor, and the ship region is downward-closed in [software_us]
-    — raising σ only ever flips decisions from [Ship] to [Stay], never the
-    other way (the σ-coefficient of [C_ship - C_fetch] is non-negative).
+    default floor, and the ship region is downward-closed in the software
+    cost — raising σ only ever flips decisions from [Ship] to [Stay], never
+    the other way (the σ-coefficient of [C_ship - C_fetch] is
+    non-negative).
 
     The policy is validated by [Core.Config] and {!off} is inert: with
     shipping off the runtime is byte-identical to the data-shipping
@@ -41,8 +42,6 @@ type params = {
   min_remote_pages : int;
       (** floor on [|stale|] below which the model never ships; the default
           (2) keeps zero- and single-remote-page methods at the invoker *)
-  software_us : float;  (** σ: per-message software cost, microseconds *)
-  byte_us : float;  (** β: per-byte wire cost, microseconds *)
 }
 
 type policy =
@@ -56,8 +55,7 @@ type decision =
           (stale-page bytes minus invoke/reply/residual bytes) *)
 
 val default_params : params
-(** 256 B invoke, 64 B reply, floor 2, σ = 20 µs, β = 0.08 µs/B (the
-    paper's 100 Mbit/s base link). *)
+(** 256 B invoke, 64 B reply, floor 2. *)
 
 val off : policy
 
@@ -65,26 +63,28 @@ val policy_enabled : policy -> bool
 (** False only for {!Off}. *)
 
 val validate_policy : policy -> (unit, string) result
-(** Reject non-positive message sizes, a floor below 1, or negative costs. *)
+(** Reject non-positive message sizes or a floor below 1. *)
 
 val policy_of_string : string -> (policy, string) result
-(** Parse ["off"]/["none"], ["on"] (default parameters) or
-    ["on:<software_us>"]; [Error] names the valid set. *)
+(** Parse ["off"]/["none"] or ["on"] (default parameters); [Error] names
+    the valid set. *)
 
 val policy_to_string : policy -> string
 (** ["off"] or ["on"]; parameters are not round-tripped (see {!pp_policy}). *)
 
 val pp_policy : Format.formatter -> policy -> unit
-(** Display form including parameters, e.g. ["on(sw 20.0us, ...)"]. *)
+(** Display form including parameters, e.g. ["on(min 2, inv 256B, rep 64B)"]. *)
 
 val decide :
   params ->
+  link:Sim.Network.link ->
   invoker:int ->
   owners:(int * int) list ->
   fresh:(int -> bool) ->
   page_bytes:int ->
   decision
-(** The cost model above. [owners] lists [(page, owning node)] for the
+(** The cost model above, with σ and β taken from [link]. [owners] lists
+    [(page, owning node)] for the
     invoked method's predicted pages as recorded in the GDO page map;
     [fresh page] tells whether the invoker already stores that page at its
     newest committed version; [page_bytes] is the wire cost of one page

@@ -59,18 +59,8 @@ let suite =
     arms =
       [
         ("data-ship", fun c -> { c with Core.Config.shipping = Dsm.Shipping.off });
-        ( "shipping",
-          (* The model's σ tracks the link it is costing against. *)
-          fun c ->
-            {
-              c with
-              Core.Config.shipping =
-                Dsm.Shipping.On
-                  {
-                    default_params with
-                    Dsm.Shipping.software_us = c.Core.Config.link.Sim.Network.software_cost_us;
-                  };
-            } );
+        (* The model's σ and β come from the case's link. *)
+        ("shipping", fun c -> { c with Core.Config.shipping = Dsm.Shipping.On default_params });
       ];
     columns =
       Suite.

@@ -24,12 +24,6 @@ let default_spec =
    milliseconds, not the makespan. *)
 let default_policy = Gdo.Lease.Fixed_ttl { ttl_us = 20_000.0 }
 
-(* Leases only for objects the home has observed to be read-dominated:
-   neutral (within noise of off) on mixed workloads, close to Fixed_ttl's
-   saving on read-heavy ones. *)
-let default_adaptive =
-  Gdo.Lease.Adaptive { ttl_us = 20_000.0; min_read_ratio = 0.85; min_samples = 8 }
-
 let suite =
   {
     Suite.name = "lease";
@@ -49,7 +43,7 @@ let suite =
       List.map
         (fun policy ->
           (Gdo.Lease.policy_to_string policy, fun c -> { c with Core.Config.lease = policy }))
-        [ Gdo.Lease.Off; default_policy; default_adaptive ];
+        [ Gdo.Lease.Off; default_policy ];
     columns =
       Suite.
         [

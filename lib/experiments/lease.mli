@@ -1,9 +1,9 @@
 (** Lease suite: the read-lease subsystem (see {!Gdo.Lease}) off vs on.
 
     For each protocol and each read-heaviness level, the same workload runs
-    once with leases disabled and once per lease policy, and the suite
-    reports the consistency traffic (messages/bytes), completion time and —
-    the headline — {e home-node lock operations}
+    once with leases disabled and once with the fixed-TTL policy, and the
+    suite reports the consistency traffic (messages/bytes), completion time
+    and — the headline — {e home-node lock operations}
     ({!Dsm.Metrics.home_lock_ops}: global acquisitions + upgrades + release
     batches + recall/yield traffic). On read-dominated workloads repeat
     read acquisitions are absorbed by the local lease caches, so the
@@ -19,10 +19,6 @@ val default_policy : Gdo.Lease.policy
 (** [Fixed_ttl] whose TTL bounds a recalling write's worst-case stall well
     below the run length while outliving any one family. *)
 
-val default_adaptive : Gdo.Lease.policy
-(** [Adaptive] that leases only observed read-dominated objects: neutral on
-    mixed workloads, near-[Fixed_ttl] savings on read-heavy ones. *)
-
 val suite : Suite.t
 (** All four protocols × read fractions [[0.5; 0.8; 0.95]], arms leases
-    off, {!default_policy} and {!default_adaptive}. *)
+    off and {!default_policy}. *)

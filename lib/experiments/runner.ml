@@ -49,6 +49,20 @@ let oracle run =
   (match Core.Runtime.audit rt with
   | [] -> ()
   | vs -> fail "split-brain audit" "%s" (String.concat "; " vs));
+  (* Every page's holder in the GDO page map holds the version the map
+     records: a committed version was not lost on its way to the map. *)
+  let dir = Core.Runtime.directory rt in
+  List.iter
+    (fun oid ->
+      let nodes, versions = Gdo.Directory.page_map dir oid in
+      Array.iteri
+        (fun page node ->
+          let held = Dsm.Page_store.version (Core.Runtime.store rt ~node) oid ~page in
+          if held <> versions.(page) then
+            fail "map holder" "%a page %d: map says node %d at v%d, node holds v%d"
+              Objmodel.Oid.pp oid page node versions.(page) held)
+        nodes)
+    (Objmodel.Catalog.oids (Core.Runtime.catalog rt));
   (* A lever that is off must leave no trace in its counters. *)
   let hygiene clause ~on counters =
     if (not on) && List.exists (fun c -> c <> 0) counters then

@@ -36,6 +36,8 @@ val oracle : run -> string list
     - [wire reconciliation]: the send-time wire ledger equals the network
       ledger exactly, in messages and in bytes;
     - [split-brain audit]: {!Core.Runtime.audit} is empty;
+    - [map holder]: for every page, the node the GDO page map names as its
+      holder stores exactly the version the map records;
     - [lease hygiene], [cache hygiene], [batching hygiene] (riders
       included), [shipping hygiene], [escrow hygiene]: a lever the config
       leaves off records zero in every one of its counters;

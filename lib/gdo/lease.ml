@@ -1,54 +1,29 @@
 open Objmodel
 open Txn
 
-(* Defaults used by policy_of_string; the CLI overrides them from flags. *)
+(* Default used by policy_of_string; the CLI overrides it from a flag. *)
 let default_ttl_us = 20_000.0
-let default_min_read_ratio = 0.6
-let default_min_samples = 4
 
-type policy =
-  | Off
-  | Fixed_ttl of { ttl_us : float }
-  | Adaptive of { ttl_us : float; min_read_ratio : float; min_samples : int }
+type policy = Off | Fixed_ttl of { ttl_us : float }
 
-let policy_enabled = function Off -> false | Fixed_ttl _ | Adaptive _ -> true
+let policy_enabled = function Off -> false | Fixed_ttl _ -> true
 
 let validate_policy = function
   | Off -> Ok ()
   | Fixed_ttl { ttl_us } ->
       if ttl_us > 0.0 then Ok () else Error "lease ttl_us must be positive"
-  | Adaptive { ttl_us; min_read_ratio; min_samples } ->
-      if ttl_us <= 0.0 then Error "lease ttl_us must be positive"
-      else if min_read_ratio < 0.0 || min_read_ratio > 1.0 then
-        Error "lease min_read_ratio must be in [0,1]"
-      else if min_samples < 1 then Error "lease min_samples must be >= 1"
-      else Ok ()
 
 let policy_of_string s =
   match String.lowercase_ascii s with
   | "off" | "none" -> Ok Off
   | "ttl" | "on" | "fixed" -> Ok (Fixed_ttl { ttl_us = default_ttl_us })
-  | "adaptive" ->
-      Ok
-        (Adaptive
-           {
-             ttl_us = default_ttl_us;
-             min_read_ratio = default_min_read_ratio;
-             min_samples = default_min_samples;
-           })
-  | other -> Error (Printf.sprintf "unknown lease policy %S (expected off|ttl|adaptive)" other)
+  | other -> Error (Printf.sprintf "unknown lease policy %S (expected off|ttl)" other)
 
-let policy_to_string = function
-  | Off -> "off"
-  | Fixed_ttl _ -> "ttl"
-  | Adaptive _ -> "adaptive"
+let policy_to_string = function Off -> "off" | Fixed_ttl _ -> "ttl"
 
 let pp_policy fmt = function
   | Off -> Format.pp_print_string fmt "off"
   | Fixed_ttl { ttl_us } -> Format.fprintf fmt "ttl(%.0fus)" ttl_us
-  | Adaptive { ttl_us; min_read_ratio; min_samples } ->
-      Format.fprintf fmt "adaptive(%.0fus, read>=%.2f, n>=%d)" ttl_us min_read_ratio
-        min_samples
 
 (* ------------------------------------------------------------------ *)
 (* Home side.                                                          *)
@@ -63,8 +38,6 @@ type entry = {
   mutable grants : (int * float) list;  (* node, expires *)
   mutable epoch : int;
   mutable recall : recall_state option;
-  mutable reads : int;
-  mutable writes : int;
 }
 
 type t = { policy : policy; entries : entry Oid.Table.t; mutable next_token : int }
@@ -77,45 +50,23 @@ let entry t oid =
   match Oid.Table.find_opt t.entries oid with
   | Some e -> e
   | None ->
-      let e = { grants = []; epoch = 0; recall = None; reads = 0; writes = 0 } in
+      let e = { grants = []; epoch = 0; recall = None } in
       Oid.Table.add t.entries oid e;
       e
 
-let note_read t oid =
-  if enabled t then
-    let e = entry t oid in
-    e.reads <- e.reads + 1
-
-let note_write t oid =
-  if enabled t then
-    let e = entry t oid in
-    e.writes <- e.writes + 1
-
 let prune e ~now = e.grants <- List.filter (fun (_, exp) -> now < exp) e.grants
 
-let policy_admits t e =
-  match t.policy with
-  | Off -> false
-  | Fixed_ttl _ -> true
-  | Adaptive { min_read_ratio; min_samples; _ } ->
-      let n = e.reads + e.writes in
-      n >= min_samples && float_of_int e.reads /. float_of_int n >= min_read_ratio
-
-let ttl_of t =
-  match t.policy with
-  | Off -> 0.0
-  | Fixed_ttl { ttl_us } | Adaptive { ttl_us; _ } -> ttl_us
-
 let lease_for_grant t oid ~node ~now ~writer_queued =
-  if not (enabled t) then None
-  else
-    let e = entry t oid in
-    if e.recall <> None || writer_queued || not (policy_admits t e) then None
-    else begin
-      let expires = now +. ttl_of t in
-      e.grants <- (node, expires) :: List.remove_assoc node e.grants;
-      Some (expires, e.epoch)
-    end
+  match t.policy with
+  | Off -> None
+  | Fixed_ttl { ttl_us } ->
+      let e = entry t oid in
+      if e.recall <> None || writer_queued then None
+      else begin
+        let expires = now +. ttl_us in
+        e.grants <- (node, expires) :: List.remove_assoc node e.grants;
+        Some (expires, e.epoch)
+      end
 
 let outstanding t oid ~now =
   match Oid.Table.find_opt t.entries oid with

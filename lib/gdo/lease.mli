@@ -50,24 +50,20 @@ type policy =
   | Off  (** never grant leases: byte-identical to the pre-lease runtime *)
   | Fixed_ttl of { ttl_us : float }
       (** lease every read grant for [ttl_us] simulated microseconds *)
-  | Adaptive of { ttl_us : float; min_read_ratio : float; min_samples : int }
-      (** lease only objects whose observed global-acquire read ratio is at
-          least [min_read_ratio], once [min_samples] acquires were seen —
-          write-heavy objects never pay the recall latency *)
 
 val policy_enabled : policy -> bool
 (** False only for {!Off}. *)
 
 val validate_policy : policy -> (unit, string) result
-(** Reject non-positive TTLs, ratios outside [0,1], negative sample counts. *)
+(** Reject a non-positive TTL. *)
 
 val policy_of_string : string -> (policy, string) result
-(** Parse "off", "ttl" or "adaptive" (with default parameters); [Error]
-    names the valid set. *)
+(** Parse "off" or "ttl" (with the default 20 ms TTL); [Error] names the
+    valid set. *)
 
 val policy_to_string : policy -> string
-(** Inverse of {!policy_of_string} for the default shapes ("off", "ttl",
-    "adaptive"); parameters are not round-tripped. *)
+(** Inverse of {!policy_of_string} ("off" or "ttl"); the TTL is not
+    round-tripped. *)
 
 val pp_policy : Format.formatter -> policy -> unit
 (** Display form including parameters, e.g. ["ttl(20000us)"]. *)
@@ -82,16 +78,10 @@ val create : policy -> t
 val enabled : t -> bool
 (** False for {!Off}: every other operation is then a cheap no-op. *)
 
-val note_read : t -> Objmodel.Oid.t -> unit
-(** Record a read-mode global acquire reaching the home (adaptive stats). *)
-
-val note_write : t -> Objmodel.Oid.t -> unit
-(** Record a write-mode global acquire reaching the home. *)
-
 val lease_for_grant :
   t -> Objmodel.Oid.t -> node:int -> now:float -> writer_queued:bool -> (float * int) option
 (** Should a read grant to [node] carry a lease? [Some (expires, epoch)] if
-    the policy admits the object, no recall is in progress and
+    the policy is on, no recall is in progress and
     [writer_queued] is false (a lease granted under a queued writer would be
     recalled immediately). Records the lease as outstanding; granting again
     to the same node renews (extends) its lease. *)

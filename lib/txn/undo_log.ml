@@ -27,4 +27,3 @@ let dirty_pages t =
 
 let is_empty t = t.records = []
 let length t = List.length t.records
-let clear t = t.records <- []

@@ -39,6 +39,3 @@ val is_empty : t -> bool
 
 val length : t -> int
 (** Number of write records (one per write, not per distinct page). *)
-
-val clear : t -> unit
-(** Drop every record (commit: nothing left to undo). *)

@@ -21,8 +21,11 @@ let test_invalid_fields () =
     };
   expect_invalid "abort probability"
     { Core.Config.default with Core.Config.abort_probability = 1.5 };
-  expect_invalid "retries" { Core.Config.default with Core.Config.max_sub_retries = -1 };
-  expect_invalid "backoff" { Core.Config.default with Core.Config.root_retry_backoff_us = -5.0 }
+  expect_invalid "timeout above the backoff cap"
+    {
+      Core.Config.default with
+      Core.Config.request_timeout_us = Core.Config.retransmit_backoff_cap_us +. 1.0;
+    }
 
 let test_fault_fields () =
   expect_invalid "timeout zero" { Core.Config.default with Core.Config.request_timeout_us = 0.0 };

@@ -3,6 +3,7 @@
    crash landing on a node that is executing a shipped invocation. *)
 
 let params = Dsm.Shipping.default_params
+let link = Sim.Network.link_100mbps
 let page_bytes = 4096
 
 (* ---------- cost model: unit checks ---------- *)
@@ -15,9 +16,8 @@ let decision =
           Format.fprintf fmt "Ship{site=%d; saved=%d}" site saved_bytes)
     ( = )
 
-let decide ?(params = params) ?(fresh = fun _ -> false) ?(page_bytes = page_bytes) ~invoker
-    owners =
-  Dsm.Shipping.decide params ~invoker ~owners ~fresh ~page_bytes
+let decide ?(link = link) ?(fresh = fun _ -> false) ?(page_bytes = page_bytes) ~invoker owners =
+  Dsm.Shipping.decide params ~link ~invoker ~owners ~fresh ~page_bytes
 
 let test_stay_when_local_or_fresh () =
   (* Everything already at the invoker: nothing to move either way. *)
@@ -88,7 +88,7 @@ let prop_ship_region_downward_closed_in_sigma =
       let lo, hi = (Float.min s1 s2, Float.max s1 s2) in
       let verdict sigma =
         decide
-          ~params:{ params with Dsm.Shipping.software_us = sigma }
+          ~link:{ link with Sim.Network.software_cost_us = sigma }
           ~invoker ~fresh:(fresh_of fresh) owners
       in
       match verdict hi with

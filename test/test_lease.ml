@@ -26,7 +26,7 @@ let test_policy_strings () =
       match Gdo.Lease.policy_of_string s with
       | Ok p -> Alcotest.(check string) s expect (Gdo.Lease.policy_to_string p)
       | Error e -> Alcotest.fail e)
-    [ ("off", "off"); ("none", "off"); ("ttl", "ttl"); ("ON", "ttl"); ("adaptive", "adaptive") ];
+    [ ("off", "off"); ("none", "off"); ("ttl", "ttl"); ("ON", "ttl") ];
   Alcotest.(check bool) "unknown rejected" true
     (Result.is_error (Gdo.Lease.policy_of_string "sometimes"))
 
@@ -35,12 +35,7 @@ let test_policy_validation () =
   Alcotest.(check bool) "off ok" false (bad Gdo.Lease.Off);
   Alcotest.(check bool) "ttl ok" false (bad ttl_policy);
   Alcotest.(check bool) "zero ttl" true (bad (Gdo.Lease.Fixed_ttl { ttl_us = 0.0 }));
-  Alcotest.(check bool) "negative ttl" true
-    (bad (Gdo.Lease.Adaptive { ttl_us = -1.0; min_read_ratio = 0.5; min_samples = 1 }));
-  Alcotest.(check bool) "ratio > 1" true
-    (bad (Gdo.Lease.Adaptive { ttl_us = 1.0; min_read_ratio = 1.5; min_samples = 1 }));
-  Alcotest.(check bool) "zero samples" true
-    (bad (Gdo.Lease.Adaptive { ttl_us = 1.0; min_read_ratio = 0.5; min_samples = 0 }))
+  Alcotest.(check bool) "negative ttl" true (bad (Gdo.Lease.Fixed_ttl { ttl_us = -1.0 }))
 
 (* ---------- home-side manager ---------- *)
 
@@ -114,25 +109,6 @@ let test_manager_force_clear_and_epoch () =
   Gdo.Lease.note_write_granted t (oid 1);
   Gdo.Lease.note_write_granted t (oid 1);
   Alcotest.(check int) "epoch bumps per write grant" 2 (Gdo.Lease.epoch t (oid 1))
-
-let test_manager_adaptive () =
-  let t =
-    Gdo.Lease.create
-      (Gdo.Lease.Adaptive { ttl_us = 1000.0; min_read_ratio = 0.75; min_samples = 4 })
-  in
-  let try_lease now =
-    Gdo.Lease.lease_for_grant t (oid 1) ~node:0 ~now ~writer_queued:false <> None
-  in
-  Gdo.Lease.note_read t (oid 1);
-  Gdo.Lease.note_read t (oid 1);
-  Alcotest.(check bool) "below min_samples" false (try_lease 0.0);
-  Gdo.Lease.note_read t (oid 1);
-  Gdo.Lease.note_read t (oid 1);
-  Alcotest.(check bool) "read-dominated leases" true (try_lease 1.0);
-  (* Pile on writes until the ratio drops below the bar. *)
-  Gdo.Lease.note_write t (oid 1);
-  Gdo.Lease.note_write t (oid 1);
-  Alcotest.(check bool) "write-heavy refuses" false (try_lease 2.0)
 
 (* ---------- node-side cache ---------- *)
 
@@ -388,7 +364,6 @@ let tests =
         Alcotest.test_case "manager recall lifecycle" `Quick test_manager_recall_lifecycle;
         Alcotest.test_case "manager force-clear and epoch" `Quick
           test_manager_force_clear_and_epoch;
-        Alcotest.test_case "manager adaptive" `Quick test_manager_adaptive;
         Alcotest.test_case "cache hit and expiry" `Quick test_cache_hit_and_expiry;
         Alcotest.test_case "cache recall epoch fence" `Quick test_cache_recall_epoch_fence;
         Alcotest.test_case "cache deferred yield" `Quick test_cache_deferred_yield;

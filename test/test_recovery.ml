@@ -1,194 +1,85 @@
-(* Tests for shadow-page recovery and the Recovery abstraction over both
-   UNDO mechanisms. *)
+(* Tests for local UNDO (paper §4.1): undo logs over a page store, their
+   closed-nesting merge, and a runtime run whose injected sub-transaction
+   failures are undone from the logs. *)
 
 open Objmodel
 open Txn
 
 let oid = Oid.of_int
 
-(* ---------- Shadow_pages ---------- *)
+let record log store o page v =
+  let prev = Dsm.Page_store.write store (oid o) ~page ~new_version:v in
+  Undo_log.record log ~oid:(oid o) ~page ~prev_version:prev
 
-let test_shadow_first_touch_wins () =
-  let sp = Shadow_pages.create () in
-  Shadow_pages.note_write sp ~oid:(oid 1) ~page:0 ~pre_image:3;
-  Shadow_pages.note_write sp ~oid:(oid 1) ~page:0 ~pre_image:7;
-  Alcotest.(check (list (pair int int))) "one shadow, first pre-image"
-    [ (0, 3) ]
-    (List.map (fun (_, p, v) -> (p, v)) (Shadow_pages.shadows sp));
-  Alcotest.(check int) "page count" 1 (Shadow_pages.page_count sp)
-
-let test_shadow_merge_parent_wins () =
-  let parent = Shadow_pages.create () and child = Shadow_pages.create () in
-  (* Parent wrote the page first: its (older) pre-image is the restore
-     point. *)
-  Shadow_pages.note_write parent ~oid:(oid 1) ~page:0 ~pre_image:1;
-  Shadow_pages.note_write child ~oid:(oid 1) ~page:0 ~pre_image:5;
-  Shadow_pages.note_write child ~oid:(oid 2) ~page:2 ~pre_image:9;
-  Shadow_pages.merge_into_parent ~child ~parent;
-  Alcotest.(check bool) "child emptied" true (Shadow_pages.is_empty child);
-  let sorted =
-    List.sort compare
-      (List.map (fun (o, p, v) -> (Oid.to_int o, p, v)) (Shadow_pages.shadows parent))
-  in
-  Alcotest.(check (list (triple int int int))) "parent pre-image wins; new page adopted"
-    [ (1, 0, 1); (2, 2, 9) ]
-    sorted
-
-let test_shadow_dirty_pages () =
-  let sp = Shadow_pages.create () in
-  Shadow_pages.note_write sp ~oid:(oid 1) ~page:0 ~pre_image:0;
-  Shadow_pages.note_write sp ~oid:(oid 1) ~page:1 ~pre_image:0;
-  Alcotest.(check int) "two dirty pages" 2 (List.length (Shadow_pages.dirty_pages sp));
-  Alcotest.(check bool) "has shadow" true (Shadow_pages.has_shadow sp ~oid:(oid 1) ~page:0);
-  Shadow_pages.clear sp;
-  Alcotest.(check bool) "cleared" true (Shadow_pages.is_empty sp)
-
-(* ---------- Recovery (both strategies) ---------- *)
-
-let strategies = [ Recovery.Undo_logging; Recovery.Shadow_paging ]
-
-let test_strategy_strings () =
+(* Apply an abort: replay the log newest-first over the store. *)
+let restore store log =
   List.iter
-    (fun s ->
-      match Recovery.strategy_of_string (Recovery.strategy_to_string s) with
-      | Ok s' -> Alcotest.(check bool) "roundtrip" true (s = s')
-      | Error e -> Alcotest.fail e)
-    strategies;
-  Alcotest.(check bool) "unknown" true (Result.is_error (Recovery.strategy_of_string "xyz"))
+    (fun { Undo_log.oid; page; prev_version } ->
+      Dsm.Page_store.restore store oid ~page ~version:prev_version)
+    (Undo_log.entries_newest_first log)
 
-(* Simulate nested writes over a page store and verify both mechanisms
-   restore the identical pre-transaction state. *)
-let restore_scenario strategy =
+let dirty log =
+  List.sort compare (List.map (fun (o, p) -> (Oid.to_int o, p)) (Undo_log.dirty_pages log))
+
+(* Nested writes over a page store: aborting the parent after its child
+   pre-committed returns every page to its pre-transaction version. *)
+let test_restore_equivalence () =
   let store = Dsm.Page_store.create ~node:0 in
   Dsm.Page_store.receive store (oid 1) ~page:0 ~version:10;
   Dsm.Page_store.receive store (oid 1) ~page:1 ~version:20;
-  let parent = Recovery.create strategy and child = Recovery.create strategy in
-  let write log page v =
-    let prev = Dsm.Page_store.write store (oid 1) ~page ~new_version:v in
-    Recovery.note_write log ~oid:(oid 1) ~page ~pre_image:prev
-  in
-  write parent 0 11;
+  let parent = Undo_log.create () and child = Undo_log.create () in
+  record parent store 1 0 11;
   (* child writes both pages, then pre-commits into the parent *)
-  write child 0 12;
-  write child 1 21;
-  Recovery.merge_into_parent ~child ~parent;
+  record child store 1 0 12;
+  record child store 1 1 21;
+  Undo_log.merge_into_parent ~child ~parent;
   (* parent writes more after inheriting *)
-  write parent 1 22;
-  (* Abort the parent: both pages must return to 10 / 20. *)
-  List.iter
-    (fun (o, page, version) -> Dsm.Page_store.restore store o ~page ~version)
-    (Recovery.restore_plan parent);
-  ( Dsm.Page_store.version store (oid 1) ~page:0,
-    Dsm.Page_store.version store (oid 1) ~page:1 )
-
-let test_restore_equivalence () =
-  List.iter
-    (fun strategy ->
-      let p0, p1 = restore_scenario strategy in
-      let name = Recovery.strategy_to_string strategy in
-      Alcotest.(check int) (name ^ " page 0 restored") 10 p0;
-      Alcotest.(check int) (name ^ " page 1 restored") 20 p1)
-    strategies
+  record parent store 1 1 22;
+  restore store parent;
+  Alcotest.(check int) "page 0 restored" 10 (Dsm.Page_store.version store (oid 1) ~page:0);
+  Alcotest.(check int) "page 1 restored" 20 (Dsm.Page_store.version store (oid 1) ~page:1)
 
 let test_dirty_pages_agree () =
-  List.iter
-    (fun strategy ->
-      let log = Recovery.create strategy in
-      Recovery.note_write log ~oid:(oid 1) ~page:0 ~pre_image:0;
-      Recovery.note_write log ~oid:(oid 1) ~page:0 ~pre_image:1;
-      Recovery.note_write log ~oid:(oid 2) ~page:3 ~pre_image:0;
-      let dirty =
-        List.sort compare
-          (List.map (fun (o, p) -> (Oid.to_int o, p)) (Recovery.dirty_pages log))
-      in
-      Alcotest.(check (list (pair int int)))
-        (Recovery.strategy_to_string strategy ^ " dirty")
-        [ (1, 0); (2, 3) ]
-        dirty)
-    strategies
-
-let test_cost_units_differ () =
-  (* Three writes to one page: the undo log replays three records, shadow
-     paging reinstates a single page. *)
-  let undo = Recovery.create Recovery.Undo_logging in
-  let shadow = Recovery.create Recovery.Shadow_paging in
-  List.iter
-    (fun log ->
-      Recovery.note_write log ~oid:(oid 1) ~page:0 ~pre_image:0;
-      Recovery.note_write log ~oid:(oid 1) ~page:0 ~pre_image:1;
-      Recovery.note_write log ~oid:(oid 1) ~page:0 ~pre_image:2)
-    [ undo; shadow ];
-  Alcotest.(check int) "undo replays all records" 3 (Recovery.restore_cost_units undo);
-  Alcotest.(check int) "shadow reinstates one page" 1 (Recovery.restore_cost_units shadow)
-
-let test_mixed_merge_rejected () =
-  let undo = Recovery.create Recovery.Undo_logging in
-  let shadow = Recovery.create Recovery.Shadow_paging in
-  Alcotest.check_raises "mixed" (Invalid_argument "Recovery.merge_into_parent: mixed strategies")
-    (fun () -> Recovery.merge_into_parent ~child:undo ~parent:shadow);
-  (* And the other direction. *)
-  Alcotest.check_raises "mixed reversed"
-    (Invalid_argument "Recovery.merge_into_parent: mixed strategies") (fun () ->
-      Recovery.merge_into_parent ~child:shadow ~parent:undo)
+  let log = Undo_log.create () in
+  Undo_log.record log ~oid:(oid 1) ~page:0 ~prev_version:0;
+  Undo_log.record log ~oid:(oid 1) ~page:0 ~prev_version:1;
+  Undo_log.record log ~oid:(oid 2) ~page:3 ~prev_version:0;
+  Alcotest.(check (list (pair int int))) "one entry per written page" [ (1, 0); (2, 3) ]
+    (dirty log);
+  Alcotest.(check int) "one record per write" 3 (Undo_log.length log)
 
 (* Pre-commit merge where the child's dirty pages partly overlap the
    parent's: on the shared page the parent's (older) pre-image must be the
-   restore point; disjoint child pages are adopted. Verified through an
-   actual page store for both UNDO mechanisms. *)
-let overlap_scenario strategy =
+   restore point; disjoint child pages are adopted. *)
+let test_merge_overlapping_dirty_pages () =
   let store = Dsm.Page_store.create ~node:0 in
   Dsm.Page_store.receive store (oid 1) ~page:0 ~version:100;
   Dsm.Page_store.receive store (oid 1) ~page:1 ~version:200;
   Dsm.Page_store.receive store (oid 2) ~page:0 ~version:300;
-  let parent = Recovery.create strategy and child = Recovery.create strategy in
-  let write log o page v =
-    let prev = Dsm.Page_store.write store (oid o) ~page ~new_version:v in
-    Recovery.note_write log ~oid:(oid o) ~page ~pre_image:prev
-  in
+  let parent = Undo_log.create () and child = Undo_log.create () in
   (* Parent touches (1,0) and (1,1); child then re-writes (1,1) — the
      overlap — and newly writes (2,0). *)
-  write parent 1 0 101;
-  write parent 1 1 201;
-  write child 1 1 202;
-  write child 2 0 301;
-  Recovery.merge_into_parent ~child ~parent;
-  Alcotest.(check bool)
-    (Recovery.strategy_to_string strategy ^ " child emptied")
-    true (Recovery.is_empty child);
-  let dirty =
-    List.sort compare (List.map (fun (o, p) -> (Oid.to_int o, p)) (Recovery.dirty_pages parent))
-  in
-  Alcotest.(check (list (pair int int)))
-    (Recovery.strategy_to_string strategy ^ " merged dirty set")
-    [ (1, 0); (1, 1); (2, 0) ]
-    dirty;
-  List.iter
-    (fun (o, page, version) -> Dsm.Page_store.restore store o ~page ~version)
-    (Recovery.restore_plan parent);
-  ( Dsm.Page_store.version store (oid 1) ~page:0,
-    Dsm.Page_store.version store (oid 1) ~page:1,
-    Dsm.Page_store.version store (oid 2) ~page:0 )
+  record parent store 1 0 101;
+  record parent store 1 1 201;
+  record child store 1 1 202;
+  record child store 2 0 301;
+  Undo_log.merge_into_parent ~child ~parent;
+  Alcotest.(check bool) "child emptied" true (Undo_log.is_empty child);
+  Alcotest.(check (list (pair int int))) "merged dirty set" [ (1, 0); (1, 1); (2, 0) ]
+    (dirty parent);
+  restore store parent;
+  Alcotest.(check int) "parent-only page restored" 100
+    (Dsm.Page_store.version store (oid 1) ~page:0);
+  Alcotest.(check int) "overlap: parent pre-image wins" 200
+    (Dsm.Page_store.version store (oid 1) ~page:1);
+  Alcotest.(check int) "child-only page restored" 300
+    (Dsm.Page_store.version store (oid 2) ~page:0)
 
-let test_merge_overlapping_dirty_pages () =
-  List.iter
-    (fun strategy ->
-      let p10, p11, p20 = overlap_scenario strategy in
-      let name = Recovery.strategy_to_string strategy in
-      Alcotest.(check int) (name ^ " parent-only page restored") 100 p10;
-      Alcotest.(check int) (name ^ " overlap: parent pre-image wins") 200 p11;
-      Alcotest.(check int) (name ^ " child-only page restored") 300 p20)
-    strategies
+(* ---------- End-to-end: injected failures undone by the runtime ---------- *)
 
-(* ---------- End-to-end: runtime under shadow paging ---------- *)
-
-let test_runtime_with_shadow_paging () =
+let test_runtime_with_injected_aborts () =
   let config =
-    {
-      Core.Config.default with
-      Core.Config.recovery = Recovery.Shadow_paging;
-      abort_probability = 0.3;
-      node_count = 4;
-    }
+    { Core.Config.default with Core.Config.abort_probability = 0.3; node_count = 4 }
   in
   let spec =
     { Workload.Spec.default with Workload.Spec.object_count = 10; root_count = 30; seed = 9 }
@@ -199,41 +90,15 @@ let test_runtime_with_shadow_paging () =
   Alcotest.(check int) "all committed" 30 t.Dsm.Metrics.roots_committed;
   Alcotest.(check bool) "aborts exercised" true (t.Dsm.Metrics.sub_aborts > 0)
 
-let test_runtime_strategies_equivalent_traffic () =
-  (* Without aborts the two recovery mechanisms must not change protocol
-     behaviour at all: identical traffic, identical completion. *)
-  let spec =
-    { Workload.Spec.default with Workload.Spec.object_count = 8; root_count = 25; seed = 4 }
-  in
-  let wl = Workload.Generator.generate spec ~page_size:4096 in
-  let run strategy =
-    let config = { Core.Config.default with Core.Config.recovery = strategy } in
-    let r = Experiments.Runner.execute ~config ~protocol:Dsm.Protocol.Lotec wl in
-    let m = Experiments.Runner.metrics r in
-    (Dsm.Metrics.total_bytes m, Dsm.Metrics.total_messages m, Dsm.Metrics.completion_time_us m)
-  in
-  let b1, m1, t1 = run Recovery.Undo_logging in
-  let b2, m2, t2 = run Recovery.Shadow_paging in
-  Alcotest.(check int) "bytes equal" b1 b2;
-  Alcotest.(check int) "messages equal" m1 m2;
-  Alcotest.(check (float 0.0001)) "completion equal" t1 t2
-
 let tests =
   [
     ( "recovery",
       [
-        Alcotest.test_case "shadow first touch wins" `Quick test_shadow_first_touch_wins;
-        Alcotest.test_case "shadow merge parent wins" `Quick test_shadow_merge_parent_wins;
-        Alcotest.test_case "shadow dirty pages" `Quick test_shadow_dirty_pages;
-        Alcotest.test_case "strategy strings" `Quick test_strategy_strings;
         Alcotest.test_case "restore equivalence" `Quick test_restore_equivalence;
         Alcotest.test_case "dirty pages agree" `Quick test_dirty_pages_agree;
-        Alcotest.test_case "cost units differ" `Quick test_cost_units_differ;
-        Alcotest.test_case "mixed merge rejected" `Quick test_mixed_merge_rejected;
         Alcotest.test_case "merge overlapping dirty pages" `Quick
           test_merge_overlapping_dirty_pages;
-        Alcotest.test_case "runtime with shadow paging" `Quick test_runtime_with_shadow_paging;
-        Alcotest.test_case "strategies equivalent traffic" `Quick
-          test_runtime_strategies_equivalent_traffic;
+        Alcotest.test_case "runtime with injected aborts" `Quick
+          test_runtime_with_injected_aborts;
       ] );
   ]

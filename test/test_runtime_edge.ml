@@ -148,7 +148,8 @@ let test_multicast_push_accounting () =
   done
 
 let test_root_gives_up_when_out_of_retries () =
-  (* Force guaranteed failure: abort probability 1 with no retries. *)
+  (* Force guaranteed failure: abort probability 1, so every sub-transaction
+     attempt fails and the family exhausts its root retries. *)
   let catalog = Catalog.create [ { Catalog.oid = oid 1; cls = regions_class; refs = [||] } ] in
   let driver =
     compile
@@ -167,9 +168,6 @@ let test_root_gives_up_when_out_of_retries () =
     {
       Core.Config.default with
       Core.Config.abort_probability = 1.0;
-      max_sub_retries = 0;
-      max_root_retries = 1;
-      root_retry_backoff_us = 10.0;
     }
   in
   let rt = make_runtime ~config catalog in
@@ -178,7 +176,8 @@ let test_root_gives_up_when_out_of_retries () =
   (match Core.Runtime.results rt with
   | [ r ] ->
       Alcotest.(check bool) "gave up" true (r.Core.Runtime.outcome = Core.Runtime.Gave_up);
-      Alcotest.(check int) "two attempts" 2 r.Core.Runtime.attempts
+      Alcotest.(check int) "every root attempt" (Core.Config.max_root_retries + 1)
+        r.Core.Runtime.attempts
   | _ -> Alcotest.fail "one result");
   let t = totals rt in
   Alcotest.(check int) "counted as aborted" 1 t.Dsm.Metrics.roots_aborted;
@@ -285,11 +284,7 @@ let test_static_recursion_rejection () =
 let test_runtime_recursion_detection () =
   let catalog = recursive_catalog () in
   let config =
-    {
-      Core.Config.default with
-      Core.Config.allow_recursive_catalogs = true;
-      max_root_retries = 3;
-    }
+    { Core.Config.default with Core.Config.allow_recursive_catalogs = true }
   in
   let rt = make_runtime ~config catalog in
   (* "bounce" recurses O0 -> O1 -> O0: must be rejected, exactly once (no

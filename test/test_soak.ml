@@ -1,9 +1,8 @@
 (* Soak test: one large adversarial configuration exercising every feature
    at once — paper-scale contention, failure injection, optimistic
-   pre-acquisition, per-class protocol overrides, shadow-page recovery,
-   access skew, CPU-limited nodes and tracing — and checking the global
-   invariants at the end. A regression anywhere in the stack tends to
-   surface here first. *)
+   pre-acquisition, per-class protocol overrides, access skew, CPU-limited
+   nodes and tracing — and checking the global invariants at the end. A
+   regression anywhere in the stack tends to surface here first. *)
 
 open Objmodel
 
@@ -21,7 +20,6 @@ let test_everything_at_once () =
       Core.Config.default with
       Core.Config.abort_probability = 0.05;
       prefetch = true;
-      recovery = Txn.Recovery.Shadow_paging;
       cpu_limited = true;
       trace_capacity = 50_000;
       class_protocols = [ ("C0", Dsm.Protocol.Otec); ("C1", Dsm.Protocol.Rc_nested) ];

@@ -1,9 +1,9 @@
 (* The shared oracle, the suite mechanisms and the suite artefacts: each
-   oracle clause names itself when a finished run's metrics are tampered
-   with; report-only and blocking gates, peer rows and per-object columns
-   behave as documented; and every committed BENCH_*.json artefact (all but
-   the host-dependent BENCH_engine.json) is valid JSON and exactly what the
-   code produces today. *)
+   oracle clause names itself when a finished run's metrics (or a page
+   copy) are tampered with; report-only and blocking gates, peer rows and
+   per-object columns behave as documented; and every committed
+   BENCH_*.json artefact (all but the host-dependent BENCH_engine.json) is
+   valid JSON and exactly what the code produces today. *)
 
 (* ---------- oracle clauses ---------- *)
 
@@ -12,19 +12,42 @@ let small_run () =
   let wl = Workload.Generator.generate spec ~page_size:4096 in
   Experiments.Runner.execute ~protocol:Dsm.Protocol.Lotec wl
 
-(* Fault-free, every lever off: tamper with the finished run's ledger and
-   collect the names of the clauses the oracle reports. *)
+(* Fault-free, every lever off: tamper with the finished run and collect
+   the names of the clauses the oracle reports. *)
 let broken_clauses tamper =
   let run = small_run () in
   Alcotest.(check (list string)) "clean before tampering" [] (Experiments.Runner.oracle run);
-  tamper (Experiments.Runner.metrics run);
+  tamper run;
   List.map
     (fun v -> String.sub v 0 (String.index v ':'))
     (Experiments.Runner.oracle run)
 
-let clause name tamper =
+let run_clause name tamper =
   Alcotest.test_case name `Quick (fun () ->
       Alcotest.(check (list string)) "broken clauses" [ name ] (broken_clauses tamper))
+
+(* Most clauses read the metrics ledger. *)
+let clause name tamper = run_clause name (fun run -> tamper (Experiments.Runner.metrics run))
+
+(* Overwrite a written page's copy at its map holder with an older version,
+   as if the committed version had been lost. *)
+let roll_back_holder run =
+  let rt = run.Experiments.Runner.runtime in
+  let dir = Core.Runtime.directory rt in
+  let written =
+    List.find_map
+      (fun oid ->
+        let nodes, versions = Gdo.Directory.page_map dir oid in
+        Array.to_list versions
+        |> List.mapi (fun page v -> (page, v))
+        |> List.find_map (fun (page, v) ->
+               if v > 0 then Some (oid, page, nodes.(page), v) else None))
+      (Objmodel.Catalog.oids (Core.Runtime.catalog rt))
+  in
+  match written with
+  | None -> Alcotest.fail "the run wrote no page"
+  | Some (oid, page, node, v) ->
+      Dsm.Page_store.restore (Core.Runtime.store rt ~node) oid ~page ~version:(v - 1)
 
 (* ---------- suite mechanisms ---------- *)
 
@@ -127,6 +150,7 @@ let tests =
         clause "wire reconciliation" (fun m ->
             Dsm.Metrics.record_wire m ~mtype:Dsm.Wire.Grant ~bytes:64);
         clause "root accounting" Dsm.Metrics.incr_roots_committed;
+        run_clause "map holder" roll_back_holder;
       ] );
     ( "suite",
       [
