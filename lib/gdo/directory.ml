@@ -440,9 +440,20 @@ let page_map t oid =
   let e = get t oid in
   (Array.copy e.page_nodes, Array.copy e.page_versions)
 
+(* [node] inserted into the ascending list [l]; [l] itself when already
+   there, so a repeat grant allocates nothing. *)
+let rec insert_node (node : int) = function
+  | [] -> [ node ]
+  | x :: rest as l ->
+      if node < x then node :: l
+      else if node = x then l
+      else
+        let rest' = insert_node node rest in
+        if rest' == rest then l else x :: rest'
+
 let note_cached t oid ~node =
   let e = get t oid in
-  if not (List.mem node e.copyset) then e.copyset <- List.sort Int.compare (node :: e.copyset)
+  e.copyset <- insert_node node e.copyset
 
 let copyset t oid = (get t oid).copyset
 

@@ -1,27 +1,37 @@
 type t = {
   page_size : int;
   offsets : int array;  (* byte offset of each attribute *)
-  sizes : int array;
   total_bytes : int;
+  attr_pages : int list array;  (* pages each attribute's extent touches *)
 }
+
+let pages_for ~page_size total_bytes =
+  if total_bytes = 0 then 1 else (total_bytes + page_size - 1) / page_size
 
 let create ~page_size attrs =
   if page_size <= 0 then invalid_arg "Layout.create: page_size must be positive";
   let n = Array.length attrs in
   let offsets = Array.make n 0 in
-  let sizes = Array.make n 0 in
   let cursor = ref 0 in
   for i = 0 to n - 1 do
     offsets.(i) <- !cursor;
-    sizes.(i) <- attrs.(i).Attribute.size_bytes;
     cursor := !cursor + attrs.(i).Attribute.size_bytes
   done;
-  { page_size; offsets; sizes; total_bytes = !cursor }
+  let total_bytes = !cursor in
+  (* Attributes within one page share that page's list: a class has many
+     attributes per page, and the lists live as long as the catalog. *)
+  let singles = Array.init (pages_for ~page_size total_bytes) (fun p -> [ p ]) in
+  let attr_pages =
+    Array.init n (fun i ->
+        let first = offsets.(i) / page_size in
+        let last = (offsets.(i) + attrs.(i).Attribute.size_bytes - 1) / page_size in
+        if first = last then singles.(first) else List.init (last - first + 1) (fun k -> first + k))
+  in
+  { page_size; offsets; total_bytes; attr_pages }
 
 let page_size t = t.page_size
 
-let page_count t =
-  if t.total_bytes = 0 then 1 else (t.total_bytes + t.page_size - 1) / t.page_size
+let page_count t = pages_for ~page_size:t.page_size t.total_bytes
 
 let total_bytes t = t.total_bytes
 
@@ -34,9 +44,7 @@ let offset t a =
 
 let pages_of_attr t a =
   check_attr t a;
-  let first = t.offsets.(a) / t.page_size in
-  let last = (t.offsets.(a) + t.sizes.(a) - 1) / t.page_size in
-  List.init (last - first + 1) (fun i -> first + i)
+  t.attr_pages.(a)
 
 let pages_of_attrs t attrs =
   let module IS = Set.Make (Int) in

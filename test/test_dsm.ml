@@ -155,7 +155,11 @@ let test_store_restore () =
   Alcotest.(check int) "restored down" 2 (Dsm.Page_store.version s (oid 1) ~page:0);
   Dsm.Page_store.restore s (oid 1) ~page:0 ~version:Dsm.Page_store.absent;
   Alcotest.(check int) "restored to absent" Dsm.Page_store.absent
-    (Dsm.Page_store.version s (oid 1) ~page:0)
+    (Dsm.Page_store.version s (oid 1) ~page:0);
+  (* Its only page gone, the object is no longer cached here. *)
+  Alcotest.(check (list int)) "object left" []
+    (List.map Oid.to_int (Dsm.Page_store.cached_objects s));
+  Alcotest.(check string) "dump empty" "page store (node 0):\n" (Dsm.Page_store.dump s)
 
 let test_store_is_current () =
   let s = Dsm.Page_store.create ~node:0 in
@@ -195,6 +199,84 @@ let test_store_dump_deterministic () =
   in
   Alcotest.(check bool) "O2 before O7 before O11" true
     (idx "O2" >= 0 && idx "O7" > idx "O2" && idx "O11" > idx "O7")
+
+(* The store against a hash-table model of (oid, page) -> version. Oids
+   reach 5,000 and pages 40, so both levels of the store grow past their
+   initial size; most calls hit a few small oids and pages so that calls
+   meet on one page. [receive] and [restore] draw [absent] too; [write]
+   draws only real versions, as the runtime's writes do. *)
+type store_op = Receive of int * int * int | Write of int * int * int | Restore of int * int * int
+
+let print_store_op = function
+  | Receive (o, p, v) -> Printf.sprintf "receive O%d p%d v%d" o p v
+  | Write (o, p, v) -> Printf.sprintf "write O%d p%d v%d" o p v
+  | Restore (o, p, v) -> Printf.sprintf "restore O%d p%d v%d" o p v
+
+let qcheck_store_matches_model =
+  let gen =
+    QCheck.Gen.(
+      let* kind = int_bound 2 in
+      let* o = oneof [ int_bound 3; int_bound 5_000 ] in
+      let* p = oneof [ int_bound 2; int_bound 40 ] in
+      let* v = int_range (-1) 9 in
+      return
+        (match kind with
+        | 0 -> Receive (o, p, v)
+        | 1 -> Write (o, p, max v 0)
+        | _ -> Restore (o, p, v)))
+  in
+  QCheck.Test.make ~name:"page store agrees with a hash-table model" ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(list print_store_op)
+       QCheck.Gen.(list_size (int_range 1 60) gen))
+    (fun ops ->
+      let s = Dsm.Page_store.create ~node:1 in
+      let absent = Dsm.Page_store.absent in
+      let model = Hashtbl.create 16 in
+      let find k = Option.value (Hashtbl.find_opt model k) ~default:absent in
+      let ok = ref true in
+      let check b = if not b then ok := false in
+      let model_pages o =
+        Hashtbl.fold (fun (o', p) v acc -> if o' = o then (p, v) :: acc else acc) model []
+        |> List.sort compare
+      in
+      let model_objects () =
+        List.sort_uniq compare (Hashtbl.fold (fun (o, _) _ acc -> o :: acc) model [])
+      in
+      List.iter
+        (fun op ->
+          let o, p =
+            match op with
+            | Receive (o, p, v) ->
+                Dsm.Page_store.receive s (oid o) ~page:p ~version:v;
+                if v > find (o, p) then Hashtbl.replace model (o, p) v;
+                (o, p)
+            | Write (o, p, v) ->
+                check (Dsm.Page_store.write s (oid o) ~page:p ~new_version:v = find (o, p));
+                Hashtbl.replace model (o, p) v;
+                (o, p)
+            | Restore (o, p, v) ->
+                Dsm.Page_store.restore s (oid o) ~page:p ~version:v;
+                if v = absent then Hashtbl.remove model (o, p) else Hashtbl.replace model (o, p) v;
+                (o, p)
+          in
+          check (Dsm.Page_store.version s (oid o) ~page:p = find (o, p));
+          check (Dsm.Page_store.cached_pages s (oid o) = model_pages o);
+          check (List.map Oid.to_int (Dsm.Page_store.cached_objects s) = model_objects ()))
+        ops;
+      let objects = model_objects () in
+      let dump = Buffer.create 64 in
+      Buffer.add_string dump "page store (node 1):\n";
+      List.iter
+        (fun o ->
+          Buffer.add_string dump (Printf.sprintf "  O%d:" o);
+          List.iter
+            (fun (p, v) -> Buffer.add_string dump (Printf.sprintf " %d@v%d" p v))
+            (model_pages o);
+          Buffer.add_char dump '\n')
+        objects;
+      check (Dsm.Page_store.dump s = Buffer.contents dump);
+      !ok)
 
 (* ---------- Metrics ---------- *)
 
@@ -294,6 +376,7 @@ let tests =
         Alcotest.test_case "store is_current" `Quick test_store_is_current;
         Alcotest.test_case "store enumeration" `Quick test_store_enumeration;
         Alcotest.test_case "store dump deterministic" `Quick test_store_dump_deterministic;
+        QCheck_alcotest.to_alcotest qcheck_store_matches_model;
         Alcotest.test_case "metrics messages" `Quick test_metrics_messages;
         Alcotest.test_case "metrics time model" `Quick test_metrics_time_model;
         Alcotest.test_case "metrics counters" `Quick test_metrics_counters;

@@ -258,11 +258,166 @@ let prop_local_locks_invariants =
       if Local_locks.objects_of_family table ~family:root <> [] then ok := false;
       !ok)
 
+(* ------------------------------------------------------------------ *)
+(* Local_locks with several families at one site: the per-family index  *)
+(* (precommit, root_release, objects_of_family) against the site table  *)
+(* (abort, family_mode).                                                 *)
+
+(* The model keeps, per family and cached object, the transactions with an
+   interest in the cached lock: holders, retainers and waiters. The entry
+   exists while that set is non-empty; an abort empties it exactly when the
+   aborting transaction was the last one. As in the runtime, a queued
+   transaction issues nothing until woken, only leaves finish, and a root
+   releases once its children are done. *)
+type model_family = {
+  mutable root : Txn_id.t;
+  mutable live : Txn_id.t list;  (* active transactions, root included *)
+  interest : (int, Txn_id.t list) Hashtbl.t;  (* oid -> interested txns *)
+}
+
+let n_families = 3
+let n_objects = 6
+
+(* (kind, family, object, (pick, write)) *)
+let family_op_gen =
+  QCheck.Gen.(
+    tup4 (int_bound 4) (int_bound (n_families - 1)) (int_bound (n_objects - 1))
+      (pair (int_bound 99) bool))
+
+let prop_family_index_agrees =
+  QCheck.Test.make ~name:"local lock family index agrees with the site table" ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(list (tup4 int int int (pair int bool)))
+       QCheck.Gen.(list_size (int_range 1 80) family_op_gen))
+    (fun ops ->
+      let tree = Txn_tree.create () in
+      let table = Local_locks.create tree in
+      let fresh () =
+        let r = Txn_tree.create_root tree ~node:0 in
+        { root = r; live = [ r ]; interest = Hashtbl.create 8 }
+      in
+      let fams = Array.init n_families (fun _ -> fresh ()) in
+      let blocked = Txn_id.Table.create 8 in
+      let free t = not (Txn_id.Table.mem blocked t) in
+      let without t = List.filter (fun x -> not (Txn_id.equal x t)) in
+      let with_ t ts = t :: without t ts in
+      let cached fam = List.sort compare (Hashtbl.fold (fun o _ acc -> o :: acc) fam.interest []) in
+      let ok = ref true in
+      let check b = if not b then ok := false in
+      let leaves fam =
+        List.filter
+          (fun t ->
+            (not (Txn_tree.is_root tree t))
+            && free t
+            && List.for_all
+                 (fun c -> Txn_tree.status tree c <> Txn_tree.Active)
+                 (Txn_tree.children tree t))
+          fam.live
+      in
+      let finish fam t status =
+        Txn_tree.set_status tree t status;
+        fam.live <- without t fam.live
+      in
+      List.iter
+        (fun (kind, f, o, (pick, write)) ->
+          let fam = fams.(f) in
+          let choose l = List.nth l (pick mod List.length l) in
+          (match kind with
+          | 0 ->
+              let parents = List.filter free fam.live in
+              if parents <> [] && List.length fam.live < 6 then
+                fam.live <- Txn_tree.create_child tree ~parent:(choose parents) :: fam.live
+          | 1 -> (
+              match List.filter free fam.live with
+              | [] -> ()
+              | candidates -> (
+                  let txn = choose candidates in
+                  let mode = if write then Lock.Write else Lock.Read in
+                  let known = Hashtbl.mem fam.interest o in
+                  let join () =
+                    check known;
+                    if known then
+                      Hashtbl.replace fam.interest o (with_ txn (Hashtbl.find fam.interest o))
+                  in
+                  match
+                    Local_locks.acquire table (oid o) ~txn ~mode ~wake:(fun () ->
+                        Txn_id.Table.remove blocked txn)
+                  with
+                  | Local_locks.Not_cached ->
+                      check (not known);
+                      Local_locks.install_grant table (oid o) ~txn ~mode;
+                      Hashtbl.replace fam.interest o [ txn ]
+                  | Local_locks.Granted -> join ()
+                  | Local_locks.Queued ->
+                      join ();
+                      Txn_id.Table.replace blocked txn ()
+                  | Local_locks.Needs_upgrade ->
+                      join ();
+                      Local_locks.upgrade_granted table (oid o) ~txn))
+          | 2 -> (
+              match leaves fam with
+              | [] -> ()
+              | candidates ->
+                  let t = choose candidates in
+                  let parent = Option.get (Txn_tree.parent tree t) in
+                  Local_locks.precommit table t;
+                  finish fam t Txn_tree.Precommitted;
+                  Hashtbl.filter_map_inplace
+                    (fun _ ts -> Some (if List.mem t ts then with_ parent (without t ts) else ts))
+                    fam.interest)
+          | 3 -> (
+              match leaves fam with
+              | [] -> ()
+              | candidates ->
+                  let t = choose candidates in
+                  let released = ref [] in
+                  Local_locks.abort table t ~to_release:(fun o ->
+                      released := Oid.to_int o :: !released);
+                  finish fam t Txn_tree.Aborted;
+                  let emptied = ref [] in
+                  Hashtbl.filter_map_inplace
+                    (fun o ts ->
+                      match without t ts with
+                      | [] ->
+                          emptied := o :: !emptied;
+                          None
+                      | rest -> Some rest)
+                    fam.interest;
+                  check (List.sort compare !released = List.sort compare !emptied))
+          | _ ->
+              if free fam.root && fam.live = [ fam.root ] then begin
+                let expected = cached fam in
+                let released = Local_locks.root_release table ~root:fam.root in
+                check (List.map Oid.to_int released = expected);
+                List.iter
+                  (fun o -> check (Local_locks.family_mode table (oid o) ~family:fam.root = None))
+                  expected;
+                finish fam fam.root Txn_tree.Committed;
+                fams.(f) <- fresh ()
+              end);
+          (* After every operation, each family's index and the site table
+             both agree with the model. *)
+          Array.iter
+            (fun fam ->
+              let expected = cached fam in
+              check
+                (List.map Oid.to_int (Local_locks.objects_of_family table ~family:fam.root)
+                = expected);
+              for o = 0 to n_objects - 1 do
+                check
+                  (Local_locks.family_mode table (oid o) ~family:fam.root <> None
+                  = List.mem o expected)
+              done)
+            fams)
+        ops;
+      !ok)
+
 let tests =
   [
     ( "lock-model",
       [
         QCheck_alcotest.to_alcotest prop_gdo_matches_model;
         QCheck_alcotest.to_alcotest prop_local_locks_invariants;
+        QCheck_alcotest.to_alcotest prop_family_index_agrees;
       ] );
   ]

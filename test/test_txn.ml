@@ -231,6 +231,76 @@ let test_ll_precommit_root_rejected () =
     (Invalid_argument "Local_locks.precommit: root transactions use root_release") (fun () ->
       Local_locks.precommit ll r)
 
+(* Minor-heap words [f] allocates. *)
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let test_ll_cost_independent_of_site_size () =
+  (* A site caching 20,000 objects, each for its own family: one more
+     family's grant, child precommit, object listing and root release must
+     cost what that family touches, not what the site holds. *)
+  let tree, ll = setup () in
+  let fillers =
+    Array.init 20_000 (fun i ->
+        let f = Txn_tree.create_root tree ~node:0 in
+        Local_locks.install_grant ll (oid i) ~txn:f ~mode:Lock.Read;
+        f)
+  in
+  let r = Txn_tree.create_root tree ~node:0 in
+  let c = Txn_tree.create_child tree ~parent:r in
+  let under_bound name f =
+    let w = minor_words f in
+    if w >= 1_000. then Alcotest.failf "%s allocated %.0f minor words" name w
+  in
+  under_bound "install_grant" (fun () ->
+      Local_locks.install_grant ll (oid 20_000) ~txn:c ~mode:Lock.Write);
+  under_bound "precommit" (fun () -> Local_locks.precommit ll c);
+  let objects = ref [] in
+  under_bound "objects_of_family" (fun () ->
+      objects := Local_locks.objects_of_family ll ~family:r);
+  let released = ref [] in
+  under_bound "root_release" (fun () -> released := Local_locks.root_release ll ~root:r);
+  Alcotest.(check (list int)) "objects of family" [ 20_000 ] (List.map Oid.to_int !objects);
+  Alcotest.(check (list int)) "released" [ 20_000 ] (List.map Oid.to_int !released);
+  Alcotest.(check (list int)) "other families untouched" [ 19_999 ]
+    (List.map Oid.to_int (Local_locks.objects_of_family ll ~family:fillers.(19_999)))
+
+let test_ll_sibling_waiters_fifo () =
+  (* 2,000 siblings queue on one object; each precommit hands the lock to
+     the oldest waiter. Enqueueing stays O(1): appending to a list would
+     copy it, ~3,000 words per enqueue on average here. *)
+  let tree, ll = setup () in
+  let r = Txn_tree.create_root tree ~node:0 in
+  let first = Txn_tree.create_child tree ~parent:r in
+  Local_locks.install_grant ll (oid 1) ~txn:first ~mode:Lock.Write;
+  let n = 2_000 in
+  let siblings = Array.init n (fun _ -> Txn_tree.create_child tree ~parent:r) in
+  let woken = ref [] in
+  let wakes = Array.map (fun s () -> woken := s :: !woken) siblings in
+  let words =
+    minor_words (fun () ->
+        Array.iteri
+          (fun i s ->
+            if Local_locks.acquire ll (oid 1) ~txn:s ~mode:Lock.Write ~wake:wakes.(i)
+               <> Local_locks.Queued
+            then Alcotest.fail "sibling not queued")
+          siblings)
+  in
+  if words /. float_of_int n >= 100. then
+    Alcotest.failf "%.0f minor words per enqueue" (words /. float_of_int n);
+  Local_locks.precommit ll first;
+  Array.iteri
+    (fun i s ->
+      if List.length !woken <> i + 1 then
+        Alcotest.failf "%d woken before precommit %d" (List.length !woken) i;
+      Local_locks.precommit ll s)
+    siblings;
+  Alcotest.(check (list int)) "woken in FIFO order"
+    (Array.to_list (Array.map Txn_id.to_int siblings))
+    (List.rev_map Txn_id.to_int !woken)
+
 (* ---------- Undo_log ---------- *)
 
 let test_undo_record_order () =
@@ -300,6 +370,9 @@ let tests =
         Alcotest.test_case "ll colocated readers" `Quick test_ll_two_colocated_reader_families;
         Alcotest.test_case "ll double install" `Quick test_ll_double_install_rejected;
         Alcotest.test_case "ll precommit root" `Quick test_ll_precommit_root_rejected;
+        Alcotest.test_case "ll cost independent of site size" `Quick
+          test_ll_cost_independent_of_site_size;
+        Alcotest.test_case "ll sibling waiters fifo" `Quick test_ll_sibling_waiters_fifo;
         Alcotest.test_case "undo record order" `Quick test_undo_record_order;
         Alcotest.test_case "undo merge" `Quick test_undo_merge_keeps_child_newer;
         Alcotest.test_case "undo dirty pages" `Quick test_undo_dirty_pages_dedup;
