@@ -63,7 +63,9 @@ let () =
   | Core.Serializability.Serializable order ->
       Format.printf "@.serializable; equivalent serial order of %d families@."
         (List.length order)
-  | Core.Serializability.Cyclic _ -> Format.printf "@.NOT serializable (bug!)@.");
+  | Core.Serializability.Cyclic _ ->
+      Format.printf "@.NOT serializable (bug!)@.";
+      exit 1);
   let e = Dsm.Metrics.per_object m (Oid.of_int 0) in
   Format.printf "counter object: %d msgs, %d data bytes, %d demand fetches@."
     e.Dsm.Metrics.messages e.Dsm.Metrics.data_bytes e.Dsm.Metrics.demand_fetches

@@ -142,6 +142,15 @@ type fam_escrow = {
   mutable fe_local : (Oid.t * int * int * int) list;
 }
 
+(* A transaction's access log: the page versions it read and wrote itself,
+   newest first, and the whole logs of its precommitted children, spliced
+   in at precommit without copying an entry. *)
+type access_log = {
+  mutable al_reads : Serializability.access list;
+  mutable al_writes : Serializability.access list;
+  mutable al_spliced : access_log list;
+}
+
 type t = {
   cfg : Config.t;
   catalog : Catalog.t;
@@ -170,8 +179,7 @@ type t = {
   (* object each transaction's method executes on; used by the run-time
      recursion check. *)
   txn_objects : Oid.t Txn_id.Table.t;
-  read_logs : Serializability.access list ref Txn_id.Table.t;
-  write_logs : Serializability.access list ref Txn_id.Table.t;
+  access_logs : access_log Txn_id.Table.t;
   mutable history : Serializability.committed_root list;
   mutable results : root_result list;
   mutable outstanding : int;
@@ -444,8 +452,7 @@ let create ~config:cfg ~catalog =
       snapshots = Txn_id.Table.create 64;
       undo_logs = Txn_id.Table.create 64;
       txn_objects = Txn_id.Table.create 64;
-      read_logs = Txn_id.Table.create 64;
-      write_logs = Txn_id.Table.create 64;
+      access_logs = Txn_id.Table.create 64;
       history = [];
       results = [];
       outstanding = 0;
@@ -796,18 +803,23 @@ let send_reliable ?(on_abandon = fun () -> ()) t ~mtype ~src ~dst ~kind ~bytes ~
 
 let init_txn_state t txn =
   Txn_id.Table.replace t.undo_logs txn (Undo_log.create ());
-  Txn_id.Table.replace t.read_logs txn (ref []);
-  Txn_id.Table.replace t.write_logs txn (ref [])
+  Txn_id.Table.replace t.access_logs txn { al_reads = []; al_writes = []; al_spliced = [] }
 
 let undo_log_of t txn = Txn_id.Table.find t.undo_logs txn
-let read_log t txn = Txn_id.Table.find t.read_logs txn
-let write_log t txn = Txn_id.Table.find t.write_logs txn
+let access_log t txn = Txn_id.Table.find t.access_logs txn
+
+(* Every entry of [log] and of the logs spliced into it, in no particular
+   order; [pick] chooses the reads or the writes. *)
+let rec log_entries pick log acc =
+  List.fold_left
+    (fun acc kid -> log_entries pick kid acc)
+    (List.rev_append (pick log) acc)
+    log.al_spliced
 
 let drop_txn_state t txn =
   Txn_id.Table.remove t.undo_logs txn;
   Txn_id.Table.remove t.txn_objects txn;
-  Txn_id.Table.remove t.read_logs txn;
-  Txn_id.Table.remove t.write_logs txn
+  Txn_id.Table.remove t.access_logs txn
 
 let family_snapshots t family =
   match Txn_id.Table.find_opt t.snapshots family with
@@ -2646,10 +2658,8 @@ let precommit_txn t txn =
       else park_log t ~owner:parent ~site log)
     (parked_of t txn);
   drop_parked t txn;
-  let rl = read_log t txn and prl = read_log t parent in
-  prl := !rl @ !prl;
-  let wl = write_log t txn and pwl = write_log t parent in
-  pwl := !wl @ !pwl;
+  let plog = access_log t parent in
+  plog.al_spliced <- access_log t txn :: plog.al_spliced;
   Txn_tree.set_status t.tree txn Txn_tree.Precommitted;
   record_event t (fun () -> Dsm.Event.Precommit { txn; parent; node });
   drop_txn_state t txn
@@ -2775,13 +2785,17 @@ let eager_push t ~node items =
       end)
     items
 
-let dedup_accesses accesses =
-  let module S = Set.Make (struct
-    type t = Serializability.access
-
-    let compare = compare
-  end) in
-  S.elements (S.of_list accesses)
+(* A committed root's reads or writes, ascending by (oid, page, version)
+   without duplicates. *)
+let dedup_accesses pick log =
+  List.sort_uniq
+    (fun (a : Serializability.access) (b : Serializability.access) ->
+      let c = Oid.compare a.oid b.oid in
+      if c <> 0 then c
+      else
+        let c = Int.compare a.page b.page in
+        if c <> 0 then c else Int.compare a.version b.version)
+    (log_entries pick log [])
 
 (* Split one site's released objects into lease-backed reads (released
    against the site's lease cache, no directory traffic) and directory
@@ -2967,8 +2981,8 @@ let commit_root t root =
     t.history <-
       {
         Serializability.root;
-        reads = dedup_accesses !(read_log t root);
-        writes = dedup_accesses !(write_log t root);
+        reads = dedup_accesses (fun l -> l.al_reads) (access_log t root);
+        writes = dedup_accesses (fun l -> l.al_writes) (access_log t root);
       }
       :: t.history;
   Txn_tree.set_status t.tree root Txn_tree.Committed;
@@ -3053,12 +3067,12 @@ let crashed_purge_root t root =
 (* Method execution.                                                   *)
 
 let log_read t txn ~oid ~page ~version =
-  let l = read_log t txn in
-  l := { Serializability.oid; page; version } :: !l
+  let l = access_log t txn in
+  l.al_reads <- { Serializability.oid; page; version } :: l.al_reads
 
 let log_write t txn ~oid ~page ~version =
-  let l = write_log t txn in
-  l := { Serializability.oid; page; version } :: !l
+  let l = access_log t txn in
+  l.al_writes <- { Serializability.oid; page; version } :: l.al_writes
 
 (* ------------------------------------------------------------------ *)
 (* Method-result cache (see Dsm.Method_cache). Only read-only leaf
@@ -3140,12 +3154,15 @@ let try_cache_fill t ~txn ~oid ~(cm : Obj_class.compiled_method) =
     | None -> ()
     | Some g ->
         let reads =
-          List.sort_uniq compare
+          List.sort_uniq
+            (fun (p1, v1) (p2, v2) ->
+              let c = Int.compare p1 p2 in
+              if c <> 0 then c else Int.compare v1 v2)
             (List.filter_map
                (fun (a : Serializability.access) ->
                  if Oid.equal a.Serializability.oid oid then Some (a.page, a.version)
                  else None)
-               !(read_log t txn))
+               (log_entries (fun l -> l.al_reads) (access_log t txn) []))
         in
         if
           List.for_all

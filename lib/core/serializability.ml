@@ -7,81 +7,70 @@ type committed_root = { root : Txn_id.t; reads : access list; writes : access li
 
 type verdict = Serializable of Txn_id.t list | Cyclic of Txn_id.t list
 
-module PageKey = struct
-  type t = Oid.t * int
+type write = { version : int; writer : Txn_id.t }
 
-  let compare (o1, p1) (o2, p2) =
-    let c = Oid.compare o1 o2 in
-    if c <> 0 then c else Int.compare p1 p2
-end
+let compare_edge (a1, b1) (a2, b2) =
+  let c = Txn_id.compare a1 a2 in
+  if c <> 0 then c else Txn_id.compare b1 b2
 
-module PageMap = Map.Make (PageKey)
-
-module EdgeSet = Set.Make (struct
-  type t = Txn_id.t * Txn_id.t
-
-  let compare (a1, b1) (a2, b2) =
-    let c = Txn_id.compare a1 a2 in
-    if c <> 0 then c else Txn_id.compare b1 b2
-end)
-
-(* For each page: the versions written (version -> writer), sorted; and the
-   versions read (version -> readers). *)
-let index roots =
-  let writers = ref PageMap.empty in
-  let readers = ref PageMap.empty in
+let edges roots =
+  (* Dense page slots: oid [o]'s page [p] is slot [base.(o) + p] (oids are
+     dense catalog indices). *)
+  let each f = List.iter (fun r -> List.iter f r.reads; List.iter f r.writes) roots in
+  let oids = ref 0 in
+  each (fun a -> oids := Int.max !oids (Oid.to_int a.oid + 1));
+  let base = Array.make (!oids + 1) 0 in
+  each (fun a ->
+      let o = Oid.to_int a.oid + 1 in
+      base.(o) <- Int.max base.(o) (a.page + 1));
+  for o = 1 to !oids do
+    base.(o) <- base.(o - 1) + base.(o)
+  done;
+  let slot a = base.(Oid.to_int a.oid) + a.page in
+  (* Each page's writers, sorted by version. They are filled in from the
+     back and sorted stably, so writers that claim the same version stay in
+     reverse listing order. *)
+  let count = Array.make base.(!oids) 0 in
+  let each_write f = List.iter (fun r -> List.iter (f r) r.writes) roots in
+  each_write (fun _ a ->
+      let s = slot a in
+      count.(s) <- count.(s) + 1);
+  let pages = Array.map (fun n -> Array.make n { version = 0; writer = Txn_id.of_int 0 }) count in
+  each_write (fun r a ->
+      let s = slot a in
+      count.(s) <- count.(s) - 1;
+      pages.(s).(count.(s)) <- { version = a.version; writer = r.root });
+  Array.iter (Array.stable_sort (fun w1 w2 -> Int.compare w1.version w2.version)) pages;
+  let acc = ref [] in
+  let add a b = if not (Txn_id.equal a b) then acc := (a, b) :: !acc in
+  (* ww edges between consecutive writers. *)
+  Array.iter
+    (fun ws ->
+      for i = 1 to Array.length ws - 1 do
+        add ws.(i - 1).writer ws.(i).writer
+      done)
+    pages;
   List.iter
     (fun r ->
       List.iter
-        (fun a ->
-          let key = (a.oid, a.page) in
-          let cur = Option.value ~default:[] (PageMap.find_opt key !writers) in
-          writers := PageMap.add key ((a.version, r.root) :: cur) !writers)
-        r.writes;
-      List.iter
-        (fun a ->
-          let key = (a.oid, a.page) in
-          let cur = Option.value ~default:[] (PageMap.find_opt key !readers) in
-          readers := PageMap.add key ((a.version, r.root) :: cur) !readers)
+        (fun (a : access) ->
+          let ws = pages.(slot a) in
+          let n = Array.length ws in
+          let lo = ref 0 and hi = ref n in
+          while !lo < !hi do
+            let mid = (!lo + !hi) / 2 in
+            if ws.(mid).version < a.version then lo := mid + 1 else hi := mid
+          done;
+          (* wr: whoever wrote the version read precedes the reader. *)
+          while !lo < n && ws.(!lo).version = a.version do
+            add ws.(!lo).writer r.root;
+            incr lo
+          done;
+          (* rw: the reader precedes the writer of the next version. *)
+          if !lo < n then add r.root ws.(!lo).writer)
         r.reads)
     roots;
-  (!writers, !readers)
-
-let edges roots =
-  let writers, readers = index roots in
-  let acc = ref EdgeSet.empty in
-  let add a b = if not (Txn_id.equal a b) then acc := EdgeSet.add (a, b) !acc in
-  PageMap.iter
-    (fun key ws ->
-      let ws = List.sort (fun (v1, _) (v2, _) -> Int.compare v1 v2) ws in
-      (* ww edges between consecutive writers. *)
-      let rec ww = function
-        | (_, w1) :: ((_, w2) :: _ as rest) ->
-            add w1 w2;
-            ww rest
-        | _ -> ()
-      in
-      ww ws;
-      let rs = Option.value ~default:[] (PageMap.find_opt key readers) in
-      List.iter
-        (fun (rv, reader) ->
-          (* wr: whoever wrote version rv precedes the reader. *)
-          List.iter (fun (wv, writer) -> if wv = rv then add writer reader) ws;
-          (* rw: the reader precedes the writer of the next version. *)
-          let next =
-            List.fold_left
-              (fun best (wv, writer) ->
-                if wv > rv then
-                  match best with
-                  | Some (bv, _) when bv <= wv -> best
-                  | _ -> Some (wv, writer)
-                else best)
-              None ws
-          in
-          match next with Some (_, writer) -> add reader writer | None -> ())
-        rs)
-    writers;
-  EdgeSet.elements !acc
+  List.sort_uniq compare_edge !acc
 
 let check roots =
   let es = edges roots in
@@ -92,8 +81,9 @@ let check roots =
       let cur = Option.value ~default:[] (Txn_id.Table.find_opt succs a) in
       Txn_id.Table.replace succs a (b :: cur))
     es;
-  (* Iterative DFS with colours; produces reverse topological order or finds a
-     cycle. *)
+  (* DFS with colours; produces reverse topological order or finds a cycle.
+     [visit] recurses once per node of a path, on OCaml 5's growable stack:
+     a 1,000,000-root single-page ww chain checks without overflow. *)
   let colour = Txn_id.Table.create 64 in
   (* 1 = in progress, 2 = done *)
   let order = ref [] in

@@ -103,12 +103,19 @@ let escrow_sweep () =
   check "escrow replay non-trivial" (a <> Ok []);
   check "escrow finals identical across runs" (a = run ())
 
+let history_digest () =
+  (* The serializability oracle's input and output: committed histories,
+     witness orders and conflict edges over the History_golden run grid. *)
+  Format.printf "committed histories:@.";
+  check "history digest matches golden" (History_golden.digest () = History_golden.expected)
+
 let () =
   Format.printf "determinism gate (hash seed randomized: set OCAMLRUNPARAM=R)@.";
   golden_metrics ();
   page_store_dump ();
   chrome_export ();
   escrow_sweep ();
+  history_digest ();
   if !failures > 0 then begin
     Format.printf "%d determinism check(s) FAILED@." !failures;
     exit 1
