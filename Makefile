@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench examples scale scale-smoke determinism check-links doc clean
+.PHONY: all build test bench examples determinism check-links doc clean
 
 all: build
 
@@ -22,19 +22,6 @@ bench:
 # gate.
 suite-%:
 	dune exec bin/lotec_sim.exe -- suite $* --json BENCH_$*.json
-
-# Scale sweep: engine micro-benchmarks plus the default 100k/300k/1M-root
-# streaming runs across all four protocols. Writes BENCH_engine.json.
-scale:
-	dune exec bin/lotec_sim.exe -- scale --engine-bench --json BENCH_engine.json
-
-# Small fixed point for CI: 10k roots over 64 nodes per protocol, with a
-# conservative events/sec floor (measured ~0.6-1.2M on dev hardware; the
-# floor leaves ~10x headroom for slow CI runners) and a heap ceiling.
-scale-smoke:
-	dune exec bin/lotec_sim.exe -- scale --roots 10000 --nodes 64 \
-		--assert-min-events-per-sec 100000 --assert-max-heap-mb 512 \
-		--json BENCH_engine.json
 
 # Re-run the deterministic goldens with OCaml's randomized hashing turned
 # on (OCAMLRUNPARAM=R): any Hashtbl-iteration-order leak into dumps,

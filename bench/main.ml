@@ -1,14 +1,11 @@
 (* Benchmark harness: writes every committed artefact of the paper's
-   evaluation and the feature suites, the wire-message breakdown and the
-   engine speed record.
+   evaluation and the feature suites, and the wire-message breakdown.
 
    - every suite of Experiments.Suites (the feature suites, then the
      paper's §5 — Figures 2-8, the headline ratios, the §5.1/§6 ablations,
      the sweeps and cluster scaling), printed with its gate verdicts and
      written as BENCH_<name>.json;
-   - the per-message-type traffic breakdown, as BENCH_trace.json;
-   - the engine micro-benchmark plus the 100k-root scale point, as
-     BENCH_engine.json.
+   - the per-message-type traffic breakdown, as BENCH_trace.json.
 
    The simulator's own cost (wall clock, allocation, per-layer spans) is
    measured by perfbench/, not here. *)
@@ -61,38 +58,9 @@ let suites () =
       write_artifact (suite_json_file suite) (Experiments.Suite.to_json suite rows))
     Experiments.Suites.all
 
-(* The engine micro-benchmark (flat event pool vs the recorded
-   pre-refactor baseline) plus the 100k-root scale point per protocol
-   (streaming metrics), written as BENCH_engine.json: the
-   machine-readable record of raw simulator speed across revisions (see
-   EXPERIMENTS.md, "Scale"). The full 100k/300k/1M default sweep is
-   `make scale` — the 1M x 256 points alone take several minutes each,
-   too slow for the everything-bench. *)
-let engine_json_file = "BENCH_engine.json"
-
-let bench_scale_points = [ (100_000, 64) ]
-
-let engine_scale () =
-  Format.printf "==================================================================@.";
-  Format.printf "Engine speed: event-pool micro-benchmark + scale sweep@.";
-  Format.printf "==================================================================@.@.";
-  let bench = Experiments.Scale.engine_bench () in
-  Format.printf "%a@." Experiments.Scale.pp_bench bench;
-  let progress (r : Experiments.Scale.scale_row) =
-    Format.printf "  %-9s %8d roots x %3d nodes: %6.2f s wall, %8.0f events/sec@."
-      (Format.asprintf "%a" Dsm.Protocol.pp r.Experiments.Scale.s_protocol)
-      r.Experiments.Scale.s_roots r.Experiments.Scale.s_nodes
-      r.Experiments.Scale.s_profile.Experiments.Scale.wall_s
-      r.Experiments.Scale.s_profile.Experiments.Scale.events_per_sec
-  in
-  let scale = Experiments.Scale.sweep ~points:bench_scale_points ~progress () in
-  Format.printf "@.%a@." Experiments.Scale.pp_sweep scale;
-  write_artifact engine_json_file (Experiments.Scale.to_json ~bench ~scale ())
-
 let () =
   suites ();
   msg_breakdown ();
-  engine_scale ();
   (* Belt and braces over write_artifact: every entry above must have left
      a non-empty artefact on disk. *)
   List.iter
@@ -109,4 +77,4 @@ let () =
         Format.eprintf "FATAL: bench entry left %s missing or empty@." file;
         exit 1
       end)
-    (List.map suite_json_file Experiments.Suites.all @ [ trace_json_file; engine_json_file ])
+    (List.map suite_json_file Experiments.Suites.all @ [ trace_json_file ])

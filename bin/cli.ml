@@ -6,8 +6,7 @@
              (paper, protocols, ablation, per-class, granularity, sweep,
              scaling) or a feature suite (chaos, crash, partition, lease,
              cache, batch, ship, escrow)
-     trace — run with protocol-event tracing and print the tail
-     scale — large-run sweep (streaming metrics) + engine micro-bench *)
+     trace — run with protocol-event tracing and print the tail *)
 
 open Cmdliner
 
@@ -332,17 +331,10 @@ let run_cmd =
     let doc = "Write the trace as Chrome trace-event JSON to $(docv) (needs --trace-capacity)." in
     Arg.(value & opt (some string) None & info [ "trace-chrome" ] ~docv:"FILE" ~doc)
   in
-  let profile_arg =
-    let doc =
-      "Print an engine profile after the run: wall clock, events dispatched and events/sec, \
-       peak queue depth, allocation and peak heap."
-    in
-    Arg.(value & flag & info [ "profile" ] ~doc)
-  in
   let action spec protocol seed roots objects skew abort_probability prefetch cpu_limited drop
       duplicate jitter fault_seed crash_windows partition_windows slow_links gdo_replicas
       dump_directory request_timeout_us max_retransmits policy ttl cache cache_capacity
-      batching shipping escrow trace_capacity trace_tail trace_chrome profile =
+      batching shipping escrow trace_capacity trace_tail trace_chrome =
     let spec = apply_overrides spec seed roots in
     let spec =
       match objects with
@@ -386,19 +378,9 @@ let run_cmd =
       print_string (Gdo.Directory.dump (Core.Runtime.directory rt))
     in
     let on_stall = if dump_directory then Some dump_gdo else None in
-    let run, prof =
-      if profile then
-        let run, p =
-          Experiments.Scale.profiled (fun () ->
-              let run = Experiments.Runner.execute ~config ?on_stall ~protocol wl in
-              (run, Core.Runtime.engine run.Experiments.Runner.runtime))
-        in
-        (run, Some p)
-      else (Experiments.Runner.execute ~config ?on_stall ~protocol wl, None)
-    in
+    let run = Experiments.Runner.execute ~config ?on_stall ~protocol wl in
     Format.printf "== %a ==@.%a@." Dsm.Protocol.pp protocol Dsm.Metrics.pp_summary
       (Experiments.Runner.metrics run);
-    Option.iter (fun p -> Format.printf "@.%a@." Experiments.Scale.pp_profile p) prof;
     if dump_directory then dump_gdo run.Experiments.Runner.runtime;
     match Core.Runtime.trace run.Experiments.Runner.runtime with
     | None ->
@@ -421,7 +403,7 @@ let run_cmd =
       $ slow_links_arg $ gdo_replicas_arg $ dump_directory_arg $ timeout_arg
       $ retransmits_arg $ lease_policy_arg $ lease_ttl_arg $ cache_arg $ cache_capacity_arg
       $ batching_arg $ shipping_arg $ escrow_arg $ trace_capacity_arg $ trace_tail_arg
-      $ trace_chrome_arg $ profile_arg)
+      $ trace_chrome_arg)
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one scenario under one protocol.") term
 
@@ -458,114 +440,6 @@ let suite_cmd =
           feature sweep, every run checked by the shared oracle; print the table and the gate \
           verdicts, and exit 1 on any error row or blocking gate miss.")
     Term.(const action $ suite_arg $ json_arg)
-
-let scale_cmd =
-  let roots_scale_arg =
-    let doc =
-      "Root transactions of a sweep point (repeatable, paired with --nodes). Default: the \
-       full 100k/64 300k/128 1M/256 sweep."
-    in
-    Arg.(value & opt_all int [] & info [ "roots" ] ~docv:"N" ~doc)
-  in
-  let nodes_scale_arg =
-    let doc = "Cluster size of a sweep point (repeatable, paired with --roots)." in
-    Arg.(value & opt_all int [] & info [ "nodes" ] ~docv:"N" ~doc)
-  in
-  let protocols_arg =
-    let doc = "Protocol to sweep (repeatable); default all four." in
-    Arg.(value & opt_all protocol_conv [] & info [ "protocol"; "p" ] ~doc)
-  in
-  let engine_bench_arg =
-    let doc = "Also run the pure-engine micro-benchmark against the recorded baseline." in
-    Arg.(value & flag & info [ "engine-bench" ] ~doc)
-  in
-  let json_arg =
-    let doc = "Write the results as JSON to $(docv) (BENCH_engine.json schema)." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
-  let min_eps_arg =
-    let doc = "Fail (exit 1) if any sweep row dispatches fewer events/sec than $(docv)." in
-    Arg.(value & opt (some float) None & info [ "assert-min-events-per-sec" ] ~docv:"EPS" ~doc)
-  in
-  let max_heap_arg =
-    let doc = "Fail (exit 1) if the peak heap of any sweep row exceeds $(docv) MB." in
-    Arg.(value & opt (some float) None & info [ "assert-max-heap-mb" ] ~docv:"MB" ~doc)
-  in
-  let action roots nodes protocols engine_bench json min_eps max_heap =
-    let points =
-      match (roots, nodes) with
-      | [], [] -> Experiments.Scale.default_points
-      | rs, ns when List.length rs = List.length ns -> List.combine rs ns
-      | _ ->
-          prerr_endline "--roots and --nodes must be given the same number of times";
-          exit 2
-    in
-    let protocols = if protocols = [] then Dsm.Protocol.all else protocols in
-    let bench =
-      if engine_bench then begin
-        let b = Experiments.Scale.engine_bench () in
-        Format.printf "%a@." Experiments.Scale.pp_bench b;
-        Some b
-      end
-      else None
-    in
-    let progress (r : Experiments.Scale.scale_row) =
-      Format.printf "  %-9s %8d roots x %3d nodes: %6.2f s wall, %8.0f events/sec, peak \
-                     heap %.1f MB@."
-        (Format.asprintf "%a" Dsm.Protocol.pp r.Experiments.Scale.s_protocol)
-        r.Experiments.Scale.s_roots r.Experiments.Scale.s_nodes
-        r.Experiments.Scale.s_profile.Experiments.Scale.wall_s
-        r.Experiments.Scale.s_profile.Experiments.Scale.events_per_sec
-        r.Experiments.Scale.s_profile.Experiments.Scale.peak_heap_mb
-    in
-    let rows = Experiments.Scale.sweep ~points ~protocols ~progress () in
-    Format.printf "@.%a@." Experiments.Scale.pp_sweep rows;
-    (match json with
-    | None -> ()
-    | Some file ->
-        let oc = open_out file in
-        output_string oc (Experiments.Scale.to_json ?bench ~scale:rows ());
-        close_out oc;
-        Format.printf "wrote %s@." file);
-    let failures = ref 0 in
-    let check cond msg = if not cond then (incr failures; prerr_endline ("FAIL: " ^ msg)) in
-    List.iter
-      (fun (r : Experiments.Scale.scale_row) ->
-        let p = r.Experiments.Scale.s_profile in
-        let label =
-          Format.asprintf "%a %d roots x %d nodes" Dsm.Protocol.pp
-            r.Experiments.Scale.s_protocol r.Experiments.Scale.s_roots
-            r.Experiments.Scale.s_nodes
-        in
-        Option.iter
-          (fun eps ->
-            check
-              (p.Experiments.Scale.events_per_sec >= eps)
-              (Printf.sprintf "%s: %.0f events/sec below the %.0f floor" label
-                 p.Experiments.Scale.events_per_sec eps))
-          min_eps;
-        Option.iter
-          (fun mb ->
-            check
-              (p.Experiments.Scale.peak_heap_mb <= mb)
-              (Printf.sprintf "%s: peak heap %.1f MB above the %.1f MB bound" label
-                 p.Experiments.Scale.peak_heap_mb mb))
-          max_heap)
-      rows;
-    if !failures > 0 then exit 1
-  in
-  let term =
-    Term.(
-      const action $ roots_scale_arg $ nodes_scale_arg $ protocols_arg $ engine_bench_arg
-      $ json_arg $ min_eps_arg $ max_heap_arg)
-  in
-  Cmd.v
-    (Cmd.info "scale"
-       ~doc:
-         "Large-run scale sweep (streaming metrics, bounded memory): roots x nodes x \
-          protocols, reporting wall clock, events/sec and peak heap; optionally the \
-          pure-engine micro-benchmark against the recorded pre-refactor baseline.")
-    term
 
 let trace_cmd =
   let count_arg =
@@ -628,7 +502,4 @@ let trace_cmd =
 let main () =
   let doc = "LOTEC: nested object transactions over simulated DSM (PODC '99 reproduction)" in
   let info = Cmd.info "lotec_sim" ~version:"1.0.0" ~doc in
-  exit
-    (Cmd.eval
-       (Cmd.group info
-          [ run_cmd; trace_cmd; suite_cmd; scale_cmd ]))
+  exit (Cmd.eval (Cmd.group info [ run_cmd; trace_cmd; suite_cmd ]))

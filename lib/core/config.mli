@@ -46,10 +46,11 @@ type t = {
   (* Instrumentation and execution model. *)
   trace_capacity : int;  (** > 0 keeps a ring of protocol events of that size *)
   streaming : bool;
-      (** Bounded-memory mode for very large runs (the [scale] experiment):
-          per-root results and the serializability history are not retained
-          — aggregate {!Dsm.Metrics} counters and histograms are the only
-          output — and a root family's transaction-tree records are pruned
+      (** Bounded-memory mode for very large runs (the 100k-root golden and
+          the benchmark's stream-scale workload): per-root results and the
+          serializability history are not retained — aggregate
+          {!Dsm.Metrics} counters and histograms are the only output — and
+          a root family's transaction-tree records are pruned
           when the family completes, so resident memory no longer grows
           with the root count. {!Runtime.results} returns [[]],
           {!Runtime.check_serializable} trivially passes. Requires a

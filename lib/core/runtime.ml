@@ -246,6 +246,13 @@ type t = {
      crash-free runs byte-identical to the pre-recovery runtime. *)
   crash_enabled : bool;
   crashed : bool array;  (* node -> currently inside a crash window *)
+  (* node -> the durable commit record: each page's newest version a
+     family committed there, which a crash of the node keeps (its release
+     may not have reached the page map yet). *)
+  committed : Dsm.Page_store.t array;
+  (* node -> releases that could not leave while the node was down,
+     newest first; sent again at its rejoin. *)
+  parked_releases : (Txn_id.t * (Oid.t * (int * int * int) list) list) list array;
   incarnation : int array;  (* bumped at every rejoin; fences stragglers *)
   (* Root families whose executing node crashed under them: their fibers
      unwind with Crashed_abort at the next choke point and their directory
@@ -434,6 +441,15 @@ let create ~config:cfg ~catalog =
       ?faults:cfg.Config.faults ~on_fault ~on_message ()
   in
   let tree = Txn_tree.create () in
+  (* Crash *or* link windows arm the whole failure-handling stack:
+     heartbeats, detectors, quorum membership, failover. A partition
+     makes messages loseable and nodes falsely suspectable, so it needs
+     everything a crash does except the state wipe. *)
+  let crash_enabled =
+    match cfg.Config.faults with
+    | Some f -> Sim.Fault.has_crash_windows f || Sim.Fault.has_link_windows f
+    | None -> false
+  in
   let t =
     {
       cfg;
@@ -492,15 +508,13 @@ let create ~config:cfg ~catalog =
       method_caches =
         Array.init cfg.Config.node_count (fun _ ->
             Dsm.Method_cache.create cfg.Config.method_cache);
-      (* Crash *or* link windows arm the whole failure-handling stack:
-         heartbeats, detectors, quorum membership, failover. A partition
-         makes messages loseable and nodes falsely suspectable, so it
-         needs everything a crash does except the state wipe. *)
-      crash_enabled =
-        (match cfg.Config.faults with
-        | Some f -> Sim.Fault.has_crash_windows f || Sim.Fault.has_link_windows f
-        | None -> false);
+      crash_enabled;
       crashed = Array.make cfg.Config.node_count false;
+      committed =
+        (if crash_enabled then
+           Array.init cfg.Config.node_count (fun node -> Dsm.Page_store.create ~node)
+         else [||]);
+      parked_releases = (if crash_enabled then Array.make cfg.Config.node_count [] else [||]);
       incarnation = Array.make cfg.Config.node_count 0;
       doomed = Txn_id.Table.create 16;
       live_roots = Txn_id.Table.create 16;
@@ -1396,11 +1410,9 @@ let rec process_release t ~home ~from ~family items =
         && (t.crashed.(home) || List.exists (fun (oid, _) -> home_of t oid <> home) items)
       then begin
         (* The home crashed between delivery and processing, or membership
-           moved the partition (a declaration or readmission re-routed it).
-           A release must never be lost — the survivor's locks would leak —
-           so re-dispatch it from the origin; current routing sends it to
-           the acting home (or back here after the rejoin). *)
-        if not t.crashed.(from) then gdo_release t ~node:from ~family items
+           moved the partition (a declaration or readmission re-routed it):
+           send the release again from its origin. *)
+        resend_release t ~node:from ~family items
       end
       else begin
         Dsm.Metrics.incr_gdo_releases t.metrics;
@@ -1412,11 +1424,21 @@ let rec process_release t ~home ~from ~family items =
           items
       end)
 
+(* A release must never be lost: the family's locks would leak, and the
+   page map would never learn the versions it committed. So a release that
+   did not get through is sent again from its origin, routing re-evaluated
+   so it reaches the partition's current acting home — or, while the origin
+   is down, parked there until [crash_rejoin] sends it. Repeating one is
+   harmless: the directory ignores a family that no longer holds the lock,
+   and family ids are never reused. *)
+and resend_release t ~node ~family items =
+  if t.crash_enabled && t.crashed.(node) then
+    t.parked_releases.(node) <- (family, items) :: t.parked_releases.(node)
+  else gdo_release t ~node ~family items
+
 (* Fire-and-forget global release of objects grouped by GDO home. [items] is
    (oid, dirty) with dirty = (page, version, node) list. An abandoned
-   release message is re-dispatched rather than dropped (releases must not
-   be lost); routing is re-evaluated each time, so the retry reaches the
-   partition's current acting home. *)
+   release message is sent again (see [resend_release]). *)
 and gdo_release t ~node ~family items =
   let by_home = Hashtbl.create 8 in
   List.iter
@@ -1448,8 +1470,7 @@ and send_release t ~node ~home ~family items =
   in
   send_reliable t ~mtype:Dsm.Wire.Release ~src:node ~dst:home ~kind:Sim.Network.Control
     ~bytes ~tag:(-1)
-    ~on_abandon:(fun () ->
-      if not (t.crash_enabled && t.crashed.(node)) then gdo_release t ~node ~family items)
+    ~on_abandon:(fun () -> resend_release t ~node ~family items)
     (fun () -> process_release t ~home ~from:node ~family items)
 
 (* Coalescing: park the family's batch and flush the channel after
@@ -1507,8 +1528,7 @@ and flush_releases t ~node ~home =
       send_reliable t ~mtype:Dsm.Wire.Release ~src:node ~dst:home ~kind:Sim.Network.Control
         ~bytes ~tag:(-1)
         ~on_abandon:(fun () ->
-          if not (t.crash_enabled && t.crashed.(node)) then
-            List.iter (fun (family, items) -> gdo_release t ~node ~family items) batches)
+          List.iter (fun (family, items) -> resend_release t ~node ~family items) batches)
         (fun () ->
           List.iter
             (fun (family, items) -> process_release t ~home ~from:node ~family items)
@@ -1951,17 +1971,18 @@ let crash_enter t ~node:d =
         && not (Sim.Engine.Ivar.is_filled sw.sw_iv)
       then Sim.Engine.Ivar.fill sw.sw_iv Ship_crashed)
     t.ship_waits;
-  (* Volatile-state loss: the page cache keeps only what the page map
-     records as durable here (the node owns the newest published version);
-     every other copy is gone until re-fetched. *)
+  (* Volatile-state loss: the page cache keeps only what is durable here —
+     the version the page map records the node as holding, or the newest
+     version a family committed here (its release may still be on its way
+     to the map). Every other copy is gone until re-fetched. *)
   List.iter
     (fun oid ->
       let page_nodes, page_versions = Gdo.Directory.page_map t.gdo oid in
       Array.iteri
         (fun p owner ->
-          if owner = d then
-            Dsm.Page_store.restore t.stores.(d) oid ~page:p ~version:page_versions.(p)
-          else Dsm.Page_store.restore t.stores.(d) oid ~page:p ~version:Dsm.Page_store.absent)
+          let mapped = if owner = d then page_versions.(p) else Dsm.Page_store.absent in
+          let committed = Dsm.Page_store.version t.committed.(d) oid ~page:p in
+          Dsm.Page_store.restore t.stores.(d) oid ~page:p ~version:(max mapped committed))
         page_nodes)
     (Catalog.oids t.catalog);
   (* The lease cache is volatile too, and the method cache dies with it.
@@ -2012,6 +2033,11 @@ let crash_rejoin t ~node:d =
     broadcast_view_change t ~src:d
   end;
   recompute_acting_homes t;
+  (* Releases parked while the node was down leave now, to the current
+     acting homes. *)
+  let parked = List.rev t.parked_releases.(d) in
+  t.parked_releases.(d) <- [];
+  List.iter (fun (family, items) -> gdo_release t ~node:d ~family items) parked;
   (* Restart recovery: if the window was shorter than the suspect timeout
      the node was never declared dead, so its doomed families' directory
      residue is still in place — the restarted node scans and evicts it.
@@ -2934,6 +2960,13 @@ let commit_root t root =
           | Some _ | None -> Hashtbl.replace by_page (Oid.to_int oid, page) (oid, v, site))
         (Undo_log.dirty_pages log))
     site_logs;
+  (* The commit point: record each dirty page's committed version where it
+     was written, so a crash of that site cannot lose it. *)
+  if t.crash_enabled then
+    Hashtbl.iter
+      (fun (_, page) (oid, v, site) ->
+        Dsm.Page_store.receive t.committed.(site) oid ~page ~version:v)
+      by_page;
   let dirty_of oid =
     (* Ascending-page order, not hash order: the list lands in release
        messages, whose bytes must be hash-seed independent. *)

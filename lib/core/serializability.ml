@@ -121,12 +121,20 @@ type escrow_op =
 
 (* Replay state of one escrowed object: the home's committed value, the
    outstanding per-family reservations, and per node the remaining delegated
-   quota plus the locally committed delta not yet reconciled home. *)
+   quota plus the locally committed delta not yet reconciled home. The
+   worst-case and conservation checks read running sums kept beside them,
+   so each op costs O(1) however many reservations and nodes are open. *)
 type obj_state = {
   mutable value : int;
-  mutable res : (Txn_id.t * int) list;
+  (* family -> (net reserved delta, index of its latest reserve op) *)
+  res : (int * int) Txn_id.Table.t;
   mutable committed : int;  (* sum of every delta committed so far *)
   nodes : (int, node_state) Hashtbl.t;
+  mutable res_up : int;  (* sum of the positive net reservations *)
+  mutable res_down : int;  (* sum of the negative net reservations *)
+  mutable quota_up : int;  (* sum of the nodes' [q_up] *)
+  mutable quota_down : int;  (* sum of the nodes' [q_down] *)
+  mutable pending_sum : int;  (* sum of the nodes' [pending] *)
 }
 
 and node_state = {
@@ -137,6 +145,11 @@ and node_state = {
   mutable spent_down : int;
 }
 
+(* Add (or, with [sign] -1, remove) a family's net reservation [d]. *)
+let count_reservation s ~sign d =
+  if d > 0 then s.res_up <- s.res_up + (sign * d)
+  else s.res_down <- s.res_down + (sign * d)
+
 let check_escrow ~lower ~upper ~initial ~ops =
   let errors = ref [] in
   let err fmt = Format.kasprintf (fun s -> errors := s :: !errors) fmt in
@@ -145,7 +158,19 @@ let check_escrow ~lower ~upper ~initial ~ops =
     match Oid.Table.find_opt objects oid with
     | Some s -> s
     | None ->
-        let s = { value = initial; res = []; committed = 0; nodes = Hashtbl.create 4 } in
+        let s =
+          {
+            value = initial;
+            res = Txn_id.Table.create 8;
+            committed = 0;
+            nodes = Hashtbl.create 4;
+            res_up = 0;
+            res_down = 0;
+            quota_up = 0;
+            quota_down = 0;
+            pending_sum = 0;
+          }
+        in
         Oid.Table.add objects oid s;
         s
   in
@@ -157,13 +182,16 @@ let check_escrow ~lower ~upper ~initial ~ops =
         Hashtbl.add s.nodes n ns;
         ns
   in
-  let worst_down s =
-    List.fold_left (fun acc (_, d) -> if d < 0 then acc + d else acc) 0 s.res
-    - Hashtbl.fold (fun _ ns acc -> acc + ns.q_down) s.nodes 0
-  in
-  let worst_up s =
-    List.fold_left (fun acc (_, d) -> if d > 0 then acc + d else acc) 0 s.res
-    + Hashtbl.fold (fun _ ns acc -> acc + ns.q_up) s.nodes 0
+  let worst_down s = s.res_down - s.quota_down in
+  let worst_up s = s.res_up + s.quota_up in
+  (* A family's reservation leaves the books at its commit or abort. *)
+  let resolve s family =
+    match Txn_id.Table.find_opt s.res family with
+    | None -> None
+    | Some (d, _) ->
+        Txn_id.Table.remove s.res family;
+        count_reservation s ~sign:(-1) d;
+        Some d
   in
   (* Invariants that must hold after every step: the worst case over all
      outstanding obligations stays in bounds, and the home value plus the
@@ -178,10 +206,9 @@ let check_escrow ~lower ~upper ~initial ~ops =
     if upper - s.value - worst_up s < 0 then
       err "op %d: %a worst-case high %d breaches ceiling %d" i Oid.pp oid
         (s.value + worst_up s) upper;
-    let pending = Hashtbl.fold (fun _ ns acc -> acc + ns.pending) s.nodes 0 in
-    if s.value + pending <> initial + s.committed then
+    if s.value + s.pending_sum <> initial + s.committed then
       err "op %d: %a conservation broken: value %d + pending %d <> initial %d + committed %d"
-        i Oid.pp oid s.value pending initial s.committed
+        i Oid.pp oid s.value s.pending_sum initial s.committed
   in
   List.iteri
     (fun i op ->
@@ -198,23 +225,22 @@ let check_escrow ~lower ~upper ~initial ~ops =
           if not ok then
             err "op %d: %a reservation %+d by %a was admitted but breaches a bound" i Oid.pp
               oid delta Txn_id.pp family;
-          let cur = Option.value ~default:0 (List.assoc_opt family s.res) in
-          s.res <- (family, cur + delta) :: List.remove_assoc family s.res;
+          let cur = Option.value ~default:0 (resolve s family) in
+          Txn_id.Table.replace s.res family (cur + delta, i);
+          count_reservation s ~sign:1 (cur + delta);
           assert_state i oid s
       | E_commit { oid; family } -> (
           let s = state oid in
-          match List.assoc_opt family s.res with
+          match resolve s family with
           | None -> err "op %d: %a commit by %a with no reservation" i Oid.pp oid Txn_id.pp family
           | Some d ->
-              s.res <- List.remove_assoc family s.res;
               s.value <- s.value + d;
               s.committed <- s.committed + d;
               assert_state i oid s)
       | E_abort { oid; family } ->
           let s = state oid in
-          if not (List.mem_assoc family s.res) then
-            err "op %d: %a abort by %a with no reservation" i Oid.pp oid Txn_id.pp family
-          else s.res <- List.remove_assoc family s.res;
+          if resolve s family = None then
+            err "op %d: %a abort by %a with no reservation" i Oid.pp oid Txn_id.pp family;
           assert_state i oid s
       | E_delegate { oid; node; up; down } ->
           let s = state oid in
@@ -222,6 +248,8 @@ let check_escrow ~lower ~upper ~initial ~ops =
           let ns = node_state s node in
           ns.q_up <- ns.q_up + up;
           ns.q_down <- ns.q_down + down;
+          s.quota_up <- s.quota_up + up;
+          s.quota_down <- s.quota_down + down;
           assert_state i oid s
       | E_local_commit { oid; node; delta } ->
           let s = state oid in
@@ -231,6 +259,7 @@ let check_escrow ~lower ~upper ~initial ~ops =
               err "op %d: %a node %d local commit %+d exceeds up-quota %d" i Oid.pp oid node
                 delta ns.q_up;
             ns.q_up <- ns.q_up - delta;
+            s.quota_up <- s.quota_up - delta;
             ns.spent_up <- ns.spent_up + delta
           end
           else if delta < 0 then begin
@@ -238,9 +267,11 @@ let check_escrow ~lower ~upper ~initial ~ops =
               err "op %d: %a node %d local commit %+d exceeds down-quota %d" i Oid.pp oid node
                 delta ns.q_down;
             ns.q_down <- ns.q_down + delta;
+            s.quota_down <- s.quota_down + delta;
             ns.spent_down <- ns.spent_down - delta
           end;
           ns.pending <- ns.pending + delta;
+          s.pending_sum <- s.pending_sum + delta;
           s.committed <- s.committed + delta;
           assert_state i oid s
       | E_reconcile { oid; node; delta; used_up; used_down } ->
@@ -253,6 +284,7 @@ let check_escrow ~lower ~upper ~initial ~ops =
             err "op %d: %a node %d reports quota use %d/%d, spent %d/%d" i Oid.pp oid node
               used_up used_down ns.spent_up ns.spent_down;
           s.value <- s.value + ns.pending;
+          s.pending_sum <- s.pending_sum - ns.pending;
           ns.pending <- 0;
           ns.spent_up <- 0;
           ns.spent_down <- 0;
@@ -263,6 +295,8 @@ let check_escrow ~lower ~upper ~initial ~ops =
           if ns.pending <> 0 then
             err "op %d: %a node %d quota revoked with %+d unreconciled" i Oid.pp oid node
               ns.pending;
+          s.quota_up <- s.quota_up - ns.q_up;
+          s.quota_down <- s.quota_down - ns.q_down;
           ns.q_up <- 0;
           ns.q_down <- 0;
           assert_state i oid s)
@@ -270,9 +304,11 @@ let check_escrow ~lower ~upper ~initial ~ops =
   (* End of run: every reservation resolved, every local delta reconciled. *)
   Oid.Table.iter
     (fun oid s ->
-      List.iter
-        (fun (f, d) -> err "end: %a reservation %+d by %a never resolved" Oid.pp oid d Txn_id.pp f)
-        s.res;
+      (* Latest reserve first. *)
+      Txn_id.Table.fold (fun f (d, at) acc -> (at, f, d) :: acc) s.res []
+      |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare b a)
+      |> List.iter (fun (_, f, d) ->
+             err "end: %a reservation %+d by %a never resolved" Oid.pp oid d Txn_id.pp f);
       Hashtbl.iter
         (fun n ns ->
           if ns.pending <> 0 then

@@ -28,5 +28,3 @@ let render ~header ?align rows =
   in
   let rule = String.concat "  " (List.map (fun w -> String.make w '-') widths) in
   String.concat "\n" (render_row header :: rule :: List.map render_row rows)
-
-let fmt_us v = Printf.sprintf "%.1f" v

@@ -5,6 +5,3 @@ type align = Left | Right
 val render : header:string list -> ?align:align list -> string list list -> string
 (** Fixed-width table with a header rule. [align] defaults to Right for every
     column. *)
-
-val fmt_us : float -> string
-(** Microseconds with one decimal. *)

@@ -1,258 +1,9 @@
-(* Engine-speed measurement and the million-transaction scale sweep.
-
-   Two instruments:
-
-   - {!engine_bench}: a pure [Sim.Engine] micro-benchmark (no DSM layers)
-     exercising the hot paths the event-pool refactor targets — raw event
-     dispatch, fiber spawn/wait churn, and the waiter-heavy Semaphore /
-     Mailbox / Ivar paths that used to be accidentally quadratic. It uses
-     only the public engine API, so the same workload runs unchanged
-     against any engine revision; [baseline] records the pre-refactor
-     numbers for comparison.
-
-   - {!sweep}: full-stack runs of 100k-1M root transactions over 64-256
-     nodes per protocol, with streaming metrics (no per-root result or
-     serializability-history retention) so memory stays bounded. *)
-
-type bench_row = { component : string; ops : int; wall_s : float; ops_per_sec : float }
-
-(* Every reported rate goes through this one clamp: a timer reading of (or
-   rounding to) zero wall time must yield a large-but-finite rate, never a
-   division by zero or an infinity leaking into reports and JSON. *)
-let per_sec ops wall_s = float_of_int ops /. Float.max wall_s 1e-9
-
-type bench = {
-  rows : bench_row list;
-  total_ops : int;
-  total_wall_s : float;
-  aggregate_ops_per_sec : float;
-}
-
-let timed f =
-  let t0 = Unix.gettimeofday () in
-  let ops = f () in
-  let wall = Unix.gettimeofday () -. t0 in
-  (ops, wall)
-
-(* Raw schedule/dispatch: [timers] self-rescheduling callbacks keep the
-   event queue [timers] deep while [events] callbacks fire in total. One
-   op = one engine event, so this component's ops/sec IS events/sec. *)
-let bench_dispatch ~events ~timers () =
-  let e = Sim.Engine.create () in
-  let per = events / timers in
-  for _ = 1 to timers do
-    let remaining = ref per in
-    let rec tick () =
-      if !remaining > 0 then begin
-        decr remaining;
-        Sim.Engine.schedule e ~delay:1.0 tick
-      end
-    in
-    Sim.Engine.schedule e ~delay:1.0 tick
-  done;
-  Sim.Engine.run e;
-  timers * (per + 1)
-
-(* Fiber creation and timed sleeps: spawn cost plus the Wait effect. *)
-let bench_fibers ~fibers () =
-  let e = Sim.Engine.create () in
-  for i = 1 to fibers do
-    Sim.Engine.spawn e (fun () ->
-        Sim.Engine.wait (float_of_int (i land 7));
-        Sim.Engine.wait 1.0)
-  done;
-  Sim.Engine.run e;
-  fibers
-
-(* One permit, [waiters] contending fibers: the waiter list reaches
-   [waiters] length, so any O(length) append or removal in the engine
-   turns this component quadratic. One op = one acquire/release pair. *)
-let bench_semaphore ~waiters ~rounds () =
-  let e = Sim.Engine.create () in
-  let s = Sim.Engine.Semaphore.create ~permits:1 in
-  for _ = 1 to waiters do
-    Sim.Engine.spawn e (fun () ->
-        for _ = 1 to rounds do
-          Sim.Engine.Semaphore.acquire s;
-          Sim.Engine.wait 1.0;
-          Sim.Engine.Semaphore.release s
-        done)
-  done;
-  Sim.Engine.run e;
-  waiters * rounds
-
-(* [waiters] blocked takers on one mailbox, then a put storm. *)
-let bench_mailbox ~waiters ~rounds () =
-  let e = Sim.Engine.create () in
-  let mb = Sim.Engine.Mailbox.create () in
-  for _ = 1 to waiters do
-    Sim.Engine.spawn e (fun () ->
-        for _ = 1 to rounds do
-          ignore (Sim.Engine.Mailbox.take mb)
-        done)
-  done;
-  (* All takers block first; the puts then wake them one by one. *)
-  Sim.Engine.schedule e ~delay:10.0 (fun () ->
-      for i = 1 to waiters * rounds do
-        Sim.Engine.Mailbox.put mb i
-      done);
-  Sim.Engine.run e;
-  waiters * rounds
-
-(* [waiters] readers suspended on one ivar, released by a single fill:
-   exercises bulk wake-up and suspended-mark removal. *)
-let bench_ivar ~waiters () =
-  let e = Sim.Engine.create () in
-  let iv = Sim.Engine.Ivar.create () in
-  for _ = 1 to waiters do
-    Sim.Engine.spawn e (fun () -> ignore (Sim.Engine.Ivar.read iv))
-  done;
-  Sim.Engine.schedule e ~delay:10.0 (fun () -> Sim.Engine.Ivar.fill iv 42);
-  Sim.Engine.run e;
-  waiters
-
-let engine_bench ?(dispatch_events = 2_000_000) ?(dispatch_timers = 10_000)
-    ?(fibers = 100_000) ?(waiters = 10_000) ?(rounds = 2) () =
-  let components =
-    [
-      ("dispatch", bench_dispatch ~events:dispatch_events ~timers:dispatch_timers);
-      ("spawn-wait", bench_fibers ~fibers);
-      ("semaphore-10k", bench_semaphore ~waiters ~rounds);
-      ("mailbox-10k", bench_mailbox ~waiters ~rounds);
-      ("ivar-10k", bench_ivar ~waiters);
-    ]
-  in
-  let rows =
-    List.map
-      (fun (component, f) ->
-        let ops, wall_s = timed f in
-        let wall_s = max wall_s 1e-9 in
-        { component; ops; wall_s; ops_per_sec = per_sec ops wall_s })
-      components
-  in
-  let total_ops = List.fold_left (fun acc r -> acc + r.ops) 0 rows in
-  let total_wall_s = List.fold_left (fun acc r -> acc +. r.wall_s) 0.0 rows in
-  {
-    rows;
-    total_ops;
-    total_wall_s;
-    aggregate_ops_per_sec = per_sec total_ops total_wall_s;
-  }
-
-(* Pre-refactor ops/sec on this machine (commit 5dd1ec4 engine: event
-   records in a polymorphic heap, list-append waiters, linear-scan
-   suspended marks), captured with the default engine_bench sizes. Kept
-   as code so BENCH_engine.json can always report the speedup without
-   carrying state between runs; bench/engine_baseline.json holds the
-   same numbers as an artifact. *)
-let baseline : (string * float) list =
-  [
-    ("dispatch", 2_028_576.0);
-    ("spawn-wait", 72_898.0);
-    ("semaphore-10k", 987.0);
-    ("mailbox-10k", 14_454.0);
-    ("ivar-10k", 10_268.0);
-    ("aggregate", 86_488.0);
-  ]
-
-let baseline_aggregate_ops_per_sec =
-  match List.assoc_opt "aggregate" baseline with Some v -> v | None -> 0.0
-
-let pp_bench fmt b =
-  Format.fprintf fmt "engine micro-benchmark (public Sim.Engine API)@.";
-  let header = [ "component"; "ops"; "wall s"; "ops/sec"; "baseline"; "speedup" ] in
-  let row r =
-    let base = Option.value (List.assoc_opt r.component baseline) ~default:0.0 in
-    [
-      r.component;
-      string_of_int r.ops;
-      Printf.sprintf "%.3f" r.wall_s;
-      Printf.sprintf "%.0f" r.ops_per_sec;
-      (if base > 0.0 then Printf.sprintf "%.0f" base else "-");
-      (if base > 0.0 then Printf.sprintf "%.1fx" (r.ops_per_sec /. base) else "-");
-    ]
-  in
-  let agg =
-    [
-      "aggregate";
-      string_of_int b.total_ops;
-      Printf.sprintf "%.3f" b.total_wall_s;
-      Printf.sprintf "%.0f" b.aggregate_ops_per_sec;
-      (if baseline_aggregate_ops_per_sec > 0.0 then
-         Printf.sprintf "%.0f" baseline_aggregate_ops_per_sec
-       else "-");
-      (if baseline_aggregate_ops_per_sec > 0.0 then
-         Printf.sprintf "%.1fx" (b.aggregate_ops_per_sec /. baseline_aggregate_ops_per_sec)
-       else "-");
-    ]
-  in
-  Format.fprintf fmt "%s@."
-    (Report.render ~header
-       ~align:[ Report.Left; Right; Right; Right; Right; Right ]
-       (List.map row b.rows @ [ agg ]))
-
-(* ------------------------------------------------------------------ *)
-(* Wall-clock / allocation / engine-counter profile of one run.        *)
-
-type profile = {
-  wall_s : float;
-  dispatched : int;
-  scheduled : int;
-  max_queue : int;
-  events_per_sec : float;
-  alloc_mb : float;  (** minor words allocated during the run *)
-  peak_heap_mb : float;  (** process-lifetime major-heap high-water mark *)
-}
-
-let bytes_per_word = float_of_int (Sys.word_size / 8)
-
-let profiled f =
-  let a0 = Gc.allocated_bytes () in
-  let t0 = Unix.gettimeofday () in
-  let x, engine = f () in
-  let wall_s = max (Unix.gettimeofday () -. t0) 1e-9 in
-  let s = Sim.Engine.stats engine in
-  ( x,
-    {
-      wall_s;
-      dispatched = s.Sim.Engine.dispatched;
-      scheduled = s.Sim.Engine.scheduled;
-      max_queue = s.Sim.Engine.max_queue;
-      events_per_sec = per_sec s.Sim.Engine.dispatched wall_s;
-      alloc_mb = (Gc.allocated_bytes () -. a0) /. 1e6;
-      peak_heap_mb =
-        float_of_int (Gc.quick_stat ()).Gc.top_heap_words *. bytes_per_word /. 1e6;
-    } )
-
-let pp_profile fmt p =
-  Format.fprintf fmt
-    "@[<v>engine profile:@,\
-    \  wall clock        %.3f s@,\
-    \  events dispatched %d (%.0f events/sec)@,\
-    \  events scheduled  %d, max queue depth %d@,\
-    \  allocated         %.1f MB, peak heap %.1f MB@]"
-    p.wall_s p.dispatched p.events_per_sec p.scheduled p.max_queue p.alloc_mb
-    p.peak_heap_mb
-
-(* ------------------------------------------------------------------ *)
-(* Full-stack scale sweep: 100k-1M roots over 64-256 nodes.            *)
-
-type scale_row = {
-  s_protocol : Dsm.Protocol.t;
-  s_roots : int;
-  s_nodes : int;
-  s_committed : int;
-  s_aborted : int;
-  s_makespan_us : float;
-  s_profile : profile;
-}
-
 (* Workload shape for a scale point: object population grows with the
    cluster (constant objects-per-node density, so contention does not
    concentrate as nodes are added), and the invocation tree is kept
    subcritical (2 ref slots x 0.4 invoke probability, expected branching
    0.8 < 1) so family size is bounded independent of the object count —
-   per-root work stays constant as the sweep scales, which is what makes
+   per-root work stays constant as the point scales, which is what makes
    events/sec comparable across points. *)
 let spec_for ~roots ~nodes =
   {
@@ -264,160 +15,3 @@ let spec_for ~roots ~nodes =
     max_ref_slots = 2;
     invoke_probability = 0.4;
   }
-
-let run_point ?(config = Core.Config.default) ~protocol ~spec () =
-  let config =
-    {
-      config with
-      Core.Config.protocol;
-      node_count = spec.Workload.Spec.node_count;
-      streaming = true;
-      trace_capacity = 0;
-    }
-  in
-  let workload = Workload.Generator.generate spec ~page_size:config.Core.Config.page_size in
-  let runtime, p =
-    profiled (fun () ->
-        let runtime =
-          Core.Runtime.create ~config ~catalog:workload.Workload.Generator.catalog
-        in
-        (* Feed arrivals lazily — one pending feeder event instead of every
-           submission pre-scheduled. At 1M roots the up-front version keeps
-           a million-entry event heap alive for the whole run (every
-           sift is O(log 1M)) and ~4x the resident memory; lazy feeding
-           keeps the pending queue at the size of the genuinely concurrent
-           work. *)
-        let engine = Core.Runtime.engine runtime in
-        let rec feed = function
-          | [] -> ()
-          | (r : Workload.Generator.root_spec) :: rest ->
-              let delay = max 0.0 (r.Workload.Generator.at -. Sim.Engine.now engine) in
-              Sim.Engine.schedule engine ~delay (fun () ->
-                  (* [submit]'s [at] is a delay from now; the feeder event
-                     already fired at the root's arrival time. *)
-                  Core.Runtime.submit runtime ~at:0.0 ~node:r.node ~oid:r.oid
-                    ~meth:r.meth ~seed:r.seed;
-                  feed rest)
-        in
-        feed workload.Workload.Generator.roots;
-        Core.Runtime.run runtime;
-        (runtime, engine))
-  in
-  let totals = Dsm.Metrics.totals (Core.Runtime.metrics runtime) in
-  {
-    s_protocol = protocol;
-    s_roots = spec.Workload.Spec.root_count;
-    s_nodes = spec.Workload.Spec.node_count;
-    s_committed = totals.Dsm.Metrics.roots_committed;
-    s_aborted = totals.Dsm.Metrics.roots_aborted;
-    s_makespan_us = Dsm.Metrics.completion_time_us (Core.Runtime.metrics runtime);
-    s_profile = p;
-  }
-
-let default_points = [ (100_000, 64); (300_000, 128); (1_000_000, 256) ]
-
-let sweep ?config ?(points = default_points) ?(protocols = Dsm.Protocol.all)
-    ?(progress = fun (_ : scale_row) -> ()) () =
-  List.concat_map
-    (fun (roots, nodes) ->
-      let spec = spec_for ~roots ~nodes in
-      List.map
-        (fun protocol ->
-          let row = run_point ?config ~protocol ~spec () in
-          progress row;
-          row)
-        protocols)
-    points
-
-let pp_sweep fmt rows =
-  Format.fprintf fmt "scale sweep (streaming metrics, bounded memory)@.";
-  let header =
-    [
-      "protocol"; "roots"; "nodes"; "committed"; "gave up"; "makespan"; "wall s";
-      "events"; "events/sec"; "max queue"; "peak heap MB";
-    ]
-  in
-  let row r =
-    [
-      Format.asprintf "%a" Dsm.Protocol.pp r.s_protocol;
-      string_of_int r.s_roots;
-      string_of_int r.s_nodes;
-      string_of_int r.s_committed;
-      string_of_int r.s_aborted;
-      Report.fmt_us r.s_makespan_us;
-      Printf.sprintf "%.2f" r.s_profile.wall_s;
-      string_of_int r.s_profile.dispatched;
-      Printf.sprintf "%.0f" r.s_profile.events_per_sec;
-      string_of_int r.s_profile.max_queue;
-      Printf.sprintf "%.1f" r.s_profile.peak_heap_mb;
-    ]
-  in
-  Format.fprintf fmt "%s@."
-    (Report.render ~header
-       ~align:
-         [
-           Report.Left; Right; Right; Right; Right; Right; Right; Right; Right; Right; Right;
-         ]
-       (List.map row rows))
-
-let sweep_rows_json rows =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "[\n";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"protocol\": %S, \"roots\": %d, \"nodes\": %d, \"committed\": %d, \
-            \"gave_up\": %d, \"makespan_us\": %.1f, \"wall_s\": %.3f, \"events\": %d, \
-            \"events_per_sec\": %.1f, \"max_queue\": %d, \"alloc_mb\": %.1f, \
-            \"peak_heap_mb\": %.1f}"
-           (Dsm.Protocol.to_string r.s_protocol)
-           r.s_roots r.s_nodes r.s_committed r.s_aborted r.s_makespan_us r.s_profile.wall_s
-           r.s_profile.dispatched r.s_profile.events_per_sec r.s_profile.max_queue
-           r.s_profile.alloc_mb r.s_profile.peak_heap_mb))
-    rows;
-  Buffer.add_string buf "\n  ]";
-  Buffer.contents buf
-
-let to_json ?bench ?(scale = []) () =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{";
-  let first = ref true in
-  let sep () =
-    if !first then first := false else Buffer.add_string buf ",";
-    Buffer.add_string buf "\n"
-  in
-  (match bench with
-  | None -> ()
-  | Some b ->
-      sep ();
-      Buffer.add_string buf "  \"engine_bench\": [\n";
-      List.iteri
-        (fun i r ->
-          if i > 0 then Buffer.add_string buf ",\n";
-          let base = Option.value (List.assoc_opt r.component baseline) ~default:0.0 in
-          Buffer.add_string buf
-            (Printf.sprintf
-               "    {\"component\": %S, \"ops\": %d, \"wall_s\": %.6f, \"ops_per_sec\": %.1f, \
-                \"baseline_ops_per_sec\": %.1f, \"speedup\": %.2f}"
-               r.component r.ops r.wall_s r.ops_per_sec base
-               (if base > 0.0 then r.ops_per_sec /. base else 0.0)))
-        b.rows;
-      Buffer.add_string buf "\n  ]";
-      sep ();
-      Buffer.add_string buf
-        (Printf.sprintf
-           "  \"aggregate\": {\"ops\": %d, \"wall_s\": %.6f, \"ops_per_sec\": %.1f, \
-            \"baseline_ops_per_sec\": %.1f, \"speedup\": %.2f}"
-           b.total_ops b.total_wall_s b.aggregate_ops_per_sec baseline_aggregate_ops_per_sec
-           (if baseline_aggregate_ops_per_sec > 0.0 then
-              b.aggregate_ops_per_sec /. baseline_aggregate_ops_per_sec
-            else 0.0)));
-  if scale <> [] then begin
-    sep ();
-    Buffer.add_string buf "  \"scale\": ";
-    Buffer.add_string buf (sweep_rows_json scale)
-  end;
-  Buffer.add_string buf "\n}\n";
-  Buffer.contents buf

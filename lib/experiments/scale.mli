@@ -1,115 +1,6 @@
-(** Engine-speed measurement and the million-transaction scale sweep.
-
-    Two instruments:
-
-    - {!engine_bench}: a pure [Sim.Engine] micro-benchmark (no DSM layers)
-      exercising the hot paths of the event-pool refactor — raw dispatch,
-      fiber spawn/wait churn, and the waiter-heavy Semaphore / Mailbox /
-      Ivar paths that used to be accidentally quadratic. It uses only the
-      public engine API, so the identical workload runs against any engine
-      revision; {!baseline} records the pre-refactor numbers.
-
-    - {!sweep}: full-stack runs of 100k-1M root transactions over 64-256
-      nodes per protocol, in the runtime's streaming mode (no per-root
-      result or serializability-history retention, family records pruned at
-      completion) so resident memory stays bounded. *)
-
-(** {1 Engine micro-benchmark} *)
-
-type bench_row = { component : string; ops : int; wall_s : float; ops_per_sec : float }
-
-val per_sec : int -> float -> float
-(** [per_sec ops wall_s]: the one rate helper every report uses — [wall_s]
-    is clamped to at least 1 ns, so a zero (or negative, after timer
-    quantisation) interval yields a large finite rate instead of a
-    division by zero or an infinity in reports and JSON. *)
-
-type bench = {
-  rows : bench_row list;
-  total_ops : int;
-  total_wall_s : float;
-  aggregate_ops_per_sec : float;
-}
-
-val engine_bench :
-  ?dispatch_events:int ->
-  ?dispatch_timers:int ->
-  ?fibers:int ->
-  ?waiters:int ->
-  ?rounds:int ->
-  unit ->
-  bench
-(** Run every component with the given sizes (defaults match {!baseline}'s
-    capture: 2M dispatch events over 10k timers, 100k fibers, 10k waiters,
-    2 rounds). *)
-
-val baseline : (string * float) list
-(** Pre-refactor ops/sec per component (plus ["aggregate"]), captured with
-    the default sizes on the reference machine; also stored as the artifact
-    [bench/engine_baseline.json]. *)
-
-val baseline_aggregate_ops_per_sec : float
-
-val pp_bench : Format.formatter -> bench -> unit
-(** Table with baseline and speedup columns. *)
-
-(** {1 Run profiling} *)
-
-type profile = {
-  wall_s : float;
-  dispatched : int;  (** engine events dispatched *)
-  scheduled : int;  (** engine events scheduled (dispatched + cancelled-by-exit) *)
-  max_queue : int;  (** high-water mark of the pending-event queue *)
-  events_per_sec : float;  (** dispatched / wall_s *)
-  alloc_mb : float;  (** [Gc.allocated_bytes] delta across the run, MB *)
-  peak_heap_mb : float;  (** [Gc.top_heap_words] — process-lifetime high-water *)
-}
-
-val profiled : (unit -> 'a * Sim.Engine.t) -> 'a * profile
-(** Time a thunk that builds {e and runs} a fresh engine, returning the
-    engine so its counters can be read. The engine must be created inside
-    the thunk (a fresh engine's counters start at zero, so totals are the
-    run's own). *)
-
-val pp_profile : Format.formatter -> profile -> unit
-
-(** {1 Scale sweep} *)
-
-type scale_row = {
-  s_protocol : Dsm.Protocol.t;
-  s_roots : int;
-  s_nodes : int;
-  s_committed : int;
-  s_aborted : int;
-  s_makespan_us : float;  (** simulated *)
-  s_profile : profile;
-}
+(** Workload shape of the large streaming runs: the tier-1 100k-root golden
+    and the benchmark's stream-scale workload. *)
 
 val spec_for : roots:int -> nodes:int -> Workload.Spec.t
 (** Workload shape for a scale point: 32 objects per node (constant
     density as the cluster grows), dense arrivals. *)
-
-val run_point :
-  ?config:Core.Config.t -> protocol:Dsm.Protocol.t -> spec:Workload.Spec.t -> unit -> scale_row
-(** One full-stack run in streaming mode (tracing off), profiled. *)
-
-val default_points : (int * int) list
-(** [(roots, nodes)]: 100k x 64, 300k x 128, 1M x 256. *)
-
-val sweep :
-  ?config:Core.Config.t ->
-  ?points:(int * int) list ->
-  ?protocols:Dsm.Protocol.t list ->
-  ?progress:(scale_row -> unit) ->
-  unit ->
-  scale_row list
-(** Cartesian product of points x protocols, in order; [progress] fires
-    after each completed run (the big points take minutes of wall clock). *)
-
-val pp_sweep : Format.formatter -> scale_row list -> unit
-
-(** {1 JSON} *)
-
-val to_json : ?bench:bench -> ?scale:scale_row list -> unit -> string
-(** The BENCH_engine.json payload: micro-benchmark rows with baseline and
-    speedup, and/or the scale-sweep rows — whichever sections are given. *)

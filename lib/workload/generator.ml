@@ -183,7 +183,7 @@ let generate spec ~page_size =
        side effect — [List.init] switches to a reverse-evaluation
        tail-recursive scheme above ~10k elements, which silently handed
        the *last* root the *first* arrival time at exactly the scales the
-       scale experiment runs. *)
+       streaming runs use. *)
     let clock = ref 0.0 in
     let rec build r acc =
       if r >= spec.Spec.root_count then List.rev acc

@@ -261,6 +261,115 @@ let test_late_window_is_harmless () =
   Alcotest.(check int) "nobody declared dead" 0 t.Dsm.Metrics.nodes_declared_dead;
   Alcotest.(check int) "no failovers" 0 t.Dsm.Metrics.failovers
 
+(* ------------------------------------------------------------------ *)
+(* Commit-point races: a crash right after a root commits must lose
+   neither the version it committed nor its release.                   *)
+
+(* One-page cells; cell 1's GDO home is node 1. A writer at node 2 commits
+   a new version of cell 1, and a reader at node 3 reads the cell once
+   every window has closed. *)
+let cell_class =
+  Objmodel.Obj_class.compile ~page_size:4096
+    (Objmodel.Obj_class.define ~name:"Cell"
+       ~attrs:[| Objmodel.Attribute.make ~name:"v" ~size_bytes:64 |]
+       ~methods:
+         [
+           Objmodel.Method_ir.make ~name:"write"
+             ~body:[ Objmodel.Method_ir.Read 0; Objmodel.Method_ir.Write 0 ];
+           Objmodel.Method_ir.make ~name:"read" ~body:[ Objmodel.Method_ir.Read 0 ];
+         ]
+       ~ref_slots:0)
+
+let cell = oid 1
+let writer_node = 2
+let reader_node = 3
+
+let race_workload =
+  let root at node meth seed = { Workload.Generator.at; node; oid = cell; meth; seed } in
+  {
+    Workload.Generator.spec =
+      { Workload.Spec.default with Workload.Spec.node_count; root_count = 2; object_count = node_count };
+    catalog =
+      Objmodel.Catalog.create
+        (List.init node_count (fun i ->
+             { Objmodel.Catalog.oid = oid i; cls = cell_class; refs = [||] }));
+    roots = [ root 0.0 writer_node "write" 1; root 30_000.0 reader_node "read" 2 ];
+  }
+
+(* One run under the crash suite's timers; the shared oracle and the stall
+   detector raise on a lost version or a leaked lock. *)
+let race_run ?(trace_capacity = 0) ~protocol ~replicas windows =
+  let config =
+    Experiments.Chaos.tight_timers
+      {
+        Core.Config.default with
+        Core.Config.faults = Some (Experiments.Chaos.crash_faults ~fault_seed:1 windows);
+        gdo_replicas = replicas;
+        trace_capacity;
+      }
+  in
+  Experiments.Runner.execute ~config ~protocol race_workload
+
+(* When the writer's root commits, read off a run whose only window opens
+   long after it: every run with a window arms the same transport and
+   heartbeats, so a run matches this one up to its first window. *)
+let writer_commit_at ~protocol ~replicas =
+  let run = race_run ~trace_capacity:10_000 ~protocol ~replicas [ (0, 90_000.0, 91_000.0) ] in
+  let commit (e : Dsm.Event.t Sim.Trace.entry) =
+    match e.Sim.Trace.data with
+    | Dsm.Event.Root_commit { node; _ } when node = writer_node -> Some e.Sim.Trace.time
+    | _ -> None
+  in
+  match Core.Runtime.trace run.Experiments.Runner.runtime with
+  | None -> Alcotest.fail "tracing is off"
+  | Some tr -> (
+      match List.find_map commit (Sim.Trace.events tr) with
+      | Some time -> time
+      | None -> Alcotest.fail "the writer never committed")
+
+(* Both roots committed, and the reader holds the version the writer
+   committed: it was neither lost with the writer's page cache nor kept
+   from the page map. *)
+let check_race name (run : Experiments.Runner.run) =
+  let rt = run.Experiments.Runner.runtime in
+  let t = Dsm.Metrics.totals (Core.Runtime.metrics rt) in
+  Alcotest.(check int) (name ^ ": both roots committed") 2 t.Dsm.Metrics.roots_committed;
+  let _, versions = Gdo.Directory.page_map (Core.Runtime.directory rt) cell in
+  Alcotest.(check bool) (name ^ ": the map has the writer's version") true (versions.(0) > 0);
+  Alcotest.(check int) (name ^ ": the reader read it") versions.(0)
+    (Dsm.Page_store.version (Core.Runtime.store rt ~node:reader_node) cell ~page:0)
+
+(* Every case: COTEC, OTEC and LOTEC, each with 0 and 1 GDO replicas. *)
+let each_race_case f =
+  List.iter
+    (fun protocol ->
+      List.iter
+        (fun replicas ->
+          let name = Format.asprintf "%a gdo_replicas=%d" Dsm.Protocol.pp protocol replicas in
+          f name ~protocol ~replicas (writer_commit_at ~protocol ~replicas))
+        [ 0; 1 ])
+    Dsm.Protocol.[ Cotec; Otec; Lotec ]
+
+(* Race one: the writer's node crashes 0.01 us after the commit, inside
+   one link latency, with its Release still on the wire. The release
+   reaches the home and points the page map at the crashed node, so the
+   crash must keep the committed version. *)
+let test_commit_then_crash () =
+  each_race_case (fun name ~protocol ~replicas tc ->
+      check_race name
+        (race_run ~protocol ~replicas [ (writer_node, tc +. 0.01, tc +. 4_000.0) ]))
+
+(* Race two: the home crashes 0.01 us after the commit, so the Release is
+   dropped on arrival, and the writer's node crashes before its first
+   retransmit. No copy gets through: the writer's node must send the
+   release again when it rejoins, or the writer's lock leaks and the
+   reader stalls. *)
+let test_release_swallowed () =
+  each_race_case (fun name ~protocol ~replicas tc ->
+      check_race name
+        (race_run ~protocol ~replicas
+           [ (1, tc +. 0.01, tc +. 4_000.0); (writer_node, tc +. 0.02, tc +. 6_000.0) ]))
+
 let tests =
   [
     ( "crash-recovery",
@@ -276,5 +385,7 @@ let tests =
         Alcotest.test_case "staggered crashes" `Quick test_staggered_crashes;
         Alcotest.test_case "crash run deterministic" `Quick test_crash_run_deterministic;
         Alcotest.test_case "late window is harmless" `Quick test_late_window_is_harmless;
+        Alcotest.test_case "commit then crash" `Quick test_commit_then_crash;
+        Alcotest.test_case "release swallowed by crashes" `Quick test_release_swallowed;
       ] );
   ]

@@ -173,10 +173,11 @@ let prop_double_resume =
       !outcome = `Raised)
 
 (* Regression for the quadratic waiter structures: 10k contenders on one
-   semaphore plus 10k suspended readers on one ivar. The pre-refactor
-   engine (waiter-list appends, linear suspended-mark scans) needed tens
-   of seconds of CPU for this; the bound stays far above the fixed
-   engine's cost yet well below the quadratic one. *)
+   semaphore, 10k suspended readers on one ivar, and 10k takers blocked
+   on one mailbox (two takes each) before a storm of puts wakes them. The
+   pre-refactor engine (waiter-list appends, linear suspended-mark scans)
+   needed tens of seconds of CPU for this; the bound stays far above the
+   fixed engine's cost yet well below the quadratic one. *)
 let test_waiter_regression () =
   let budget_s = 5.0 in
   let t0 = Sys.time () in
@@ -199,8 +200,20 @@ let test_waiter_regression () =
   done;
   Engine.schedule e ~delay:1.0 (fun () -> Engine.Ivar.fill iv ());
   Engine.run e;
+  let mb = Engine.Mailbox.create () in
+  for _ = 1 to 10_000 do
+    Engine.spawn e (fun () ->
+        ignore (Engine.Mailbox.take mb);
+        ignore (Engine.Mailbox.take mb);
+        incr completed)
+  done;
+  Engine.schedule e ~delay:1.0 (fun () ->
+      for i = 1 to 20_000 do
+        Engine.Mailbox.put mb i
+      done);
+  Engine.run e;
   let elapsed = Sys.time () -. t0 in
-  Alcotest.(check int) "all fibers completed" 20_000 !completed;
+  Alcotest.(check int) "all fibers completed" 30_000 !completed;
   if elapsed > budget_s then
     Alcotest.failf "10k-waiter workload took %.1fs CPU (budget %.1fs): waiter paths are no \
                     longer linear"

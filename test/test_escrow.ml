@@ -266,6 +266,343 @@ let test_check_escrow_rejects_unresolved_end_state () =
   in
   Alcotest.(check bool) "unreconciled delta detected" true (Result.is_error (check unreconciled))
 
+(* The replay checker's reference model: the direct fold over every
+   outstanding reservation and every node on each op (O(open obligations)
+   per op), against which the running-sum checker must agree exactly. *)
+module Escrow_model = struct
+  open Core.Serializability
+
+  type obj_state = {
+    mutable value : int;
+    mutable res : (Txn.Txn_id.t * int) list;
+    mutable committed : int;
+    nodes : (int, node_state) Hashtbl.t;
+  }
+
+  and node_state = {
+    mutable q_up : int;
+    mutable q_down : int;
+    mutable pending : int;
+    mutable spent_up : int;
+    mutable spent_down : int;
+  }
+
+  let check ~lower ~upper ~initial ~ops =
+    let errors = ref [] in
+    let err fmt = Format.kasprintf (fun s -> errors := s :: !errors) fmt in
+    let objects : obj_state Oid.Table.t = Oid.Table.create 16 in
+    let state oid =
+      match Oid.Table.find_opt objects oid with
+      | Some s -> s
+      | None ->
+          let s = { value = initial; res = []; committed = 0; nodes = Hashtbl.create 4 } in
+          Oid.Table.add objects oid s;
+          s
+    in
+    let node_state s n =
+      match Hashtbl.find_opt s.nodes n with
+      | Some ns -> ns
+      | None ->
+          let ns = { q_up = 0; q_down = 0; pending = 0; spent_up = 0; spent_down = 0 } in
+          Hashtbl.add s.nodes n ns;
+          ns
+    in
+    let worst_down s =
+      List.fold_left (fun acc (_, d) -> if d < 0 then acc + d else acc) 0 s.res
+      - Hashtbl.fold (fun _ ns acc -> acc + ns.q_down) s.nodes 0
+    in
+    let worst_up s =
+      List.fold_left (fun acc (_, d) -> if d > 0 then acc + d else acc) 0 s.res
+      + Hashtbl.fold (fun _ ns acc -> acc + ns.q_up) s.nodes 0
+    in
+    let assert_state i oid s =
+      if s.value < lower || s.value > upper then
+        err "op %d: %a value %d outside [%d, %d]" i Oid.pp oid s.value lower upper;
+      if s.value + worst_down s < lower then
+        err "op %d: %a worst-case low %d breaches floor %d" i Oid.pp oid
+          (s.value + worst_down s) lower;
+      if upper - s.value - worst_up s < 0 then
+        err "op %d: %a worst-case high %d breaches ceiling %d" i Oid.pp oid
+          (s.value + worst_up s) upper;
+      let pending = Hashtbl.fold (fun _ ns acc -> acc + ns.pending) s.nodes 0 in
+      if s.value + pending <> initial + s.committed then
+        err "op %d: %a conservation broken: value %d + pending %d <> initial %d + committed %d"
+          i Oid.pp oid s.value pending initial s.committed
+    in
+    List.iteri
+      (fun i op ->
+        match op with
+        | E_reserve { oid; family; delta } ->
+            let s = state oid in
+            let ok =
+              if delta < 0 then s.value + worst_down s - lower + delta >= 0
+              else if delta > 0 then upper - s.value - worst_up s - delta >= 0
+              else true
+            in
+            if not ok then
+              err "op %d: %a reservation %+d by %a was admitted but breaches a bound" i Oid.pp
+                oid delta Txn.Txn_id.pp family;
+            let cur = Option.value ~default:0 (List.assoc_opt family s.res) in
+            s.res <- (family, cur + delta) :: List.remove_assoc family s.res;
+            assert_state i oid s
+        | E_commit { oid; family } -> (
+            let s = state oid in
+            match List.assoc_opt family s.res with
+            | None ->
+                err "op %d: %a commit by %a with no reservation" i Oid.pp oid Txn.Txn_id.pp
+                  family
+            | Some d ->
+                s.res <- List.remove_assoc family s.res;
+                s.value <- s.value + d;
+                s.committed <- s.committed + d;
+                assert_state i oid s)
+        | E_abort { oid; family } ->
+            let s = state oid in
+            if not (List.mem_assoc family s.res) then
+              err "op %d: %a abort by %a with no reservation" i Oid.pp oid Txn.Txn_id.pp family
+            else s.res <- List.remove_assoc family s.res;
+            assert_state i oid s
+        | E_delegate { oid; node; up; down } ->
+            let s = state oid in
+            if up < 0 || down < 0 then err "op %d: %a negative delegation" i Oid.pp oid;
+            let ns = node_state s node in
+            ns.q_up <- ns.q_up + up;
+            ns.q_down <- ns.q_down + down;
+            assert_state i oid s
+        | E_local_commit { oid; node; delta } ->
+            let s = state oid in
+            let ns = node_state s node in
+            if delta > 0 then begin
+              if ns.q_up < delta then
+                err "op %d: %a node %d local commit %+d exceeds up-quota %d" i Oid.pp oid node
+                  delta ns.q_up;
+              ns.q_up <- ns.q_up - delta;
+              ns.spent_up <- ns.spent_up + delta
+            end
+            else if delta < 0 then begin
+              if ns.q_down < -delta then
+                err "op %d: %a node %d local commit %+d exceeds down-quota %d" i Oid.pp oid
+                  node delta ns.q_down;
+              ns.q_down <- ns.q_down + delta;
+              ns.spent_down <- ns.spent_down - delta
+            end;
+            ns.pending <- ns.pending + delta;
+            s.committed <- s.committed + delta;
+            assert_state i oid s
+        | E_reconcile { oid; node; delta; used_up; used_down } ->
+            let s = state oid in
+            let ns = node_state s node in
+            if delta <> ns.pending then
+              err "op %d: %a node %d reconciles %+d but %+d is pending" i Oid.pp oid node delta
+                ns.pending;
+            if used_up <> ns.spent_up || used_down <> ns.spent_down then
+              err "op %d: %a node %d reports quota use %d/%d, spent %d/%d" i Oid.pp oid node
+                used_up used_down ns.spent_up ns.spent_down;
+            s.value <- s.value + ns.pending;
+            ns.pending <- 0;
+            ns.spent_up <- 0;
+            ns.spent_down <- 0;
+            assert_state i oid s
+        | E_revoke { oid; node } ->
+            let s = state oid in
+            let ns = node_state s node in
+            if ns.pending <> 0 then
+              err "op %d: %a node %d quota revoked with %+d unreconciled" i Oid.pp oid node
+                ns.pending;
+            ns.q_up <- 0;
+            ns.q_down <- 0;
+            assert_state i oid s)
+      ops;
+    Oid.Table.iter
+      (fun oid s ->
+        List.iter
+          (fun (f, d) ->
+            err "end: %a reservation %+d by %a never resolved" Oid.pp oid d Txn.Txn_id.pp f)
+          s.res;
+        Hashtbl.iter
+          (fun n ns ->
+            if ns.pending <> 0 then
+              err "end: %a node %d still has %+d unreconciled" Oid.pp oid n ns.pending)
+          s.nodes;
+        if s.value <> initial + s.committed then
+          err "end: %a final value %d <> initial %d + committed %d" Oid.pp oid s.value initial
+            s.committed)
+      objects;
+    let finals =
+      Oid.Table.fold (fun oid s acc -> (oid, s.value) :: acc) objects []
+      |> List.sort (fun (a, _) (b, _) -> Oid.compare a b)
+    in
+    if !errors = [] then Ok finals else Error (List.rev !errors)
+end
+
+(* A random op log over two objects and three nodes, from one seed: a
+   plausible escrow history (admitted reservations, commits and aborts,
+   delegations within headroom, local commits within quota, exact
+   reconciles, revokes after them), closed by resolving what is still
+   open. Mostly valid; a reconcile may still breach a bound, as a real
+   history could. *)
+let random_escrow_log seed =
+  let open Core.Serializability in
+  let rng = Random.State.make [| seed |] in
+  let pick n = Random.State.int rng n in
+  let lower = 0 and upper = 30 and initial = 15 in
+  let value = Array.make 2 initial in
+  let res = Array.make 2 [] in
+  let q_up = Array.make_matrix 2 3 0 and q_down = Array.make_matrix 2 3 0 in
+  let pending = Array.make_matrix 2 3 0 in
+  let spent_up = Array.make_matrix 2 3 0 and spent_down = Array.make_matrix 2 3 0 in
+  let sum a = Array.fold_left ( + ) 0 a in
+  let worst_down o =
+    List.fold_left (fun acc (_, d) -> if d < 0 then acc + d else acc) 0 res.(o) - sum q_down.(o)
+  in
+  let worst_up o =
+    List.fold_left (fun acc (_, d) -> if d > 0 then acc + d else acc) 0 res.(o) + sum q_up.(o)
+  in
+  let next_family = ref 0 in
+  let ops = ref [] in
+  let emit op = ops := op :: !ops in
+  let resolve o (f, d) ~commit =
+    res.(o) <- List.remove_assoc f res.(o);
+    if commit then begin
+      value.(o) <- value.(o) + d;
+      emit (E_commit { oid = oid o; family = fam f })
+    end
+    else emit (E_abort { oid = oid o; family = fam f })
+  in
+  let reconcile o n =
+    emit
+      (E_reconcile
+         { oid = oid o; node = n; delta = pending.(o).(n); used_up = spent_up.(o).(n);
+           used_down = spent_down.(o).(n) });
+    value.(o) <- value.(o) + pending.(o).(n);
+    pending.(o).(n) <- 0;
+    spent_up.(o).(n) <- 0;
+    spent_down.(o).(n) <- 0
+  in
+  for _ = 1 to 1 + pick 40 do
+    let o = pick 2 and n = pick 3 in
+    match pick 7 with
+    | 0 ->
+        let f, cur =
+          match res.(o) with
+          | (f, d) :: _ when pick 3 = 0 -> (f, d)
+          | _ ->
+              incr next_family;
+              (!next_family, 0)
+        in
+        let delta = pick 9 - 4 in
+        if
+          (delta < 0 && value.(o) + worst_down o - lower + delta >= 0)
+          || (delta > 0 && upper - value.(o) - worst_up o - delta >= 0)
+        then begin
+          res.(o) <- (f, cur + delta) :: List.remove_assoc f res.(o);
+          emit (E_reserve { oid = oid o; family = fam f; delta })
+        end
+    | 1 | 2 -> (
+        match res.(o) with
+        | [] -> ()
+        | rs -> resolve o (List.nth rs (pick (List.length rs))) ~commit:(pick 3 > 0))
+    | 3 ->
+        let up = pick 4 and down = pick 4 in
+        if upper - value.(o) - worst_up o - up >= 0 && value.(o) + worst_down o - down >= lower
+        then begin
+          q_up.(o).(n) <- q_up.(o).(n) + up;
+          q_down.(o).(n) <- q_down.(o).(n) + down;
+          emit (E_delegate { oid = oid o; node = n; up; down })
+        end
+    | 4 ->
+        let delta =
+          if pick 2 = 0 then 1 + pick (max 1 q_up.(o).(n)) else -(1 + pick (max 1 q_down.(o).(n)))
+        in
+        if (delta > 0 && delta <= q_up.(o).(n)) || (delta < 0 && -delta <= q_down.(o).(n))
+        then begin
+          if delta > 0 then begin
+            q_up.(o).(n) <- q_up.(o).(n) - delta;
+            spent_up.(o).(n) <- spent_up.(o).(n) + delta
+          end
+          else begin
+            q_down.(o).(n) <- q_down.(o).(n) + delta;
+            spent_down.(o).(n) <- spent_down.(o).(n) - delta
+          end;
+          pending.(o).(n) <- pending.(o).(n) + delta;
+          emit (E_local_commit { oid = oid o; node = n; delta })
+        end
+    | 5 -> if pending.(o).(n) <> 0 || pick 2 = 0 then reconcile o n
+    | _ ->
+        if pending.(o).(n) = 0 then begin
+          q_up.(o).(n) <- 0;
+          q_down.(o).(n) <- 0;
+          emit (E_revoke { oid = oid o; node = n })
+        end
+  done;
+  for o = 0 to 1 do
+    List.iter (fun r -> resolve o r ~commit:(pick 2 = 0)) res.(o);
+    for n = 0 to 2 do
+      if pending.(o).(n) <> 0 then reconcile o n
+    done
+  done;
+  (lower, upper, initial, List.rev !ops)
+
+(* One corruption of a log: drop, duplicate or swap ops, nudge a number,
+   or cut the tail off (leaving reservations and deltas open). *)
+let corrupt_escrow_log seed ops =
+  let open Core.Serializability in
+  let rng = Random.State.make [| seed; 7 |] in
+  let n = List.length ops in
+  if n = 0 then ops
+  else
+    let at = Random.State.int rng n in
+    let nudge = 1 + Random.State.int rng 3 in
+    match Random.State.int rng 5 with
+    | 0 -> List.filteri (fun i _ -> i <> at) ops
+    | 1 -> List.concat (List.mapi (fun i op -> if i = at then [ op; op ] else [ op ]) ops)
+    | 2 ->
+        let a = Array.of_list ops in
+        let b = min (n - 1) (at + 1) in
+        let x = a.(at) in
+        a.(at) <- a.(b);
+        a.(b) <- x;
+        Array.to_list a
+    | 3 ->
+        List.mapi
+          (fun i op ->
+            if i <> at then op
+            else
+              match op with
+              | E_reserve r -> E_reserve { r with delta = r.delta - (2 * nudge) }
+              | E_delegate d -> E_delegate { d with up = d.up + (5 * nudge) }
+              | E_local_commit l -> E_local_commit { l with delta = l.delta + nudge }
+              | E_reconcile r -> E_reconcile { r with delta = r.delta + nudge }
+              | (E_commit _ | E_abort _ | E_revoke _) as op -> op)
+          ops
+    | _ -> List.filteri (fun i _ -> i < at) ops
+
+(* The running-sum checker returns exactly what the fold model returns —
+   verdict, finals and every error text in order — on valid logs and on
+   corrupted ones alike. *)
+let prop_check_escrow_matches_model =
+  QCheck2.Test.make ~name:"check_escrow matches the fold model" ~count:500
+    QCheck2.Gen.(pair (int_range 1 1_000_000) bool)
+    (fun (seed, corrupt) ->
+      let lower, upper, initial, ops = random_escrow_log seed in
+      let ops = if corrupt then corrupt_escrow_log seed ops else ops in
+      Core.Serializability.check_escrow ~lower ~upper ~initial ~ops
+      = Escrow_model.check ~lower ~upper ~initial ~ops)
+
+(* The generator reaches both verdicts often enough for the property to
+   compare accepting and rejecting replays. *)
+let test_escrow_log_mix () =
+  let outcomes corrupt =
+    List.init 300 (fun seed ->
+        let lower, upper, initial, ops = random_escrow_log (seed + 1) in
+        let ops = if corrupt then corrupt_escrow_log (seed + 1) ops else ops in
+        Result.is_ok (Core.Serializability.check_escrow ~lower ~upper ~initial ~ops))
+  in
+  let count b l = List.length (List.filter (( = ) b) l) in
+  let valid = outcomes false and corrupted = outcomes true in
+  Alcotest.(check bool) "most generated logs are accepted" true (count true valid > 200);
+  Alcotest.(check bool) "corruption often rejects" true (count false corrupted > 60)
+
 (* ---------- escrow off: byte-identity against the goldens ---------- *)
 
 (* The same pre-subsystem goldens test_method_cache.ml and
@@ -370,6 +707,8 @@ let tests =
           test_check_escrow_rejects_quota_overspend;
         Alcotest.test_case "replay rejects unresolved end state" `Quick
           test_check_escrow_rejects_unresolved_end_state;
+        QCheck_alcotest.to_alcotest prop_check_escrow_matches_model;
+        Alcotest.test_case "replay logs reach both verdicts" `Quick test_escrow_log_mix;
         Alcotest.test_case "escrow off is byte-identical" `Quick test_escrow_off_byte_identity;
         Alcotest.test_case "lotec headline gate" `Quick test_lotec_headline_gate;
       ] );

@@ -39,8 +39,6 @@ let test_report_render () =
   Alcotest.(check int) "4 lines" 4 (List.length lines);
   Alcotest.(check bool) "right aligned" true (List.nth lines 2 = "  1   2")
 
-let test_report_formats () = Alcotest.(check string) "us" "3.1" (Report.fmt_us 3.14)
-
 let test_runner_executes () =
   let wl = Workload.Generator.generate small_spec ~page_size:4096 in
   let run = Runner.execute ~protocol:Dsm.Protocol.Lotec wl in
@@ -200,7 +198,6 @@ let tests =
     ( "experiments",
       [
         Alcotest.test_case "report render" `Quick test_report_render;
-        Alcotest.test_case "report formats" `Quick test_report_formats;
         Alcotest.test_case "runner executes" `Quick test_runner_executes;
         Alcotest.test_case "fig bytes structure" `Quick test_fig_bytes_structure;
         Alcotest.test_case "fig bytes top objects" `Quick test_fig_bytes_top_objects;

@@ -1,9 +1,9 @@
-(* The scale experiment: streaming-mode semantics, the engine profile
-   plumbing, and the 100k-root determinism golden — the same seed must
-   produce a byte-identical Dsm.Metrics summary whether or not the
-   bounded-memory (streaming) mode is on, for every protocol. A
-   divergence would mean either the engine refactor broke determinism at
-   scale or streaming changed what a run computes. *)
+(* Large streaming runs: streaming-mode semantics and the 100k-root
+   determinism golden — the same seed must produce a byte-identical
+   Dsm.Metrics summary whether or not the bounded-memory (streaming) mode
+   is on, for every protocol. A divergence would mean either the engine
+   broke determinism at scale or streaming changed what a run computes.
+   The golden also carries the simulator's events/sec floor. *)
 
 let submit_all rt (wl : Workload.Generator.t) =
   List.iter
@@ -23,15 +23,17 @@ let run_summary ~streaming ~protocol spec =
   let wl = Workload.Generator.generate spec ~page_size:config.Core.Config.page_size in
   let rt = Core.Runtime.create ~config ~catalog:wl.Workload.Generator.catalog in
   submit_all rt wl;
+  let t0 = Sys.time () in
   Core.Runtime.run rt;
-  (Format.asprintf "%a" Dsm.Metrics.pp_summary (Core.Runtime.metrics rt), rt)
+  let cpu_s = Sys.time () -. t0 in
+  (Format.asprintf "%a" Dsm.Metrics.pp_summary (Core.Runtime.metrics rt), rt, cpu_s)
 
 (* Streaming drops per-root results and the serializability history but
    must not change anything the metrics ledger sees. *)
 let test_streaming_semantics () =
   let spec = Experiments.Scale.spec_for ~roots:500 ~nodes:8 in
-  let plain, rt_plain = run_summary ~streaming:false ~protocol:Dsm.Protocol.Lotec spec in
-  let streamed, rt_stream = run_summary ~streaming:true ~protocol:Dsm.Protocol.Lotec spec in
+  let plain, rt_plain, _ = run_summary ~streaming:false ~protocol:Dsm.Protocol.Lotec spec in
+  let streamed, rt_stream, _ = run_summary ~streaming:true ~protocol:Dsm.Protocol.Lotec spec in
   Alcotest.(check string) "summary byte-identical" plain streamed;
   Alcotest.(check int) "plain retains results" 500
     (List.length (Core.Runtime.results rt_plain));
@@ -71,7 +73,7 @@ let test_forget_family () =
    past List.init's reverse-evaluation threshold (~10k) — the original
    [List.init] construction silently handed the last root the first
    arrival time above that size, which any arrival-order consumer (the
-   scale experiment's lazy feeder) turns into a thundering herd. *)
+   benchmark's lazy feeder) turns into a thundering herd. *)
 let test_roots_ascending () =
   let spec = Experiments.Scale.spec_for ~roots:20_000 ~nodes:16 in
   let wl = Workload.Generator.generate spec ~page_size:4096 in
@@ -87,61 +89,19 @@ let test_roots_ascending () =
   Alcotest.(check int) "all roots present" 20_000
     (List.length wl.Workload.Generator.roots)
 
-(* run_point wires the profile counters through: every root accounted,
-   events dispatched, and — because arrivals are fed lazily — a queue
-   high-water far below the root count. *)
-let test_run_point_profile () =
-  let spec = Experiments.Scale.spec_for ~roots:300 ~nodes:8 in
-  let row = Experiments.Scale.run_point ~protocol:Dsm.Protocol.Lotec ~spec () in
-  Alcotest.(check int) "roots accounted" 300
-    (row.Experiments.Scale.s_committed + row.Experiments.Scale.s_aborted);
-  let p = row.Experiments.Scale.s_profile in
-  Alcotest.(check bool) "events dispatched" true (p.Experiments.Scale.dispatched > 0);
-  Alcotest.(check bool) "scheduled >= dispatched" true
-    (p.Experiments.Scale.scheduled >= p.Experiments.Scale.dispatched);
-  Alcotest.(check bool) "queue high-water positive" true (p.Experiments.Scale.max_queue > 0);
-  Alcotest.(check bool) "lazy feed keeps the queue shallow" true
-    (p.Experiments.Scale.max_queue < 300);
-  Alcotest.(check bool) "wall clock measured" true (p.Experiments.Scale.wall_s > 0.0)
-
-(* The micro-benchmark at toy sizes: ops accounting per component, and
-   the JSON payload (with a sweep row) is well-formed. *)
-let test_engine_bench_and_json () =
-  let b =
-    Experiments.Scale.engine_bench ~dispatch_events:1_000 ~dispatch_timers:10 ~fibers:200
-      ~waiters:100 ~rounds:1 ()
-  in
-  Alcotest.(check int) "five components" 5 (List.length b.Experiments.Scale.rows);
-  List.iter
-    (fun (r : Experiments.Scale.bench_row) ->
-      Alcotest.(check bool) (r.Experiments.Scale.component ^ " ops positive") true
-        (r.Experiments.Scale.ops > 0 && r.Experiments.Scale.ops_per_sec > 0.0))
-    b.Experiments.Scale.rows;
-  let spec = Experiments.Scale.spec_for ~roots:50 ~nodes:4 in
-  let row = Experiments.Scale.run_point ~protocol:Dsm.Protocol.Otec ~spec () in
-  let json = Experiments.Scale.to_json ~bench:b ~scale:[ row ] () in
-  match Dsm.Trace_export.validate_json json with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "BENCH_engine.json payload is not valid JSON: %s" e
-
-(* The rate helper behind every ops/sec and events/sec column: a
-   sub-resolution wall time must clamp instead of dividing by zero —
-   regression pin for the Inf/NaN rates toy-sized benches used to print. *)
-let test_per_sec_clamps () =
-  Alcotest.(check (float 1e-9)) "normal rate" 500.0 (Experiments.Scale.per_sec 1000 2.0);
-  Alcotest.(check (float 1e-9)) "zero ops" 0.0 (Experiments.Scale.per_sec 0 1.0);
-  Alcotest.(check bool) "zero wall clamps finite" true
-    (Float.is_finite (Experiments.Scale.per_sec 1000 0.0));
-  Alcotest.(check bool) "negative wall clamps finite" true
-    (Float.is_finite (Experiments.Scale.per_sec 1000 (-1.0)));
-  Alcotest.(check bool) "zero ops, zero wall is not NaN" true
-    (Experiments.Scale.per_sec 0 0.0 = 0.0)
-
 (* The 100k-root golden. Streaming vs plain doubles as a determinism
    check: two full submissions/runs of the same seed from different
    process states must land on the identical summary string. The
    committed counts are pinned so a silent workload or scheduling drift
-   fails loudly rather than shifting both runs in lockstep. *)
+   fails loudly rather than shifting both runs in lockstep.
+
+   The floor: each protocol dispatches at least [min_events_per_cpu_s]
+   engine events per CPU second of [Core.Runtime.run] (the faster of its
+   two runs). CPU time, not wall clock, so tests running beside it do not
+   count against it; a dev build measures about 1M, so the floor leaves
+   10x headroom for slow runners. *)
+let min_events_per_cpu_s = 100_000.0
+
 let committed_golden =
   [
     (Dsm.Protocol.Cotec, 100_000);
@@ -155,10 +115,15 @@ let test_scale_determinism () =
   List.iter
     (fun (protocol, expect_committed) ->
       let name = Format.asprintf "%a" Dsm.Protocol.pp protocol in
-      let streamed, rt = run_summary ~streaming:true ~protocol spec in
-      let streamed', _ = run_summary ~streaming:true ~protocol spec in
+      let streamed, rt, cpu_s = run_summary ~streaming:true ~protocol spec in
+      let streamed', _, cpu_s' = run_summary ~streaming:true ~protocol spec in
       Alcotest.(check string) (name ^ ": summary byte-identical across runs") streamed
         streamed';
+      let events = (Sim.Engine.stats (Core.Runtime.engine rt)).Sim.Engine.dispatched in
+      let per_cpu_s = float_of_int events /. Float.max (Float.min cpu_s cpu_s') 1e-9 in
+      if per_cpu_s < min_events_per_cpu_s then
+        Alcotest.failf "%s: %.0f events per CPU second, below the %.0f floor" name per_cpu_s
+          min_events_per_cpu_s;
       let totals = Dsm.Metrics.totals (Core.Runtime.metrics rt) in
       Alcotest.(check int)
         (name ^ ": committed golden")
@@ -178,9 +143,6 @@ let tests =
           test_streaming_requires_fault_free;
         Alcotest.test_case "forget_family" `Quick test_forget_family;
         Alcotest.test_case "roots ascending by arrival" `Quick test_roots_ascending;
-        Alcotest.test_case "run_point profile" `Quick test_run_point_profile;
-        Alcotest.test_case "engine bench + json" `Quick test_engine_bench_and_json;
-        Alcotest.test_case "per_sec clamps" `Quick test_per_sec_clamps;
         Alcotest.test_case "100k determinism golden" `Slow test_scale_determinism;
       ] );
   ]

@@ -2,8 +2,8 @@
    oracle clause names itself when a finished run's metrics (or a page
    copy) are tampered with; report-only and blocking gates, peer rows and
    per-object columns behave as documented; and every committed
-   BENCH_*.json artefact (all but the host-dependent BENCH_engine.json) is
-   valid JSON and exactly what the code produces today. *)
+   BENCH_*.json artefact is valid JSON and exactly what the code produces
+   today. *)
 
 (* ---------- oracle clauses ---------- *)
 
