@@ -3237,7 +3237,7 @@ let spawn_prefetches t ~txn ~oid ~(cm : Obj_class.compiled_method) =
             else Lock.Read
           in
           let done_iv = Sim.Engine.Ivar.create () in
-          Sim.Engine.spawn t.engine ~name:"prefetch" (fun () ->
+          Sim.Engine.spawn t.engine ~name:(fun () -> "prefetch") (fun () ->
               (* Crashed_abort included: the prefetch must always complete
                  its join ivar, or the main fiber could never unwind. *)
               (try
@@ -3548,7 +3548,7 @@ and ship_invocation t ~prng ~parent ~oid ~meth ~family ~site =
       else begin
         register_ship_site t ~family ~site;
         record_event t (fun () -> Dsm.Event.Ship_exec { oid; family; node = site });
-        Sim.Engine.spawn t.engine ~name:"ship" (fun () ->
+        Sim.Engine.spawn t.engine ~name:(fun () -> "ship") (fun () ->
             let outcome =
               try
                 run_child_attempts t ~prng ~parent ~oid ~meth ~site;
@@ -3582,7 +3582,7 @@ let submit t ~at ~node ~oid ~meth ~seed =
     invalid_arg "Runtime.submit: node out of range";
   let cm = Catalog.find_method t.catalog oid meth in
   t.outstanding <- t.outstanding + 1;
-  let name = Format.asprintf "root:%a.%s@%d" Oid.pp oid meth node in
+  let name () = Format.asprintf "root:%a.%s@%d" Oid.pp oid meth node in
   Sim.Engine.schedule t.engine ~delay:at (fun () ->
       Sim.Engine.spawn t.engine ~name (fun () ->
           let prng = Sim.Prng.create ~seed in

@@ -1,11 +1,3 @@
-module IS = Set.Make (Int)
-
-module SlotMeth = Set.Make (struct
-  type t = int * string
-
-  let compare = compare
-end)
-
 type summary = {
   read_attrs : Attribute.id list;
   write_attrs : Attribute.id list;
@@ -13,40 +5,50 @@ type summary = {
   updates : bool;
 }
 
-type acc = { reads : IS.t; writes : IS.t; invoked : SlotMeth.t }
-
-let empty_acc = { reads = IS.empty; writes = IS.empty; invoked = SlotMeth.empty }
-
-let rec analyse_block acc body = List.fold_left analyse_stmt acc body
-
-and analyse_stmt acc = function
-  | Method_ir.Read a -> { acc with reads = IS.add a acc.reads }
-  | Method_ir.Write a -> { acc with reads = IS.add a acc.reads; writes = IS.add a acc.writes }
-  | Method_ir.Invoke { slot; meth } ->
-      { acc with invoked = SlotMeth.add (slot, meth) acc.invoked }
-  | Method_ir.If { then_; else_; _ } ->
-      (* Either side may execute: union both. *)
-      analyse_block (analyse_block acc then_) else_
-  | Method_ir.Loop { body; _ } ->
-      (* Accesses are idempotent for set purposes: one pass suffices. *)
-      analyse_block acc body
-
-let analyse (m : Method_ir.t) =
-  let acc = analyse_block empty_acc m.body in
+(* One walk marks each accessed attribute in a byte per attribute (bit 0:
+   read or written, bit 1: written); one scan from the top then conses the
+   ascending lists. Either side of an [If] may execute, so both are walked;
+   accesses are idempotent for set purposes, so one pass over a [Loop] body
+   suffices. *)
+let analyse ~attr_count (m : Method_ir.t) =
+  let marks = Bytes.make attr_count '\000' in
+  let invoked = ref [] in
+  let mark a bits =
+    if a < 0 || a >= attr_count then
+      invalid_arg
+        (Printf.sprintf "Access_analysis.analyse: method %s references attribute %d out of range"
+           m.Method_ir.name a);
+    Bytes.unsafe_set marks a (Char.unsafe_chr (Char.code (Bytes.unsafe_get marks a) lor bits))
+  in
+  let rec walk body =
+    List.iter
+      (function
+        | Method_ir.Read a -> mark a 1
+        | Method_ir.Write a -> mark a 3
+        | Method_ir.Invoke { slot; meth } -> invoked := (slot, meth) :: !invoked
+        | Method_ir.If { then_; else_; _ } ->
+            walk then_;
+            walk else_
+        | Method_ir.Loop { body; _ } -> walk body)
+      body
+  in
+  walk m.Method_ir.body;
+  let reads = ref [] and writes = ref [] in
+  for a = attr_count - 1 downto 0 do
+    let bits = Char.code (Bytes.unsafe_get marks a) in
+    if bits land 1 <> 0 then reads := a :: !reads;
+    if bits land 2 <> 0 then writes := a :: !writes
+  done;
   {
-    read_attrs = IS.elements acc.reads;
-    write_attrs = IS.elements acc.writes;
-    invoked = SlotMeth.elements acc.invoked;
-    updates = not (IS.is_empty acc.writes);
+    read_attrs = !reads;
+    write_attrs = !writes;
+    invoked = List.sort_uniq compare !invoked;
+    updates = !writes <> [];
   }
 
-type page_summary = { access_pages : int list; write_pages : int list }
+type page_summary = { access_pages : int list }
 
-let pages layout s =
-  {
-    access_pages = Layout.pages_of_attrs layout s.read_attrs;
-    write_pages = Layout.pages_of_attrs layout s.write_attrs;
-  }
+let pages layout s = { access_pages = Layout.pages_of_attrs layout s.read_attrs }
 
 let pp_summary fmt s =
   let pp_ints fmt l =

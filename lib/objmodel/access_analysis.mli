@@ -20,11 +20,15 @@ type summary = {
   updates : bool;  (** true iff [write_attrs] is non-empty: lock mode W *)
 }
 
-val analyse : Method_ir.t -> summary
+val analyse : attr_count:int -> Method_ir.t -> summary
+(** The summary of a method of a class with [attr_count] attributes: one
+    walk of the body, linear in its statements plus [attr_count].
+    {!Obj_class.define} runs it once per method and keeps the result.
+    @raise Invalid_argument if the body names an attribute [a] with
+    [a < 0] or [a >= attr_count]. *)
 
 type page_summary = {
   access_pages : int list;  (** pages any predicted access (R or W) touches *)
-  write_pages : int list;  (** pages predicted writes touch *)
 }
 
 val pages : Layout.t -> summary -> page_summary

@@ -46,13 +46,24 @@ let pages_of_attr t a =
   check_attr t a;
   t.attr_pages.(a)
 
+(* Attributes are placed in id order, so the page lists of ascending ids
+   concatenate to a non-decreasing sequence: dropping each page equal to the
+   last one kept leaves the union, ascending. *)
 let pages_of_attrs t attrs =
-  let module IS = Set.Make (Int) in
-  let set =
-    List.fold_left (fun acc a -> List.fold_left (fun s p -> IS.add p s) acc (pages_of_attr t a))
-      IS.empty attrs
-  in
-  IS.elements set
+  let last_attr = ref min_int and last_page = ref (-1) and acc = ref [] in
+  List.iter
+    (fun a ->
+      if a <= !last_attr then invalid_arg "Layout.pages_of_attrs: attributes not ascending";
+      last_attr := a;
+      List.iter
+        (fun p ->
+          if p <> !last_page then begin
+            acc := p :: !acc;
+            last_page := p
+          end)
+        (pages_of_attr t a))
+    attrs;
+  List.rev !acc
 
 let attr_count t = Array.length t.offsets
 

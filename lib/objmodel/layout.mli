@@ -27,7 +27,10 @@ val pages_of_attr : t -> Attribute.id -> int list
 (** Ascending list of page indices the attribute's extent touches. *)
 
 val pages_of_attrs : t -> Attribute.id list -> int list
-(** Union of {!pages_of_attr} over a set of attributes, ascending, deduped. *)
+(** Union of {!pages_of_attr} over strictly ascending attribute ids (as
+    {!Access_analysis.summary} lists them), ascending and deduped, in one
+    pass over their page lists.
+    @raise Invalid_argument if the ids are not strictly ascending. *)
 
 val attr_count : t -> int
 

@@ -2,14 +2,15 @@ type compiled_method = {
   ir : Method_ir.t;
   summary : Access_analysis.summary;
   page_summary : Access_analysis.page_summary;
-  cpu_statements : int;
 }
 
 type t = {
   name : string;
   attrs : Attribute.t array;
   ref_slots : int;
-  method_irs : Method_ir.t list;
+  analysed : (Method_ir.t * Access_analysis.summary) list;
+      (* the methods in declaration order, each with the summary [define]
+         computed *)
   compiled : compiled option;
 }
 
@@ -18,50 +19,44 @@ and compiled = { layout : Layout.t; table : (string, compiled_method) Hashtbl.t 
 let define ~name ~attrs ~methods ~ref_slots =
   if ref_slots < 0 then invalid_arg "Obj_class.define: negative ref_slots";
   let seen = Hashtbl.create 8 in
-  List.iter
-    (fun (m : Method_ir.t) ->
-      if Hashtbl.mem seen m.Method_ir.name then
-        invalid_arg (Printf.sprintf "Obj_class.define: duplicate method %s" m.Method_ir.name);
-      Hashtbl.add seen m.Method_ir.name ();
-      if Method_ir.max_slot m >= ref_slots then
-        invalid_arg
-          (Printf.sprintf "Obj_class.define: method %s uses slot beyond ref_slots"
-             m.Method_ir.name);
-      let check_attr a =
-        if a < 0 || a >= Array.length attrs then
+  let analysed =
+    List.map
+      (fun (m : Method_ir.t) ->
+        if Hashtbl.mem seen m.Method_ir.name then
+          invalid_arg (Printf.sprintf "Obj_class.define: duplicate method %s" m.Method_ir.name);
+        Hashtbl.add seen m.Method_ir.name ();
+        if Method_ir.max_slot m >= ref_slots then
           invalid_arg
-            (Printf.sprintf "Obj_class.define: method %s references attribute %d out of range"
-               m.Method_ir.name a)
-      in
-      let summary = Access_analysis.analyse m in
-      List.iter check_attr summary.Access_analysis.read_attrs;
-      if Method_ir.commutes m then begin
-        (* Escrow-classed methods must be self-contained updates: the escrow
-           protocol replaces their page locks with a delta reservation on one
-           object, so a nested Invoke (a sub-transaction on another object)
-           or a read-only body would escape that model. *)
-        if summary.Access_analysis.invoked <> [] then
-          invalid_arg
-            (Printf.sprintf "Obj_class.define: commutative method %s contains Invoke"
+            (Printf.sprintf "Obj_class.define: method %s uses slot beyond ref_slots"
                m.Method_ir.name);
-        if not summary.Access_analysis.updates then
-          invalid_arg
-            (Printf.sprintf "Obj_class.define: commutative method %s never writes"
-               m.Method_ir.name)
-      end)
-    methods;
-  { name; attrs; ref_slots; method_irs = methods; compiled = None }
+        let summary = Access_analysis.analyse ~attr_count:(Array.length attrs) m in
+        if Method_ir.commutes m then begin
+          (* Escrow-classed methods must be self-contained updates: the escrow
+             protocol replaces their page locks with a delta reservation on one
+             object, so a nested Invoke (a sub-transaction on another object)
+             or a read-only body would escape that model. *)
+          if summary.Access_analysis.invoked <> [] then
+            invalid_arg
+              (Printf.sprintf "Obj_class.define: commutative method %s contains Invoke"
+                 m.Method_ir.name);
+          if not summary.Access_analysis.updates then
+            invalid_arg
+              (Printf.sprintf "Obj_class.define: commutative method %s never writes"
+                 m.Method_ir.name)
+        end;
+        (m, summary))
+      methods
+  in
+  { name; attrs; ref_slots; analysed; compiled = None }
 
 let compile ~page_size t =
   let layout = Layout.create ~page_size t.attrs in
   let table = Hashtbl.create 8 in
   List.iter
-    (fun ir ->
-      let summary = Access_analysis.analyse ir in
-      let page_summary = Access_analysis.pages layout summary in
+    (fun (ir, summary) ->
       Hashtbl.replace table ir.Method_ir.name
-        { ir; summary; page_summary; cpu_statements = Method_ir.statement_count ir })
-    t.method_irs;
+        { ir; summary; page_summary = Access_analysis.pages layout summary })
+    t.analysed;
   { t with compiled = Some { layout; table } }
 
 let name t = t.name
@@ -91,4 +86,4 @@ let method_names t = List.map (fun m -> m.ir.Method_ir.name) (methods t)
 
 let pp fmt t =
   Format.fprintf fmt "class %s (%d attrs, %d slots, %d methods)" t.name (Array.length t.attrs)
-    t.ref_slots (List.length t.method_irs)
+    t.ref_slots (List.length t.analysed)

@@ -1,10 +1,11 @@
 (** Class definitions and their compiled form.
 
-    A class bundles attributes and methods. "Compiling" a class fixes the
-    attribute layout for a page size and precomputes, per method, the
-    conservative access summary in page terms plus the lock-acquisition and
-    lock-release bracketing the paper's compiler inserts (represented here by
-    the runtime consulting these summaries at method entry/exit). *)
+    A class bundles attributes and methods. Defining a class runs the
+    conservative access analysis once per method; "compiling" it fixes the
+    attribute layout for a page size and turns each summary into page terms
+    — the prediction behind the lock-acquisition and lock-release
+    bracketing the paper's compiler inserts (represented here by the runtime
+    consulting these summaries at method entry/exit). *)
 
 type t
 
@@ -12,21 +13,23 @@ type compiled_method = {
   ir : Method_ir.t;
   summary : Access_analysis.summary;
   page_summary : Access_analysis.page_summary;
-  cpu_statements : int;  (** statement count, used as execution cost *)
 }
 
 val define :
   name:string -> attrs:Attribute.t array -> methods:Method_ir.t list -> ref_slots:int -> t
-(** Declare a class. [ref_slots] is the number of outgoing reference slots
-    instances carry; every [Invoke] in every method must use a slot below it.
-    Methods declared with a non-trivial {!Method_ir.commutativity} must be
-    self-contained updates: a body that writes and contains no [Invoke].
+(** Declare a class and analyse each method ({!Access_analysis.analyse});
+    the summaries are kept for {!compile}. [ref_slots] is the number of
+    outgoing reference slots instances carry; every [Invoke] in every method
+    must use a slot below it. Methods declared with a non-trivial
+    {!Method_ir.commutativity} must be self-contained updates: a body that
+    writes and contains no [Invoke].
     @raise Invalid_argument on duplicate method names, an [Invoke] slot out
-    of range, or a commutative method that is read-only or nests an
-    [Invoke]. *)
+    of range, an attribute id out of range, or a commutative method that is
+    read-only or nests an [Invoke]. *)
 
 val compile : page_size:int -> t -> t
-(** Fix the layout and compute method summaries. Idempotent. *)
+(** Fix the layout and map each method's summary, computed by {!define},
+    to pages; no method is analysed again. Idempotent. *)
 
 val name : t -> string
 val attrs : t -> Attribute.t array

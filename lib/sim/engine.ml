@@ -36,7 +36,7 @@ type t = {
    linearly on every resume). [m_fired] doubles as the double-resume
    guard. *)
 and mark = {
-  mutable m_name : string;
+  mutable m_name : unit -> string; (* forced only by the [Stalled] report *)
   mutable m_since : float;
   mutable m_fired : bool;
   mutable m_prev : mark;
@@ -47,8 +47,10 @@ exception Stalled of string
 
 let nop () = ()
 
+let default_name () = "fiber"
+
 let make_sentinel () =
-  let rec s = { m_name = ""; m_since = 0.0; m_fired = false; m_prev = s; m_next = s } in
+  let rec s = { m_name = default_name; m_since = 0.0; m_fired = false; m_prev = s; m_next = s } in
   s
 
 let create () =
@@ -193,7 +195,7 @@ let suspend register = Effect.perform (Suspend register)
 
 let fiber_count t = t.fibers
 
-let spawn t ?(name = "fiber") f =
+let spawn t ?(name = default_name) f =
   t.fibers <- t.fibers + 1;
   let body () =
     let open Effect.Deep in
@@ -229,9 +231,15 @@ let spawn t ?(name = "fiber") f =
   in
   schedule t ~delay:0.0 body
 
-let suspended_marks t =
-  let rec collect m acc = if m == t.susp then acc else collect m.m_next ((m.m_name, m.m_since) :: acc) in
-  List.rev (collect t.susp.m_next [])
+(* The stall report, newest suspension first: the only place a fiber's
+   name is built. *)
+let describe_suspended t =
+  let rec collect m acc =
+    if m == t.susp then acc
+    else
+      collect m.m_next (Printf.sprintf "%s (suspended at %.1fus)" (m.m_name ()) m.m_since :: acc)
+  in
+  String.concat ", " (List.rev (collect t.susp.m_next []))
 
 let run t =
   let rec loop () =
@@ -242,14 +250,11 @@ let run t =
     | None -> ()
   in
   loop ();
-  let suspended = suspended_marks t in
-  if t.fibers > 0 && suspended <> [] then begin
-    let describe (name, since) = Printf.sprintf "%s (suspended at %.1fus)" name since in
+  if t.fibers > 0 && t.susp.m_next != t.susp then
     raise
       (Stalled
          (Printf.sprintf "simulation stalled with %d blocked fiber(s): %s" t.fibers
-            (String.concat ", " (List.map describe suspended))))
-  end
+            (describe_suspended t)))
 
 let run_for t d =
   let deadline = t.now +. d in

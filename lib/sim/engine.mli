@@ -26,10 +26,14 @@ val schedule : t -> delay:float -> (unit -> unit) -> unit
     non-negative. [f] runs as a plain callback, not a fiber: it must not
     block. *)
 
-val spawn : t -> ?name:string -> (unit -> unit) -> unit
+val spawn : t -> ?name:(unit -> string) -> (unit -> unit) -> unit
 (** [spawn t f] starts a new fiber executing [f] at the current time. The
     fiber may call the blocking operations below. An exception escaping a
-    fiber aborts the whole simulation run. *)
+    fiber aborts the whole simulation run.
+
+    [name] (default ["fiber"]) labels the fiber in the {!Stalled} report,
+    and only that report calls it: a run that does not stall never builds
+    a name, so it can be as costly to format as the caller likes. *)
 
 val wait : float -> unit
 (** Suspend the calling fiber for the given number of microseconds.

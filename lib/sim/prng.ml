@@ -1,40 +1,50 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in an 8-byte buffer: a [mutable int64]
+   field would box a fresh Int64 on every draw. [mix], [next] and [float]
+   are inlined, so a draw that returns an [int] or a [bool] allocates
+   nothing. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create ~seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let mix z =
+let create ~seed = of_state (Int64.of_int seed)
+
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] next t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix s
 
-let split t =
-  let s = bits64 t in
-  { state = mix s }
+let bits64 t = next t
 
-let copy t = { state = t.state }
+let split t = of_state (mix (next t))
+
+let copy = Bytes.copy
 
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
   let mask = Int64.of_int max_int in
-  let v = Int64.to_int (Int64.logand (bits64 t) mask) in
+  let v = Int64.to_int (Int64.logand (next t) mask) in
   v mod bound
 
 let int_in t lo hi =
   if hi < lo then invalid_arg "Prng.int_in: empty range";
   lo + int t (hi - lo + 1)
 
-let float t bound =
+let[@inline] float t bound =
   (* 53 random bits scaled into [0, 1). *)
-  let v = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
+  let v = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   bound *. (v /. 9007199254740992.0)
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
+let bool t = Int64.logand (next t) 1L = 1L
 
 let bernoulli t p = float t 1.0 < p
 

@@ -6,11 +6,15 @@ type t = { spec : Spec.t; catalog : Catalog.t; roots : root_spec list }
 
 let method_name i = Printf.sprintf "m%d" i
 
+(* Attribute and method names, built once per [generate] call and shared by
+   every class, invoke and root that uses them. *)
+type names = { attr_names : string array; method_names : string array }
+
 (* Statements of one generated method body: a subset of the object's
    attributes is accessed (some behind data-dependent branches, so the
    conservative prediction over-approximates the actual footprint), and some
    reference slots are invoked through (sub-transactions). *)
-let gen_method rng (spec : Spec.t) ~attr_count ~slot_count ~name ~read_only =
+let gen_method rng (spec : Spec.t) ~names ~attr_count ~slot_count ~name ~read_only =
   let accessed =
     (* A contiguous window of the layout (related fields live together),
        thinned by the access density, plus an occasional scattered access
@@ -50,7 +54,7 @@ let gen_method rng (spec : Spec.t) ~attr_count ~slot_count ~name ~read_only =
         if Sim.Prng.bernoulli rng spec.invoke_probability then
           Some
             (Method_ir.Invoke
-               { slot; meth = method_name (Sim.Prng.int rng spec.methods_per_class) })
+               { slot; meth = names.method_names.(Sim.Prng.int rng spec.methods_per_class) })
         else None)
       (List.init slot_count (fun s -> s))
   in
@@ -58,13 +62,14 @@ let gen_method rng (spec : Spec.t) ~attr_count ~slot_count ~name ~read_only =
   Sim.Prng.shuffle rng stmts;
   Method_ir.make ~name ~body:(Array.to_list stmts)
 
-let gen_class rng (spec : Spec.t) ~page_size ~index ~slot_count =
+let attrs_per_page (spec : Spec.t) ~page_size = max 1 (page_size / spec.attr_size_bytes)
+
+let gen_class rng (spec : Spec.t) ~names ~page_size ~index ~slot_count =
   let pages = Sim.Prng.int_in rng spec.min_pages spec.max_pages in
-  let attrs_per_page = max 1 (page_size / spec.attr_size_bytes) in
-  let attr_count = pages * attrs_per_page in
+  let attr_count = pages * attrs_per_page spec ~page_size in
   let attrs =
     Array.init attr_count (fun a ->
-        Attribute.make ~name:(Printf.sprintf "a%d" a) ~size_bytes:spec.attr_size_bytes)
+        Attribute.make ~name:names.attr_names.(a) ~size_bytes:spec.attr_size_bytes)
   in
   let methods =
     List.init spec.methods_per_class (fun m ->
@@ -81,11 +86,12 @@ let gen_class rng (spec : Spec.t) ~page_size ~index ~slot_count =
           let commutativity =
             if m land 1 = 1 then Method_ir.Increment else Method_ir.Decrement
           in
-          Method_ir.make_commuting ~name:(method_name m) ~commutativity
+          Method_ir.make_commuting ~name:names.method_names.(m) ~commutativity
             ~body:[ Method_ir.Write 0 ]
         else
           let read_only = m > 0 && Sim.Prng.bernoulli rng spec.read_only_method_fraction in
-          gen_method rng spec ~attr_count ~slot_count ~name:(method_name m) ~read_only)
+          gen_method rng spec ~names ~attr_count ~slot_count ~name:names.method_names.(m)
+            ~read_only)
   in
   Obj_class.compile ~page_size
     (Obj_class.define
@@ -100,6 +106,13 @@ let generate spec ~page_size =
   let rng_shape = Sim.Prng.split master in
   let rng_methods = Sim.Prng.split master in
   let rng_roots = Sim.Prng.split master in
+  let names =
+    {
+      attr_names =
+        Array.init (spec.Spec.max_pages * attrs_per_page spec ~page_size) (Printf.sprintf "a%d");
+      method_names = Array.init spec.Spec.methods_per_class method_name;
+    }
+  in
   let n = spec.Spec.object_count in
   (* Reference DAG: object i points only to higher-numbered objects. *)
   let slots_of =
@@ -116,7 +129,7 @@ let generate spec ~page_size =
     List.init n (fun i ->
         let refs = slots_of.(i) in
         let cls =
-          gen_class rng_methods spec ~page_size ~index:i ~slot_count:(Array.length refs)
+          gen_class rng_methods spec ~names ~page_size ~index:i ~slot_count:(Array.length refs)
         in
         { Catalog.oid = Oid.of_int i; cls; refs })
   in
@@ -203,7 +216,7 @@ let generate spec ~page_size =
             at = !clock;
             node = r mod spec.Spec.node_count;
             oid = Oid.of_int (pick_target ());
-            meth = method_name (pick_method ());
+            meth = names.method_names.(pick_method ());
             seed = (spec.Spec.seed * 1_000_003) + (r * 7919) + 17;
           }
         in

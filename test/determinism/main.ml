@@ -109,8 +109,15 @@ let history_digest () =
   Format.printf "committed histories:@.";
   check "history digest matches golden" (History_golden.digest () = History_golden.expected)
 
+let catalog_digest () =
+  (* The generator's output: every catalog and root stream of the
+     Catalog_golden grid. *)
+  Format.printf "generated catalogs:@.";
+  check "catalog digest matches golden" (Catalog_golden.digest () = Catalog_golden.expected)
+
 let () =
   Format.printf "determinism gate (hash seed randomized: set OCAMLRUNPARAM=R)@.";
+  catalog_digest ();
   golden_metrics ();
   page_store_dump ();
   chrome_export ();

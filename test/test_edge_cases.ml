@@ -76,7 +76,7 @@ let test_loop_zero_iterations () =
     };
   Alcotest.(check int) "never executed" 0 !writes;
   (* The conservative analysis still predicts the write. *)
-  let s = Access_analysis.analyse m in
+  let s = Access_analysis.analyse ~attr_count:1 m in
   Alcotest.(check (list int)) "still predicted" [ 0 ] s.Access_analysis.write_attrs
 
 let test_nested_loops_cost () =

@@ -128,11 +128,49 @@ let contains ~sub s =
 let test_stall_detection () =
   let e = Engine.create () in
   let iv : unit Engine.Ivar.t = Engine.Ivar.create () in
-  Engine.spawn e ~name:"stuck" (fun () -> Engine.Ivar.read iv);
+  Engine.spawn e ~name:(fun () -> "stuck") (fun () -> Engine.Ivar.read iv);
   match Engine.run e with
   | () -> Alcotest.fail "expected Stalled"
   | exception Engine.Stalled msg ->
       Alcotest.(check bool) "mentions fiber" true (contains ~sub:"stuck" msg)
+
+(* Fiber names are thunks that only the stall report calls: a clean run
+   with fibers that wait and suspend builds none, and a stall builds
+   exactly the names of the fibers still suspended, each once. *)
+let test_names_on_demand () =
+  let forced = ref [] in
+  let name label () =
+    forced := label :: !forced;
+    label
+  in
+  let e = Engine.create () in
+  let iv : unit Engine.Ivar.t = Engine.Ivar.create () in
+  Engine.spawn e ~name:(name "reader") (fun () -> Engine.Ivar.read iv);
+  Engine.spawn e ~name:(name "waiter") (fun () -> Engine.wait 5.0);
+  Engine.spawn e ~name:(name "filler") (fun () ->
+      Engine.wait 1.0;
+      Engine.Ivar.fill iv ());
+  Engine.run e;
+  Alcotest.(check (list string)) "clean run builds no name" [] !forced;
+  let e = Engine.create () in
+  let never : unit Engine.Ivar.t = Engine.Ivar.create () in
+  let later : unit Engine.Ivar.t = Engine.Ivar.create () in
+  Engine.spawn e ~name:(name "stuck-a") (fun () -> Engine.Ivar.read never);
+  Engine.spawn e ~name:(name "woken") (fun () -> Engine.Ivar.read later);
+  Engine.spawn e ~name:(name "stuck-b") (fun () ->
+      Engine.wait 2.0;
+      Engine.Ivar.fill later ();
+      Engine.Ivar.read never);
+  Engine.spawn e ~name:(name "done") (fun () -> Engine.wait 3.0);
+  match Engine.run e with
+  | () -> Alcotest.fail "expected Stalled"
+  | exception Engine.Stalled msg ->
+      Alcotest.(check (list string)) "stall builds the suspended names once"
+        [ "stuck-a"; "stuck-b" ] (List.sort compare !forced);
+      List.iter
+        (fun label ->
+          Alcotest.(check bool) ("report names " ^ label) true (contains ~sub:label msg))
+        [ "stuck-a"; "stuck-b" ]
 
 let test_run_for_partial () =
   let e = Engine.create () in
@@ -177,6 +215,7 @@ let tests =
         Alcotest.test_case "mailbox blocking take" `Quick test_mailbox;
         Alcotest.test_case "mailbox buffered" `Quick test_mailbox_buffered;
         Alcotest.test_case "stall detection" `Quick test_stall_detection;
+        Alcotest.test_case "names built only on a stall" `Quick test_names_on_demand;
         Alcotest.test_case "run_for partial" `Quick test_run_for_partial;
         Alcotest.test_case "fibers interleave" `Quick test_two_fibers_interleave;
       ] );

@@ -141,7 +141,7 @@ let test_interp_choose_sees_probability () =
 
 let test_analysis_unions_branches () =
   let m = Method_ir.make ~name:"m" ~body:body_abc in
-  let s = Access_analysis.analyse m in
+  let s = Access_analysis.analyse ~attr_count:4 m in
   Alcotest.(check (list int)) "reads include writes" [ 0; 1; 2; 3 ] s.Access_analysis.read_attrs;
   Alcotest.(check (list int)) "writes" [ 1; 3 ] s.Access_analysis.write_attrs;
   Alcotest.(check bool) "updates" true s.Access_analysis.updates;
@@ -149,16 +149,26 @@ let test_analysis_unions_branches () =
 
 let test_analysis_read_only () =
   let m = Method_ir.make ~name:"m" ~body:[ Method_ir.Read 5; Method_ir.Read 5 ] in
-  let s = Access_analysis.analyse m in
+  let s = Access_analysis.analyse ~attr_count:6 m in
   Alcotest.(check bool) "not updating" false s.Access_analysis.updates;
   Alcotest.(check (list int)) "dedup" [ 5 ] s.Access_analysis.read_attrs
 
 let test_analysis_pages () =
   let l = Layout.create ~page_size:100 (attrs_of_sizes [ 90; 20; 100; 95 ]) in
   let m = Method_ir.make ~name:"m" ~body:[ Method_ir.Read 0; Method_ir.Write 3 ] in
-  let p = Access_analysis.pages l (Access_analysis.analyse m) in
-  Alcotest.(check (list int)) "access pages" [ 0; 2; 3 ] p.Access_analysis.access_pages;
-  Alcotest.(check (list int)) "write pages" [ 2; 3 ] p.Access_analysis.write_pages
+  let p = Access_analysis.pages l (Access_analysis.analyse ~attr_count:4 m) in
+  Alcotest.(check (list int)) "access pages" [ 0; 2; 3 ] p.Access_analysis.access_pages
+
+let test_analysis_attr_range () =
+  List.iter
+    (fun a ->
+      let m = Method_ir.make ~name:"m" ~body:[ Method_ir.Read 0; Method_ir.Write a ] in
+      Alcotest.check_raises (Printf.sprintf "attribute %d" a)
+        (Invalid_argument
+           (Printf.sprintf
+              "Access_analysis.analyse: method m references attribute %d out of range" a))
+        (fun () -> ignore (Access_analysis.analyse ~attr_count:4 m)))
+    [ -1; 4 ]
 
 (* Property: prediction is conservative — whatever branches execution takes,
    every executed access is inside the predicted set. *)
@@ -172,6 +182,9 @@ let gen_stmt_list =
               [
                 map (fun a -> Method_ir.Read a) (int_bound 9);
                 map (fun a -> Method_ir.Write a) (int_bound 9);
+                map2
+                  (fun slot meth -> Method_ir.Invoke { slot; meth })
+                  (int_bound 2) (oneofl [ "m0"; "m1" ]);
               ]
           in
           if n <= 1 then list_size (int_range 0 4) leaf
@@ -196,7 +209,7 @@ let qcheck_prediction_conservative =
   QCheck.Test.make ~name:"predicted superset of actual accesses" ~count:300 arb
     (fun (body, seed) ->
       let m = Method_ir.make ~name:"m" ~body in
-      let s = Access_analysis.analyse m in
+      let s = Access_analysis.analyse ~attr_count:10 m in
       let rng = Sim.Prng.create ~seed in
       let actual_reads = ref [] and actual_writes = ref [] in
       let handler =
@@ -210,6 +223,79 @@ let qcheck_prediction_conservative =
       Method_ir.interp m handler;
       List.for_all (fun a -> List.mem a s.Access_analysis.read_attrs) !actual_reads
       && List.for_all (fun a -> List.mem a s.Access_analysis.write_attrs) !actual_writes)
+
+(* The Set-based analysis the byte-array [Access_analysis.analyse]
+   replaced, kept as the model it must match. *)
+module IS = Set.Make (Int)
+
+module SlotMeth = Set.Make (struct
+  type t = int * string
+
+  let compare = compare
+end)
+
+type model_acc = { reads : IS.t; writes : IS.t; invoked : SlotMeth.t }
+
+let model_analyse (m : Method_ir.t) =
+  let rec block acc body = List.fold_left stmt acc body
+  and stmt acc = function
+    | Method_ir.Read a -> { acc with reads = IS.add a acc.reads }
+    | Method_ir.Write a -> { acc with reads = IS.add a acc.reads; writes = IS.add a acc.writes }
+    | Method_ir.Invoke { slot; meth } -> { acc with invoked = SlotMeth.add (slot, meth) acc.invoked }
+    | Method_ir.If { then_; else_; _ } -> block (block acc then_) else_
+    | Method_ir.Loop { body; _ } -> block acc body
+  in
+  let acc =
+    block { reads = IS.empty; writes = IS.empty; invoked = SlotMeth.empty } m.Method_ir.body
+  in
+  {
+    Access_analysis.read_attrs = IS.elements acc.reads;
+    write_attrs = IS.elements acc.writes;
+    invoked = SlotMeth.elements acc.invoked;
+    updates = not (IS.is_empty acc.writes);
+  }
+
+let qcheck_analysis_matches_model =
+  let print body = Format.asprintf "%a" Method_ir.pp (Method_ir.make ~name:"m" ~body) in
+  QCheck.Test.make ~name:"analysis matches the set model" ~count:500
+    (QCheck.make ~print gen_stmt_list)
+    (fun body ->
+      let m = Method_ir.make ~name:"m" ~body in
+      Access_analysis.analyse ~attr_count:10 m = model_analyse m)
+
+(* [pages_of_attrs] against concatenating each attribute's pages and
+   sorting: random attribute sizes up to twice a page plus a few bytes (so
+   attributes straddle and span pages), page sizes down to 1 byte, and
+   random ascending id lists. *)
+let qcheck_pages_of_attrs_model =
+  let open QCheck.Gen in
+  let gen =
+    int_range 1 12 >>= fun n ->
+    oneof [ return 1; int_range 1 64 ] >>= fun page_size ->
+    list_repeat n (int_range 1 ((2 * page_size) + 3)) >>= fun sizes ->
+    list_size (int_range 0 (2 * n)) (int_bound (n - 1)) >>= fun ids ->
+    return (page_size, sizes, List.sort_uniq compare ids)
+  in
+  let print (page_size, sizes, ids) =
+    Printf.sprintf "page %d sizes [%s] ids [%s]" page_size
+      (String.concat ";" (List.map string_of_int sizes))
+      (String.concat ";" (List.map string_of_int ids))
+  in
+  QCheck.Test.make ~name:"pages_of_attrs matches concat + sort_uniq" ~count:500
+    (QCheck.make ~print gen)
+    (fun (page_size, sizes, ids) ->
+      let l = Layout.create ~page_size (attrs_of_sizes sizes) in
+      Layout.pages_of_attrs l ids
+      = List.sort_uniq compare (List.concat_map (Layout.pages_of_attr l) ids))
+
+let test_pages_of_attrs_rejects_unsorted () =
+  let l = Layout.create ~page_size:100 (attrs_of_sizes [ 90; 20; 100; 95 ]) in
+  List.iter
+    (fun ids ->
+      Alcotest.check_raises "not ascending"
+        (Invalid_argument "Layout.pages_of_attrs: attributes not ascending") (fun () ->
+          ignore (Layout.pages_of_attrs l ids)))
+    [ [ 1; 0 ]; [ 0; 3; 2 ]; [ 1; 1 ] ]
 
 (* ---------- Obj_class ---------- *)
 
@@ -354,7 +440,12 @@ let tests =
         Alcotest.test_case "analysis unions" `Quick test_analysis_unions_branches;
         Alcotest.test_case "analysis read-only" `Quick test_analysis_read_only;
         Alcotest.test_case "analysis pages" `Quick test_analysis_pages;
+        Alcotest.test_case "analysis attribute range" `Quick test_analysis_attr_range;
         QCheck_alcotest.to_alcotest qcheck_prediction_conservative;
+        QCheck_alcotest.to_alcotest qcheck_analysis_matches_model;
+        QCheck_alcotest.to_alcotest qcheck_pages_of_attrs_model;
+        Alcotest.test_case "pages_of_attrs rejects unsorted" `Quick
+          test_pages_of_attrs_rejects_unsorted;
         Alcotest.test_case "class compile" `Quick test_class_compile;
         Alcotest.test_case "class uncompiled" `Quick test_class_uncompiled;
         Alcotest.test_case "class duplicate method" `Quick test_class_duplicate_method;

@@ -156,6 +156,114 @@ let test_geometric_consumes_one_draw () =
         (Prng.int a 1_000_000) (Prng.int b 1_000_000))
     [ 0.3; 1.0; 0.0; -1.0; 2.0; Float.nan; Float.infinity ]
 
+(* Outputs of every draw function at three seeds, as the boxed-state
+   generator produced them: a change of representation must keep the
+   stream. *)
+let pinned_draws seed =
+  let rng = Prng.create ~seed in
+  let draws n f = String.concat " " (List.init n (fun _ -> f ())) in
+  let bits64 = draws 3 (fun () -> Printf.sprintf "%Ld" (Prng.bits64 rng)) in
+  let int = draws 3 (fun () -> string_of_int (Prng.int rng 1_000_000)) in
+  let float = draws 2 (fun () -> Printf.sprintf "%h" (Prng.float rng 1.0)) in
+  let bernoulli = draws 8 (fun () -> if Prng.bernoulli rng 0.5 then "1" else "0") in
+  let child = Prng.split rng in
+  let split = draws 2 (fun () -> Printf.sprintf "%Ld" (Prng.bits64 child)) in
+  let twin = Prng.copy rng in
+  let copy = Printf.sprintf "%Ld %Ld" (Prng.bits64 twin) (Prng.bits64 rng) in
+  let exponential = Printf.sprintf "%h" (Prng.exponential rng ~mean:100.0) in
+  let geometric = string_of_int (Prng.geometric rng ~p:0.3) in
+  let arr = Array.init 10 Fun.id in
+  Prng.shuffle rng arr;
+  let shuffle = String.concat " " (Array.to_list (Array.map string_of_int arr)) in
+  let sample =
+    String.concat " " (List.map string_of_int (Prng.sample_without_replacement rng 4 20))
+  in
+  [
+    ("bits64", bits64);
+    ("int", int);
+    ("float", float);
+    ("bernoulli", bernoulli);
+    ("split", split);
+    ("copy", copy);
+    ("exponential", exponential);
+    ("geometric", geometric);
+    ("shuffle", shuffle);
+    ("sample", sample);
+  ]
+
+let pinned =
+  [
+    ( 0,
+      [
+        ("bits64", "-2152535657050944081 7960286522194355700 487617019471545679");
+        ("int", "378732 94747 774186");
+        ("float", "0x1.6414d5f0fa298p-3 0x1.8b082675922d5p-1");
+        ("bernoulli", "1 0 1 0 0 0 0 0");
+        ("split", "7266113453845220302 5930091704649712196");
+        ("copy", "-4337222557917806714 -4337222557917806714");
+        ("exponential", "0x1.6e72af91309ebp+4");
+        ("geometric", "5");
+        ("shuffle", "4 8 5 0 1 6 3 2 9 7");
+        ("sample", "0 4 1 5");
+      ] );
+    ( 42,
+      [
+        ("bits64", "-4767286540954276203 2949826092126892291 5139283748462763858");
+        ("int", "867860 963250 825350");
+        ("float", "0x1.bf4b38e229bb4p-3 0x1.99ec6bdd3d3c5p-1");
+        ("bernoulli", "1 0 1 1 0 0 0 1");
+        ("split", "4108534368892151294 4166677098546370367");
+        ("copy", "9140336935745592861 9140336935745592861");
+        ("exponential", "0x1.39dec7161a5bcp+3");
+        ("geometric", "3");
+        ("shuffle", "9 7 6 8 1 2 3 5 4 0");
+        ("sample", "13 5 9 8");
+      ] );
+    ( -1,
+      [
+        ("bits64", "-1956407806741107680 -1612297016619662647 4048727598324417001");
+        ("int", "89938 58798 845363");
+        ("float", "0x1.e29e59f004107p-1 0x1.017690e28e7ap-2");
+        ("bernoulli", "0 1 1 0 1 0 1 0");
+        ("split", "-2397529112756350234 4212120959269194867");
+        ("copy", "3543018601992087762 3543018601992087762");
+        ("exponential", "0x1.d764e4e185177p+3");
+        ("geometric", "1");
+        ("shuffle", "2 6 1 5 4 0 8 3 7 9");
+        ("sample", "0 3 4 14");
+      ] );
+  ]
+
+let test_pinned_stream () =
+  List.iter
+    (fun (seed, expected) ->
+      List.iter2
+        (fun (name, want) (_, got) -> check Alcotest.string (Printf.sprintf "seed %d %s" seed name) want got)
+        expected (pinned_draws seed))
+    pinned
+
+(* Minor words per draw over 100,000 draws. Boxing the state would cost
+   6 words per [int] and 8 per [float] or [bernoulli]. A draw that returns
+   an [int] or a [bool] allocates nothing; [float] keeps the 2-word box of
+   its result unless the caller inlines it, which the optimising (release)
+   build does and the dev build's [-opaque] forbids. *)
+let test_draws_do_not_allocate () =
+  let rng = Prng.create ~seed:42 in
+  let n = 100_000 in
+  let per_draw name bound f =
+    let before = Gc.minor_words () in
+    for _ = 1 to n do
+      f ()
+    done;
+    let w = (Gc.minor_words () -. before) /. float_of_int n in
+    if w >= bound then Alcotest.failf "%s: %.2f minor words per draw" name w
+  in
+  let sink = ref 0 in
+  per_draw "int" 1.0 (fun () -> sink := !sink + Prng.int rng 1000);
+  per_draw "bernoulli" 1.0 (fun () -> if Prng.bernoulli rng 0.5 then incr sink);
+  per_draw "float" 3.0 (fun () -> if Prng.float rng 1.0 < 0.5 then incr sink);
+  check bool_c "draws consumed" true (!sink > 0)
+
 let qcheck_geometric_total =
   QCheck.Test.make ~name:"geometric is total and non-negative for every p" ~count:500
     QCheck.(pair small_int float)
@@ -193,6 +301,8 @@ let tests =
         Alcotest.test_case "geometric edge cases" `Quick test_geometric_edge_cases;
         Alcotest.test_case "geometric consumes one draw" `Quick
           test_geometric_consumes_one_draw;
+        Alcotest.test_case "pinned stream" `Quick test_pinned_stream;
+        Alcotest.test_case "draws do not allocate" `Quick test_draws_do_not_allocate;
         QCheck_alcotest.to_alcotest qcheck_int_bounds;
         QCheck_alcotest.to_alcotest qcheck_geometric_total;
       ] );

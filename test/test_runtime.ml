@@ -380,6 +380,45 @@ let test_progress_probe () =
   Core.Runtime.run rt;
   Alcotest.(check bool) "versions advanced" true (Core.Runtime.next_version_exceeds rt 0)
 
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec scan i = i + n <= m && (String.sub s i n = sub || scan (i + 1)) in
+  scan 0
+
+(* A root queued behind a lock that no family will ever release stalls the
+   engine, and the report still names it root:O<k>.<meth>@<node>: the name
+   is built for the report, not at submission. *)
+let test_stalled_root_named () =
+  let rt = make_runtime () in
+  (match
+     Gdo.Directory.acquire (Core.Runtime.directory rt) (oid 1)
+       ~family:(Txn.Txn_id.of_int 1_000_000) ~node:0 ~mode:Txn.Lock.Write ()
+   with
+  | Gdo.Directory.Granted _ -> ()
+  | _ -> Alcotest.fail "phantom lock not granted");
+  Core.Runtime.submit rt ~at:0.0 ~node:2 ~oid:(oid 1) ~meth:"deposit" ~seed:1;
+  Core.Runtime.submit rt ~at:5.0 ~node:3 ~oid:(oid 2) ~meth:"audit" ~seed:2;
+  match Core.Runtime.run rt with
+  | () -> Alcotest.fail "expected Stalled"
+  | exception Sim.Engine.Stalled msg ->
+      Alcotest.(check bool) ("names the blocked root: " ^ msg) true
+        (contains ~sub:"root:O1.deposit@2 (suspended" msg);
+      Alcotest.(check bool) "only the blocked root" false (contains ~sub:"root:O2" msg)
+
+(* Submitting a root schedules its arrival and nothing more: no name is
+   formatted, which alone costs about 400 minor words per root. *)
+let test_submit_allocation () =
+  let rt = make_runtime () in
+  let n = 2_000 in
+  let targets = [| (0, "transfer"); (1, "deposit"); (2, "audit") |] in
+  let before = Gc.minor_words () in
+  for r = 0 to n - 1 do
+    let o, meth = targets.(r mod 3) in
+    Core.Runtime.submit rt ~at:(float_of_int r) ~node:(r mod 4) ~oid:(oid o) ~meth ~seed:r
+  done;
+  let per_root = (Gc.minor_words () -. before) /. float_of_int n in
+  if per_root >= 100. then Alcotest.failf "submit: %.1f minor words per root" per_root
+
 let tests =
   [
     ( "runtime",
@@ -402,5 +441,7 @@ let tests =
         Alcotest.test_case "create validation" `Quick test_create_validation;
         Alcotest.test_case "empty run" `Quick test_empty_run;
         Alcotest.test_case "progress probe" `Quick test_progress_probe;
+        Alcotest.test_case "stalled root named" `Quick test_stalled_root_named;
+        Alcotest.test_case "submit allocation" `Quick test_submit_allocation;
       ] );
   ]

@@ -180,6 +180,13 @@ let test_invalid_spec_rejected () =
     (Invalid_argument "Generator.generate: object_count must be positive") (fun () ->
       ignore (Workload.Generator.generate bad ~page_size:4096))
 
+(* Every generated catalog and root stream of a fixed grid, by digest (see
+   Catalog_golden): a change to the generator, the analysis or the layout
+   that moves any name, size, offset, page list, summary or arrival time
+   moves it. *)
+let test_catalog_golden () =
+  Alcotest.(check string) "catalog digest" Catalog_golden.expected (Catalog_golden.digest ())
+
 let tests =
   [
     ( "workload",
@@ -197,5 +204,6 @@ let tests =
         Alcotest.test_case "access skew" `Quick test_access_skew;
         Alcotest.test_case "skewed workload runs" `Quick test_skewed_workload_runs;
         Alcotest.test_case "invalid spec rejected" `Quick test_invalid_spec_rejected;
+        Alcotest.test_case "catalog golden" `Quick test_catalog_golden;
       ] );
   ]
