@@ -85,18 +85,6 @@ let cache_arg =
   in
   Arg.(value & opt string "off" & info [ "cache" ] ~doc)
 
-let cache_capacity_arg =
-  let doc = "Per-node cache capacity in entries (with --cache lru)." in
-  Arg.(value & opt (some int) None & info [ "cache-capacity" ] ~doc)
-
-(* Build a policy from the flags: the string picks the shape, the optional
-   capacity flag overrides that shape's parameter. *)
-let cache_policy ~policy ~capacity =
-  match parse_policy Dsm.Method_cache.policy_of_string policy with
-  | Dsm.Method_cache.Off -> Dsm.Method_cache.Off
-  | Dsm.Method_cache.Lru { capacity = c } ->
-      Dsm.Method_cache.Lru { capacity = Option.value capacity ~default:c }
-
 (* Message-combining policy. *)
 let batching_arg =
   let doc = "Message-combining policy: off or all." in
@@ -333,8 +321,8 @@ let run_cmd =
   in
   let action spec protocol seed roots objects skew abort_probability prefetch cpu_limited drop
       duplicate jitter fault_seed crash_windows partition_windows slow_links gdo_replicas
-      dump_directory request_timeout_us max_retransmits policy ttl cache cache_capacity
-      batching shipping escrow trace_capacity trace_tail trace_chrome =
+      dump_directory request_timeout_us max_retransmits policy ttl cache batching shipping
+      escrow trace_capacity trace_tail trace_chrome =
     let spec = apply_overrides spec seed roots in
     let spec =
       match objects with
@@ -359,7 +347,7 @@ let run_cmd =
         request_timeout_us;
         max_retransmits;
         lease = lease_policy ~policy ~ttl;
-        method_cache = cache_policy ~policy:cache ~capacity:cache_capacity;
+        method_cache = parse_policy Dsm.Method_cache.policy_of_string cache;
         batching = parse_policy Dsm.Batching.of_string batching;
         shipping = parse_policy Dsm.Shipping.policy_of_string shipping;
         escrow = parse_policy Dsm.Escrow.policy_of_string escrow;
@@ -401,9 +389,8 @@ let run_cmd =
       $ skew_arg $ abort_arg $ prefetch_arg $ cpu_arg $ fault_drop_arg $ fault_duplicate_arg
       $ fault_jitter_arg $ fault_seed_arg $ crash_windows_arg $ partition_windows_arg
       $ slow_links_arg $ gdo_replicas_arg $ dump_directory_arg $ timeout_arg
-      $ retransmits_arg $ lease_policy_arg $ lease_ttl_arg $ cache_arg $ cache_capacity_arg
-      $ batching_arg $ shipping_arg $ escrow_arg $ trace_capacity_arg $ trace_tail_arg
-      $ trace_chrome_arg)
+      $ retransmits_arg $ lease_policy_arg $ lease_ttl_arg $ cache_arg $ batching_arg
+      $ shipping_arg $ escrow_arg $ trace_capacity_arg $ trace_tail_arg $ trace_chrome_arg)
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one scenario under one protocol.") term
 

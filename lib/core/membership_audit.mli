@@ -5,8 +5,8 @@
     looks dead). What must {e never} happen is two regimes serving the
     same directory partition under the same membership epoch — the
     split-brain the epoch/lease fencing exists to prevent. This module
-    checks the log of acting-home changes the runtime appends (see
-    [Runtime.membership_log]): at most one serving node per (epoch,
+    checks the log of acting-home changes the runtime keeps
+    ([Runtime.audit] runs it): at most one serving node per (epoch,
     partition), and epochs non-decreasing along the log.
 
     The per-object half of the audit — at most one exclusive holder per

@@ -161,6 +161,7 @@ type t = {
   stores : Dsm.Page_store.t array;
   locks : Local_locks.t array;
   metrics : Dsm.Metrics.t;
+  counters : Dsm.Metrics.totals;  (* the live record inside [metrics] *)
   mutable next_version : int;
   (* Deferred GDO grants: (object, family) -> ivar of the blocked acquire. *)
   pending : reply Sim.Engine.Ivar.t Itbl.t;
@@ -349,9 +350,6 @@ let metrics t = t.metrics
 let directory t = t.gdo
 let store t ~node = t.stores.(node)
 let trace t = t.trace
-let lease_manager t = t.lease_mgr
-let lease_cache t ~node = t.lease_caches.(node)
-let method_cache t ~node = t.method_caches.(node)
 
 (* The thunk keeps event construction off the tracing-off path entirely:
    with no ring configured, no allocation or formatting happens at all. *)
@@ -370,7 +368,7 @@ let register_cache_invalidation t ~node =
   Gdo.Lease.Cache.set_on_invalidate t.lease_caches.(node) (fun oid ->
       let dropped = Dsm.Method_cache.invalidate_object t.method_caches.(node) oid in
       if dropped > 0 then begin
-        Dsm.Metrics.add_cache_invalidations t.metrics dropped;
+        t.counters.cache_invalidations <- t.counters.cache_invalidations + dropped;
         record_event t (fun () ->
             Dsm.Event.Cache_invalidate { oid = Some oid; node; entries = dropped })
       end)
@@ -414,6 +412,7 @@ let create ~config:cfg ~catalog =
               cycle));
   let engine = Sim.Engine.create () in
   let metrics = Dsm.Metrics.create () in
+  let counters = Dsm.Metrics.counters metrics in
   let trace =
     if cfg.Config.trace_capacity > 0 then
       Some (Sim.Trace.create ~capacity:cfg.Config.trace_capacity)
@@ -427,8 +426,8 @@ let create ~config:cfg ~catalog =
     (match event with
     | Sim.Fault.Drop | Sim.Fault.Crash_drop | Sim.Fault.Partition_drop
     | Sim.Fault.Link_cut_drop ->
-        Dsm.Metrics.incr_drops metrics
-    | Sim.Fault.Duplicate -> Dsm.Metrics.incr_duplicates metrics
+        counters.drops <- counters.drops + 1
+    | Sim.Fault.Duplicate -> counters.duplicates <- counters.duplicates + 1
     | Sim.Fault.Pause_defer | Sim.Fault.Slow_defer -> ());
     match trace with
     | None -> ()
@@ -461,6 +460,7 @@ let create ~config:cfg ~catalog =
       stores = Array.init cfg.Config.node_count (fun node -> Dsm.Page_store.create ~node);
       locks = Array.init cfg.Config.node_count (fun _ -> Local_locks.create tree);
       metrics;
+      counters;
       next_version = 0;
       pending = Itbl.create 64;
       inflight = Itbl.create 16;
@@ -662,7 +662,7 @@ let attach_ack_riders t ~src ~dst f =
     | mids ->
         let k = List.length mids in
         let bytes = k * Dsm.Batching.ack_rider_bytes in
-        Dsm.Metrics.add_acks_piggybacked t.metrics k;
+        t.counters.acks_piggybacked <- t.counters.acks_piggybacked + k;
         Dsm.Metrics.record_rider t.metrics ~mtype:Dsm.Wire.Ack ~count:k ~bytes;
         record_event t (fun () -> Dsm.Event.Ack_piggyback { src; dst; acks = k });
         ( bytes,
@@ -703,7 +703,7 @@ let flush_acks t ~src ~dst =
   | [] -> ()
   | mids ->
       let k = List.length mids in
-      Dsm.Metrics.add_acks_flushed t.metrics k;
+      t.counters.acks_flushed <- t.counters.acks_flushed + k;
       if k > 1 then
         Dsm.Metrics.record_rider t.metrics ~mtype:Dsm.Wire.Ack ~count:(k - 1) ~bytes:0;
       record_event t (fun () -> Dsm.Event.Ack_flush { src; dst; acks = k });
@@ -785,9 +785,9 @@ let send_reliable ?(on_abandon = fun () -> ()) t ~mtype ~src ~dst ~kind ~bytes ~
                  timer that no longer exists. *)
               on_abandon ()
             else begin
-              Dsm.Metrics.incr_timeouts t.metrics;
+              t.counters.timeouts <- t.counters.timeouts + 1;
               if attempt < t.cfg.Config.max_retransmits then begin
-                Dsm.Metrics.incr_retransmits t.metrics;
+                t.counters.retransmits <- t.counters.retransmits + 1;
                 record_event t (fun () ->
                     Dsm.Event.Retransmit
                       { mid; src; dst; attempt = attempt + 1; abandoned = false });
@@ -799,7 +799,7 @@ let send_reliable ?(on_abandon = fun () -> ()) t ~mtype ~src ~dst ~kind ~bytes ~
                    (exhausting the budget is strong evidence the peer is
                    unreachable), and fail the blocked operation — the engine
                    never hangs on an abandoned message. *)
-                Dsm.Metrics.incr_give_ups t.metrics;
+                t.counters.give_ups <- t.counters.give_ups + 1;
                 Sim.Failure_detector.hint t.detectors.(src) ~node:dst;
                 record_event t (fun () ->
                     Dsm.Event.Retransmit { mid; src; dst; attempt; abandoned = true });
@@ -930,7 +930,7 @@ let note_recall_resolved t ~oid =
 
 let process_lease_yield t ~oid ~node =
   Sim.Engine.schedule t.engine ~delay:Config.gdo_op_us (fun () ->
-      Dsm.Metrics.incr_lease_yields t.metrics;
+      t.counters.lease_yields <- t.counters.lease_yields + 1;
       match Gdo.Lease.note_yield t.lease_mgr oid ~node with
       | `Cleared ->
           record_event t (fun () ->
@@ -971,7 +971,7 @@ let start_lease_recall t ~home ~oid ~excluded =
   | `Clear -> `Clear
   | `In_progress -> `Parked
   | `Recall { Gdo.Lease.ro_nodes; ro_epoch; ro_deadline; ro_token } ->
-      Dsm.Metrics.add_lease_recalls t.metrics (List.length ro_nodes);
+      t.counters.lease_recalls <- t.counters.lease_recalls + List.length ro_nodes;
       record_event t (fun () ->
           Dsm.Event.Lease_recall
             { oid; node = home; nodes = List.length ro_nodes; epoch = ro_epoch });
@@ -998,7 +998,7 @@ let start_lease_recall t ~home ~oid ~excluded =
             if Gdo.Lease.recall_token t.lease_mgr oid = Some ro_token then begin
               if Sim.Engine.now t.engine >= ro_deadline then begin
                 if Gdo.Lease.force_clear t.lease_mgr oid ~token:ro_token then begin
-                  Dsm.Metrics.incr_lease_expiries t.metrics;
+                  t.counters.lease_expiries <- t.counters.lease_expiries + 1;
                   record_event t (fun () -> Dsm.Event.Lease_expired { oid; node = home });
                   note_recall_resolved t ~oid;
                   drain_lease_blocked t ~oid
@@ -1028,7 +1028,7 @@ let attach_lease t ~oid ~node (g : Gdo.Directory.grant) =
     in
     (match lease with
     | Some (_, epoch) ->
-        Dsm.Metrics.incr_lease_grants t.metrics;
+        t.counters.lease_grants <- t.counters.lease_grants + 1;
         record_event t (fun () -> Dsm.Event.Lease_granted { oid; node; epoch })
     | None -> ());
     lease
@@ -1132,7 +1132,7 @@ and maybe_recall_escrow t ~home ~oid =
     if quotas <> [] && not (Itbl.mem t.escrow_recalling (Oid.to_int oid)) then begin
       Itbl.replace t.escrow_recalling (Oid.to_int oid) (List.length quotas);
       let epoch = Gdo.Directory.escrow_begin_recall t.gdo oid in
-      Dsm.Metrics.incr_escrow_recalls t.metrics;
+      t.counters.escrow_recalls <- t.counters.escrow_recalls + 1;
       record_event t (fun () ->
           Dsm.Event.Escrow_recall { oid; node = home; nodes = List.length quotas; epoch });
       List.iter
@@ -1186,7 +1186,7 @@ and node_escrow_yield t ~node ~home ~oid ~epoch =
     l.el_spent_up <- 0;
     l.el_spent_down <- 0;
     l.el_commits <- 0;
-    Dsm.Metrics.incr_escrow_yields t.metrics;
+    t.counters.escrow_yields <- t.counters.escrow_yields + 1;
     record_event t (fun () -> Dsm.Event.Escrow_yield { oid; node; delta });
     let carried_net = List.map (fun (f, up, down, _) -> (f, up - down)) carried in
     let start () =
@@ -1235,7 +1235,7 @@ let process_escrow_request t ~home ~requester ~family ~oid ~delta ~want_up ~want
           Dsm.Event.Escrow_reserve { oid; family; node = requester; delta; admitted });
       let gu, gd =
         if admitted then begin
-          Dsm.Metrics.incr_escrow_reserves t.metrics;
+          t.counters.escrow_reserves <- t.counters.escrow_reserves + 1;
           record_escrow_op t (Serializability.E_reserve { oid; family; delta });
           let gu, gd =
             (* No delegation while a recall is draining: an in-flight yield
@@ -1251,7 +1251,7 @@ let process_escrow_request t ~home ~requester ~family ~oid ~delta ~want_up ~want
             else (0, 0)
           in
           if gu > 0 || gd > 0 then begin
-            Dsm.Metrics.add_escrow_quota_units t.metrics (gu + gd);
+            t.counters.escrow_quota_units <- t.counters.escrow_quota_units + (gu + gd);
             record_escrow_op t
               (Serializability.E_delegate { oid; node = requester; up = gu; down = gd });
             record_event t (fun () ->
@@ -1260,7 +1260,7 @@ let process_escrow_request t ~home ~requester ~family ~oid ~delta ~want_up ~want
           (gu, gd)
         end
         else begin
-          Dsm.Metrics.incr_escrow_refusals t.metrics;
+          t.counters.escrow_refusals <- t.counters.escrow_refusals + 1;
           (0, 0)
         end
       in
@@ -1365,7 +1365,7 @@ let rec process_acquire t ~home ~requester ~family ~oid ~mode ~block ~epoch
            the acting home, or the node is declared/parked and must not
            grant. Refuse; the requester re-routes under its caught-up
            view. *)
-        Dsm.Metrics.incr_stale_epoch_rejects t.metrics;
+        t.counters.stale_epoch_rejects <- t.counters.stale_epoch_rejects + 1;
         reply_from_home t ~home ~dst:requester ~oid iv (Error Crashed)
       end
       else if
@@ -1376,7 +1376,7 @@ let rec process_acquire t ~home ~requester ~family ~oid ~mode ~block ~epoch
            wait out every read lease the dead home granted — a stale
            lease-holder could otherwise read while the successor grants a
            conflicting write. Defer the whole acquire to the fence. *)
-        Dsm.Metrics.incr_fence_deferrals t.metrics;
+        t.counters.fence_deferrals <- t.counters.fence_deferrals + 1;
         let wait = t.fence_until.(p) -. Sim.Engine.now t.engine in
         Sim.Engine.schedule t.engine ~delay:wait (fun () ->
             process_acquire t ~home ~requester ~family ~oid ~mode ~block ~epoch iv)
@@ -1415,7 +1415,7 @@ let rec process_release t ~home ~from ~family items =
         resend_release t ~node:from ~family items
       end
       else begin
-        Dsm.Metrics.incr_gdo_releases t.metrics;
+        t.counters.gdo_releases <- t.counters.gdo_releases + 1;
         List.iter
           (fun (oid, dirty) ->
             let deliveries = Gdo.Directory.release t.gdo oid ~family ~dirty in
@@ -1510,7 +1510,7 @@ and flush_releases t ~node ~home =
   | [ (family, items) ] -> send_release t ~node ~home ~family items
   | batches ->
       let k = List.length batches in
-      Dsm.Metrics.add_releases_coalesced t.metrics (k - 1);
+      t.counters.releases_coalesced <- t.counters.releases_coalesced + (k - 1);
       record_event t (fun () -> Dsm.Event.Release_coalesced { node; home; families = k });
       (* One control header for the combined message; every family beyond
          the first adds its 8-byte id on top of its items — cheaper than
@@ -1620,7 +1620,7 @@ let recompute_acting_homes t =
       t.acting_epoch.(p) <- t.membership_epoch;
       t.membership_log <- (t.membership_epoch, p, serving) :: t.membership_log;
       if serving <> p then begin
-        Dsm.Metrics.incr_failovers t.metrics;
+        t.counters.failovers <- t.counters.failovers + 1;
         record_event t (fun () -> Dsm.Event.Failover { home = p; successor = serving });
         send_failover_confirms t ~home:p ~successor:serving
       end
@@ -1671,7 +1671,7 @@ let reclaim_dead_node t ~node:s ~repoint =
           scan 0)
   in
   if evicted > 0 || repointed > 0 then begin
-    Dsm.Metrics.add_families_reclaimed t.metrics evicted;
+    t.counters.families_reclaimed <- t.counters.families_reclaimed + evicted;
     record_event t (fun () -> Dsm.Event.Reclaim { node = s; families = evicted; repointed })
   end;
   (* Queued survivors receive their deferred grants from the acting home. *)
@@ -1720,10 +1720,10 @@ let declare_dead t ~suspect:s ~by:o =
   let inc = t.incarnation.(s) in
   Hashtbl.replace t.declared_dead (s, inc) ();
   t.declared_down.(s) <- true;
-  Dsm.Metrics.incr_nodes_declared_dead t.metrics;
+  t.counters.nodes_declared_dead <- t.counters.nodes_declared_dead + 1;
   (* Ground truth is consulted for METRICS ONLY — the declaration itself
      never reads [t.crashed]. *)
-  if not t.crashed.(s) then Dsm.Metrics.incr_false_suspicions t.metrics;
+  if not t.crashed.(s) then t.counters.false_suspicions <- t.counters.false_suspicions + 1;
   (* Declaration latency: from the start of the suspect's silence (the
      declarer's last liveness proof) to the quorum verdict — the window
      during which a genuinely dead node's partition is unavailable.
@@ -1801,7 +1801,7 @@ let record_vote t ~suspect:s ~observer:o =
     in
     if not (Hashtbl.mem tally o) then begin
       Hashtbl.replace tally o ();
-      Dsm.Metrics.incr_quorum_votes t.metrics
+      t.counters.quorum_votes <- t.counters.quorum_votes + 1
     end;
     let live_votes =
       Hashtbl.fold (fun ob () acc -> if t.declared_down.(ob) then acc else acc + 1) tally 0
@@ -1854,7 +1854,7 @@ let readmit t ~node:s =
   t.declared_down.(s) <- false;
   t.incarnation.(s) <- t.incarnation.(s) + 1;
   t.fence_until.(s) <- 0.0;
-  Dsm.Metrics.incr_node_readmissions t.metrics;
+  t.counters.node_readmissions <- t.counters.node_readmissions + 1;
   record_event t (fun () ->
       Dsm.Event.Node_readmitted { node = s; incarnation = t.incarnation.(s) });
   t.membership_epoch <- t.membership_epoch + 1;
@@ -1899,7 +1899,7 @@ let update_parking t ~node:s =
       if not t.parked.(s) then begin
         t.parked.(s) <- true;
         t.park_ivars.(s) <- Some (Sim.Engine.Ivar.create ());
-        Dsm.Metrics.incr_node_parks t.metrics;
+        t.counters.node_parks <- t.counters.node_parks + 1;
         record_event t (fun () -> Dsm.Event.Node_parked { node = s; parked = true })
       end
     end
@@ -1992,7 +1992,7 @@ let crash_enter t ~node:d =
   if t.cache_enabled then begin
     let dropped = Dsm.Method_cache.clear t.method_caches.(d) in
     if dropped > 0 then begin
-      Dsm.Metrics.add_cache_invalidations t.metrics dropped;
+      t.counters.cache_invalidations <- t.counters.cache_invalidations + dropped;
       record_event t (fun () ->
           Dsm.Event.Cache_invalidate { oid = None; node = d; entries = dropped })
     end;
@@ -2106,7 +2106,7 @@ let arm_crash_machinery t =
                      proof), so the periodic heartbeat is redundant.
                      Accounted as a 0-message/0-byte rider so the
                      suppression stays visible in the ledger. *)
-                  Dsm.Metrics.incr_heartbeats_suppressed t.metrics;
+                  t.counters.heartbeats_suppressed <- t.counters.heartbeats_suppressed + 1;
                   Dsm.Metrics.record_rider t.metrics ~mtype:Dsm.Wire.Heartbeat ~count:1
                     ~bytes:0;
                   record_event t (fun () ->
@@ -2151,13 +2151,14 @@ let group_by_source ~node ~oid (grant : Gdo.Directory.grant) pages =
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 (* Fetch the given pages from their source nodes, in parallel, and install
-   them locally. Blocks until every group has arrived — or, under crash
-   injection, until the wait is failed: every group is registered in
-   [t.fetch_waits] so a crash of either endpoint (or a transport give-up on
-   either leg) fills its ivar instead of stalling the fiber. A failed
-   fetch aborts the family: a doomed one unwinds with Crashed_abort, a
-   survivor retries — by then the page map has been repointed to a live
-   copy or the source has rejoined. *)
+   them locally. Blocks until every group has arrived or its wait is
+   failed: a transport give-up on either leg fails it on every lossy run,
+   and under crash injection every group is also registered in
+   [t.fetch_waits] so a crash of either endpoint fails it instead of
+   stalling the fiber. A failed fetch aborts the family, whose pages never
+   arrived: a doomed one unwinds with Crashed_abort, a survivor retries —
+   by then the page map has been repointed to a live copy or the source
+   has rejoined. *)
 let fetch_groups t ~family ~node ~oid groups =
   check_crashed t ~txn_root:family;
   let cfg = t.cfg in
@@ -2200,9 +2201,9 @@ let fetch_groups t ~family ~node ~oid groups =
   if t.crash_enabled then begin
     t.fetch_waits <-
       List.filter (fun fw -> not (List.exists (fun (fw', _) -> fw' == fw) join)) t.fetch_waits;
-    check_crashed t ~txn_root:family;
-    if List.exists (fun (fw, _) -> fw.fw_failed) join then raise Family_abort
-  end
+    check_crashed t ~txn_root:family
+  end;
+  if List.exists (fun (fw, _) -> fw.fw_failed) join then raise Family_abort
 
 (* Acquisition-time transfer: what moves depends on the protocol. *)
 let transfer_on_acquire t ~family ~node ~oid ~(grant : Gdo.Directory.grant) ~predicted =
@@ -2257,7 +2258,7 @@ let ensure_pages t ~family ~node ~oid ~predicted pages =
                (List.filter (fun p -> not (List.mem p pages)) predicted))
         in
         if extra <> [] then begin
-          Dsm.Metrics.add_fetches_aggregated t.metrics (List.length extra);
+          t.counters.fetches_aggregated <- t.counters.fetches_aggregated + List.length extra;
           record_event t (fun () ->
               Dsm.Event.Fetch_aggregated
                 { oid; node;
@@ -2385,18 +2386,18 @@ let rec acquire_object t ~txn ~oid ~mode ~predicted ~optimistic =
         Sim.Engine.Ivar.fill wake_iv ())
   with
   | Local_locks.Granted ->
-      Dsm.Metrics.incr_local_acquisitions t.metrics;
+      t.counters.local_acquisitions <- t.counters.local_acquisitions + 1;
       await_transfer t ~family ~oid;
       true
   | Local_locks.Queued ->
-      Dsm.Metrics.incr_local_acquisitions t.metrics;
+      t.counters.local_acquisitions <- t.counters.local_acquisitions + 1;
       Sim.Engine.Ivar.read wake_iv;
       await_transfer t ~family ~oid;
       true
   | Local_locks.Needs_upgrade ->
       if optimistic then true  (* already held for Read: good enough to keep *)
       else begin
-        Dsm.Metrics.incr_upgrades t.metrics;
+        t.counters.upgrades <- t.counters.upgrades + 1;
         record_event t (fun () -> Dsm.Event.Upgrade { oid; family = txn; node });
         let t0 = Sim.Engine.now t.engine in
         match gdo_acquire t ~node ~family ~oid ~mode:Lock.Write ~block:true with
@@ -2419,7 +2420,7 @@ let rec acquire_object t ~txn ~oid ~mode ~predicted ~optimistic =
                     lnodes
                 in
                 if not valid then begin
-                  Dsm.Metrics.incr_lease_aborts t.metrics;
+                  t.counters.lease_aborts <- t.counters.lease_aborts + 1;
                   record_event t (fun () ->
                       Dsm.Event.Lease_abort { family = txn; node; oid = Some oid });
                   gdo_release t ~node ~family [ (oid, []) ];
@@ -2438,7 +2439,7 @@ let rec acquire_object t ~txn ~oid ~mode ~predicted ~optimistic =
                issue our own blocking request. *)
             acquire_object t ~txn ~oid ~mode ~predicted ~optimistic
         | Error (Deadlock _) ->
-            Dsm.Metrics.incr_deadlock_aborts t.metrics;
+            t.counters.deadlock_aborts <- t.counters.deadlock_aborts + 1;
             raise Family_abort
         | Error Crashed ->
             (* The upgrade was disrupted by a crash or transport give-up.
@@ -2454,7 +2455,7 @@ let rec acquire_object t ~txn ~oid ~mode ~predicted ~optimistic =
              write was granted while the lease is valid), so demand fetches
              through this snapshot behave exactly as under the original
              grant. *)
-          Dsm.Metrics.incr_lease_hits t.metrics;
+          t.counters.lease_hits <- t.counters.lease_hits + 1;
           Local_locks.install_grant t.locks.(node) oid ~txn ~mode;
           set_snapshot t ~family ~oid g;
           Gdo.Lease.Cache.add_reader t.lease_caches.(node) oid ~family;
@@ -2462,7 +2463,7 @@ let rec acquire_object t ~txn ~oid ~mode ~predicted ~optimistic =
           record_event t (fun () -> Dsm.Event.Lease_hit { oid; family = txn; node });
           true
       | None -> (
-      Dsm.Metrics.incr_global_acquisitions t.metrics;
+      t.counters.global_acquisitions <- t.counters.global_acquisitions + 1;
       let had_inflight = Itbl.mem t.inflight (okey oid family) in
       if not had_inflight then
         record_event t (fun () -> Dsm.Event.Lock_request { oid; family = txn; node; mode });
@@ -2518,7 +2519,7 @@ let rec acquire_object t ~txn ~oid ~mode ~predicted ~optimistic =
               Dsm.Event.Lock_refused { oid; family = txn; node; busy = false });
           if optimistic then false
           else begin
-            Dsm.Metrics.incr_deadlock_aborts t.metrics;
+            t.counters.deadlock_aborts <- t.counters.deadlock_aborts + 1;
             record_event t (fun () ->
                 Dsm.Event.Deadlock_abort { family = txn; node; cycle = List.length cycle });
             raise Family_abort
@@ -2789,7 +2790,7 @@ let eager_push t ~node items =
               (fun (page, v, _) -> Dsm.Page_store.receive t.stores.(dest) oid ~page ~version:v)
               dirty
           in
-          Dsm.Metrics.incr_eager_pushes t.metrics;
+          t.counters.eager_pushes <- t.counters.eager_pushes + 1;
           match (cfg.Config.multicast_push, dests) with
           | true, first :: rest ->
               (* One multicast message: charged once, delivered everywhere.
@@ -2861,7 +2862,7 @@ let escrow_send_reconcile t ~node oid (l : escrow_ledger) =
     l.el_spent_up <- 0;
     l.el_spent_down <- 0;
     l.el_commits <- 0;
-    Dsm.Metrics.incr_escrow_reconciles t.metrics;
+    t.counters.escrow_reconciles <- t.counters.escrow_reconciles + 1;
     record_event t (fun () -> Dsm.Event.Escrow_reconcile { oid; node; delta; commits });
     let home = home_of t oid in
     let apply () =
@@ -3024,7 +3025,7 @@ let commit_root t root =
   Txn_id.Table.remove t.snapshots root;
   drop_ship_state t root;
   drop_txn_state t root;
-  Dsm.Metrics.incr_roots_committed t.metrics;
+  t.counters.roots_committed <- t.counters.roots_committed + 1;
   (* Streaming runs are fault-free, so nothing consults a completed
      family's tree records afterwards (the defunct-family fence and crash
      reclamation, the only such readers, need the reliable transport). *)
@@ -3084,7 +3085,7 @@ let crashed_purge_root t root =
   if t.lease_enabled then drop_lease_reads t root;
   Txn_tree.set_status t.tree root Txn_tree.Aborted;
   record_event t (fun () -> Dsm.Event.Crash_abort { family = root; node });
-  Dsm.Metrics.incr_crash_aborts t.metrics;
+  t.counters.crash_aborts <- t.counters.crash_aborts + 1;
   Txn_id.Table.remove t.snapshots root;
   Txn_id.Table.remove t.live_roots root;
   (* A doomed family's exec-site record must outlive the purge: the family
@@ -3150,7 +3151,7 @@ let try_cache_serve t ~txn ~oid ~(cm : Obj_class.compiled_method) =
     | None -> (
         match lease_hit t ~node ~oid ~mode:Lock.Read with
         | None ->
-            Dsm.Metrics.incr_cache_misses t.metrics;
+            t.counters.cache_misses <- t.counters.cache_misses + 1;
             false
         | Some g -> (
             match
@@ -3158,10 +3159,10 @@ let try_cache_serve t ~txn ~oid ~(cm : Obj_class.compiled_method) =
                 ~meth:cm.Obj_class.ir.Method_ir.name ~versions:(cache_versions cm g)
             with
             | None ->
-                Dsm.Metrics.incr_cache_misses t.metrics;
+                t.counters.cache_misses <- t.counters.cache_misses + 1;
                 false
             | Some reads ->
-                Dsm.Metrics.incr_cache_hits t.metrics;
+                t.counters.cache_hits <- t.counters.cache_hits + 1;
                 Local_locks.install_grant t.locks.(node) oid ~txn ~mode:Lock.Read;
                 set_snapshot t ~family ~oid g;
                 Gdo.Lease.Cache.add_reader t.lease_caches.(node) oid ~family;
@@ -3206,7 +3207,7 @@ let try_cache_fill t ~txn ~oid ~(cm : Obj_class.compiled_method) =
             Dsm.Method_cache.install t.method_caches.(node) ~oid
               ~meth:cm.Obj_class.ir.Method_ir.name ~versions:(cache_versions cm g) ~reads
           then begin
-            Dsm.Metrics.incr_cache_fills t.metrics;
+            t.counters.cache_fills <- t.counters.cache_fills + 1;
             record_event t (fun () ->
                 Dsm.Event.Cache_fill { oid; node; pages = List.length reads })
           end
@@ -3303,7 +3304,7 @@ let escrow_try t ~oid ~(cm : Obj_class.compiled_method) ~node ~family =
          if can_local then begin
            if delta > 0 then l.el_q_up <- l.el_q_up - delta
            else l.el_q_down <- l.el_q_down + delta;
-           Dsm.Metrics.incr_escrow_local_commits t.metrics;
+           t.counters.escrow_local_commits <- t.counters.escrow_local_commits + 1;
            record_event t (fun () ->
                Dsm.Event.Escrow_local_commit { oid; family; node; delta });
            let fe = fam_escrow_of t family in
@@ -3449,7 +3450,7 @@ and run_child_attempts t ~prng ~parent ~oid ~meth ~site =
       (* Injected failure at completion: undo and re-execute (paper §3.2:
          failed sub-transactions may be retried without discarding the rest
          of the family). *)
-      Dsm.Metrics.incr_sub_aborts t.metrics;
+      t.counters.sub_aborts <- t.counters.sub_aborts + 1;
       (try abort_sub_txn t txn
        with Crashed_abort ->
          crashed_purge_sub t txn;
@@ -3477,7 +3478,7 @@ and decide_exec_site t ~parent ~oid ~(cm : Obj_class.compiled_method) =
   let st = ship_state_of t ~family ~node:(Txn_tree.node_of t.tree family) in
   match Oid.Table.find_opt st.pins oid with
   | Some site ->
-      if site <> pnode then Dsm.Metrics.incr_ships_forced t.metrics;
+      if site <> pnode then t.counters.ships_forced <- t.counters.ships_forced + 1;
       site
   | None ->
       let params =
@@ -3506,10 +3507,10 @@ and decide_exec_site t ~parent ~oid ~(cm : Obj_class.compiled_method) =
             if t.crash_enabled && t.crashed.(site) then (pnode, 0)
             else (site, saved_bytes)
       in
-      if site = pnode then Dsm.Metrics.incr_ship_declines t.metrics
+      if site = pnode then t.counters.ship_declines <- t.counters.ship_declines + 1
       else begin
-        Dsm.Metrics.incr_ships t.metrics;
-        Dsm.Metrics.add_ship_bytes_saved t.metrics saved_bytes
+        t.counters.ships <- t.counters.ships + 1;
+        t.counters.ship_bytes_saved <- t.counters.ship_bytes_saved + saved_bytes
       end;
       record_event t (fun () ->
           Dsm.Event.Ship_decision
@@ -3632,7 +3633,7 @@ let submit t ~at ~node ~oid ~meth ~seed =
                   `Committed
                 end
                 else begin
-                  Dsm.Metrics.incr_lease_aborts t.metrics;
+                  t.counters.lease_aborts <- t.counters.lease_aborts + 1;
                   record_event t (fun () ->
                       Dsm.Event.Lease_abort { family = root; node; oid = None });
                   abort_root t root;
@@ -3674,10 +3675,10 @@ let submit t ~at ~node ~oid ~meth ~seed =
                   (Sim.Engine.now t.engine -. submitted_at);
                 (k + 1, Committed)
             | `Fatal ->
-                Dsm.Metrics.incr_roots_aborted t.metrics;
+                t.counters.roots_aborted <- t.counters.roots_aborted + 1;
                 (k + 1, Gave_up)
             | `Retry when k < Config.max_root_retries -> begin
-              Dsm.Metrics.incr_retries t.metrics;
+              t.counters.retries <- t.counters.retries + 1;
               let backoff =
                 Config.root_retry_backoff_us
                 *. float_of_int (1 lsl min k 6)
@@ -3687,7 +3688,7 @@ let submit t ~at ~node ~oid ~meth ~seed =
               attempt (k + 1)
             end
             | `Retry ->
-                Dsm.Metrics.incr_roots_aborted t.metrics;
+                t.counters.roots_aborted <- t.counters.roots_aborted + 1;
                 (k + 1, Gave_up)
           in
           let attempts, outcome = attempt 0 in
@@ -3729,7 +3730,6 @@ let run t =
 
 let results t = List.rev t.results
 let committed_history t = List.rev t.history
-let escrow_ops t = List.rev t.escrow_ops
 
 let check_escrow t =
   match t.escrow_params with
@@ -3738,8 +3738,8 @@ let check_escrow t =
       Serializability.check_escrow ~lower:p.Dsm.Escrow.lower_bound
         ~upper:p.Dsm.Escrow.upper_bound ~initial:p.Dsm.Escrow.initial
         ~ops:(List.rev t.escrow_ops)
+
 let membership_epoch t = t.membership_epoch
-let membership_log t = t.membership_log
 let node_declared_down t ~node = t.declared_down.(node)
 let node_parked t ~node = t.parked.(node)
 

@@ -58,19 +58,6 @@ val trace : t -> Dsm.Event.t Sim.Trace.t option
     its entries to {!Dsm.Trace_export} for the per-transaction timeline or
     the Chrome trace-event JSON export. *)
 
-val lease_manager : t -> Gdo.Lease.t
-(** The home-side lease manager (shared by all homes in-process). Inert —
-    every operation a no-op — unless [Config.lease] enables a policy. *)
-
-val lease_cache : t -> node:int -> Gdo.Lease.Cache.cache
-(** [node]'s local lease cache (see {!Gdo.Lease.Cache}); for tests and
-    diagnostics. *)
-
-val method_cache : t -> node:int -> Dsm.Method_cache.t
-(** [node]'s method-result cache (see {!Dsm.Method_cache}); inert — empty
-    forever — unless [Config.method_cache] enables a policy. For tests and
-    diagnostics. *)
-
 val submit : t -> at:float -> node:int -> oid:Oid.t -> meth:string -> seed:int -> unit
 (** Schedule a root invocation of [meth] on [oid] at node [node] and
     simulated time [at]. [seed] makes the root's private random stream
@@ -94,23 +81,15 @@ val committed_history : t -> Serializability.committed_root list
 
 val check_serializable : t -> Serializability.verdict
 
-val escrow_ops : t -> Serializability.escrow_op list
-(** The typed escrow op log, in simulated-time order. Empty when the
-    escrow policy is off (or nothing commuting ran). *)
-
 val check_escrow : t -> ((Objmodel.Oid.t * int) list, string list) result
-(** Replay {!escrow_ops} through {!Serializability.check_escrow} under the
-    run's escrow bounds. [Ok []] trivially when the policy is off. *)
+(** Replay the run's typed escrow op log, in simulated-time order, through
+    {!Serializability.check_escrow} under the run's escrow bounds. [Ok []]
+    trivially when the policy is off. *)
 
 val membership_epoch : t -> int
 (** Current membership epoch: bumped at every quorum death declaration,
     readmission, and rejoin-with-standing-declaration. 0 for fault-free
     runs. *)
-
-val membership_log : t -> (int * int * int) list
-(** Acting-home change log, {e newest first}: (membership epoch,
-    partition, serving node) appended whenever a partition's acting home
-    changes. Feed to {!Membership_audit.check} — or use {!audit}. *)
 
 val node_declared_down : t -> node:int -> bool
 (** Has a quorum declared [node] dead under its current incarnation (and

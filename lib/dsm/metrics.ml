@@ -11,62 +11,6 @@ type per_object = {
 }
 
 type totals = {
-  roots_committed : int;
-  roots_aborted : int;
-  deadlock_aborts : int;
-  sub_aborts : int;
-  retries : int;
-  local_acquisitions : int;
-  global_acquisitions : int;
-  upgrades : int;
-  eager_pushes : int;
-  demand_fetches : int;
-  drops : int;
-  duplicates : int;
-  retransmits : int;
-  timeouts : int;
-  gdo_releases : int;
-  lease_grants : int;
-  lease_hits : int;
-  lease_recalls : int;
-  lease_yields : int;
-  lease_expiries : int;
-  lease_aborts : int;
-  give_ups : int;
-  crash_aborts : int;
-  nodes_declared_dead : int;
-  families_reclaimed : int;
-  failovers : int;
-  quorum_votes : int;
-  false_suspicions : int;
-  node_readmissions : int;
-  stale_epoch_rejects : int;
-  fence_deferrals : int;
-  node_parks : int;
-  acks_piggybacked : int;
-  acks_flushed : int;
-  fetches_aggregated : int;
-  releases_coalesced : int;
-  heartbeats_suppressed : int;
-  cache_hits : int;
-  cache_misses : int;
-  cache_fills : int;
-  cache_invalidations : int;
-  ships : int;
-  ship_declines : int;
-  ships_forced : int;
-  ship_bytes_saved : int;
-  escrow_reserves : int;
-  escrow_local_commits : int;
-  escrow_reconciles : int;
-  escrow_recalls : int;
-  escrow_yields : int;
-  escrow_refusals : int;
-  escrow_quota_units : int;
-}
-
-type t = {
-  objects : per_object Oid.Table.t;
   mutable roots_committed : int;
   mutable roots_aborted : int;
   mutable deadlock_aborts : int;
@@ -76,6 +20,7 @@ type t = {
   mutable global_acquisitions : int;
   mutable upgrades : int;
   mutable eager_pushes : int;
+  mutable demand_fetches : int;
   mutable drops : int;
   mutable duplicates : int;
   mutable retransmits : int;
@@ -118,8 +63,12 @@ type t = {
   mutable escrow_yields : int;
   mutable escrow_refusals : int;
   mutable escrow_quota_units : int;
+}
+
+type t = {
+  objects : per_object Oid.Table.t;
+  counters : totals;
   mutable completion_time_us : float;
-  size_buckets : int array;  (* power-of-two message size histogram *)
   (* Per-message-type ledger, indexed by Wire.index; reconciles exactly with
      the per-object message/byte totals (every remote send is recorded in
      both, retransmitted copies included). *)
@@ -139,66 +88,67 @@ type t = {
   declaration_latency : Histogram.t;
 }
 
-let bucket_bounds = [| 128; 256; 512; 1024; 2048; 4096; 8192; max_int |]
-
 let untagged = Oid.of_int 0x3FFFFFFF
 
 let create () =
   {
     objects = Oid.Table.create 128;
-    roots_committed = 0;
-    roots_aborted = 0;
-    deadlock_aborts = 0;
-    sub_aborts = 0;
-    retries = 0;
-    local_acquisitions = 0;
-    global_acquisitions = 0;
-    upgrades = 0;
-    eager_pushes = 0;
-    drops = 0;
-    duplicates = 0;
-    retransmits = 0;
-    timeouts = 0;
-    gdo_releases = 0;
-    lease_grants = 0;
-    lease_hits = 0;
-    lease_recalls = 0;
-    lease_yields = 0;
-    lease_expiries = 0;
-    lease_aborts = 0;
-    give_ups = 0;
-    crash_aborts = 0;
-    nodes_declared_dead = 0;
-    families_reclaimed = 0;
-    failovers = 0;
-    quorum_votes = 0;
-    false_suspicions = 0;
-    node_readmissions = 0;
-    stale_epoch_rejects = 0;
-    fence_deferrals = 0;
-    node_parks = 0;
-    acks_piggybacked = 0;
-    acks_flushed = 0;
-    fetches_aggregated = 0;
-    releases_coalesced = 0;
-    heartbeats_suppressed = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-    cache_fills = 0;
-    cache_invalidations = 0;
-    ships = 0;
-    ship_declines = 0;
-    ships_forced = 0;
-    ship_bytes_saved = 0;
-    escrow_reserves = 0;
-    escrow_local_commits = 0;
-    escrow_reconciles = 0;
-    escrow_recalls = 0;
-    escrow_yields = 0;
-    escrow_refusals = 0;
-    escrow_quota_units = 0;
+    counters =
+      {
+        roots_committed = 0;
+        roots_aborted = 0;
+        deadlock_aborts = 0;
+        sub_aborts = 0;
+        retries = 0;
+        local_acquisitions = 0;
+        global_acquisitions = 0;
+        upgrades = 0;
+        eager_pushes = 0;
+        demand_fetches = 0;
+        drops = 0;
+        duplicates = 0;
+        retransmits = 0;
+        timeouts = 0;
+        gdo_releases = 0;
+        lease_grants = 0;
+        lease_hits = 0;
+        lease_recalls = 0;
+        lease_yields = 0;
+        lease_expiries = 0;
+        lease_aborts = 0;
+        give_ups = 0;
+        crash_aborts = 0;
+        nodes_declared_dead = 0;
+        families_reclaimed = 0;
+        failovers = 0;
+        quorum_votes = 0;
+        false_suspicions = 0;
+        node_readmissions = 0;
+        stale_epoch_rejects = 0;
+        fence_deferrals = 0;
+        node_parks = 0;
+        acks_piggybacked = 0;
+        acks_flushed = 0;
+        fetches_aggregated = 0;
+        releases_coalesced = 0;
+        heartbeats_suppressed = 0;
+        cache_hits = 0;
+        cache_misses = 0;
+        cache_fills = 0;
+        cache_invalidations = 0;
+        ships = 0;
+        ship_declines = 0;
+        ships_forced = 0;
+        ship_bytes_saved = 0;
+        escrow_reserves = 0;
+        escrow_local_commits = 0;
+        escrow_reconciles = 0;
+        escrow_recalls = 0;
+        escrow_yields = 0;
+        escrow_refusals = 0;
+        escrow_quota_units = 0;
+      };
     completion_time_us = 0.0;
-    size_buckets = Array.make (Array.length bucket_bounds) 0;
     wire_counts = Array.make Wire.count 0;
     wire_bytes = Array.make Wire.count 0;
     wire_riders = Array.make Wire.count 0;
@@ -208,6 +158,11 @@ let create () =
     recovery_latency = Histogram.create ();
     declaration_latency = Histogram.create ();
   }
+
+let counters t = t.counters
+
+(* A fresh record: the copy does not follow later updates of the live one. *)
+let totals t = { t.counters with roots_committed = t.counters.roots_committed }
 
 let zero () =
   {
@@ -229,9 +184,6 @@ let entry t oid =
       e
 
 let record_message t ~oid ~kind ~bytes =
-  let rec bucket i = if bytes <= bucket_bounds.(i) then i else bucket (i + 1) in
-  let b = bucket 0 in
-  t.size_buckets.(b) <- t.size_buckets.(b) + 1;
   let e = entry t oid in
   e.messages <- e.messages + 1;
   match (kind : Sim.Network.kind) with
@@ -255,9 +207,6 @@ let record_rider t ~mtype ~count ~bytes =
 let wire_breakdown t =
   List.map (fun w -> (w, t.wire_counts.(Wire.index w), t.wire_bytes.(Wire.index w))) Wire.all
 
-let wire_rider_breakdown t =
-  List.map (fun w -> (w, t.wire_riders.(Wire.index w))) Wire.all
-
 let wire_messages_total t = Array.fold_left ( + ) 0 t.wire_counts
 let wire_bytes_total t = Array.fold_left ( + ) 0 t.wire_bytes
 let wire_riders_total t = Array.fold_left ( + ) 0 t.wire_riders
@@ -276,128 +225,26 @@ let record_declaration_latency_us t v = Histogram.record t.declaration_latency v
 
 let record_demand_fetch t ~oid =
   let e = entry t oid in
-  e.demand_fetches <- e.demand_fetches + 1
+  e.demand_fetches <- e.demand_fetches + 1;
+  t.counters.demand_fetches <- t.counters.demand_fetches + 1
 
 let record_acquisition t ~oid =
   let e = entry t oid in
   e.acquisitions <- e.acquisitions + 1
 
-let incr_roots_committed t = t.roots_committed <- t.roots_committed + 1
-let incr_roots_aborted t = t.roots_aborted <- t.roots_aborted + 1
-let incr_deadlock_aborts t = t.deadlock_aborts <- t.deadlock_aborts + 1
-let incr_sub_aborts t = t.sub_aborts <- t.sub_aborts + 1
-let incr_retries t = t.retries <- t.retries + 1
-let incr_local_acquisitions t = t.local_acquisitions <- t.local_acquisitions + 1
-let incr_global_acquisitions t = t.global_acquisitions <- t.global_acquisitions + 1
-let incr_upgrades t = t.upgrades <- t.upgrades + 1
-let incr_eager_pushes t = t.eager_pushes <- t.eager_pushes + 1
-let incr_drops t = t.drops <- t.drops + 1
-let incr_duplicates t = t.duplicates <- t.duplicates + 1
-let incr_retransmits t = t.retransmits <- t.retransmits + 1
-let incr_timeouts t = t.timeouts <- t.timeouts + 1
-let incr_gdo_releases t = t.gdo_releases <- t.gdo_releases + 1
-let incr_lease_grants t = t.lease_grants <- t.lease_grants + 1
-let incr_lease_hits t = t.lease_hits <- t.lease_hits + 1
-let add_lease_recalls t n = t.lease_recalls <- t.lease_recalls + n
-let incr_lease_yields t = t.lease_yields <- t.lease_yields + 1
-let incr_lease_expiries t = t.lease_expiries <- t.lease_expiries + 1
-let incr_lease_aborts t = t.lease_aborts <- t.lease_aborts + 1
-let incr_give_ups t = t.give_ups <- t.give_ups + 1
-let incr_crash_aborts t = t.crash_aborts <- t.crash_aborts + 1
-let incr_nodes_declared_dead t = t.nodes_declared_dead <- t.nodes_declared_dead + 1
-let add_families_reclaimed t n = t.families_reclaimed <- t.families_reclaimed + n
-let incr_failovers t = t.failovers <- t.failovers + 1
-let incr_quorum_votes t = t.quorum_votes <- t.quorum_votes + 1
-let incr_false_suspicions t = t.false_suspicions <- t.false_suspicions + 1
-let incr_node_readmissions t = t.node_readmissions <- t.node_readmissions + 1
-let incr_stale_epoch_rejects t = t.stale_epoch_rejects <- t.stale_epoch_rejects + 1
-let incr_fence_deferrals t = t.fence_deferrals <- t.fence_deferrals + 1
-let incr_node_parks t = t.node_parks <- t.node_parks + 1
-let add_acks_piggybacked t n = t.acks_piggybacked <- t.acks_piggybacked + n
-let add_acks_flushed t n = t.acks_flushed <- t.acks_flushed + n
-let add_fetches_aggregated t n = t.fetches_aggregated <- t.fetches_aggregated + n
-let add_releases_coalesced t n = t.releases_coalesced <- t.releases_coalesced + n
-let incr_heartbeats_suppressed t = t.heartbeats_suppressed <- t.heartbeats_suppressed + 1
-let incr_cache_hits t = t.cache_hits <- t.cache_hits + 1
-let incr_cache_misses t = t.cache_misses <- t.cache_misses + 1
-let incr_cache_fills t = t.cache_fills <- t.cache_fills + 1
-let add_cache_invalidations t n = t.cache_invalidations <- t.cache_invalidations + n
-let incr_ships t = t.ships <- t.ships + 1
-let incr_ship_declines t = t.ship_declines <- t.ship_declines + 1
-let incr_ships_forced t = t.ships_forced <- t.ships_forced + 1
-let add_ship_bytes_saved t n = t.ship_bytes_saved <- t.ship_bytes_saved + n
-let incr_escrow_reserves t = t.escrow_reserves <- t.escrow_reserves + 1
-let incr_escrow_local_commits t = t.escrow_local_commits <- t.escrow_local_commits + 1
-let incr_escrow_reconciles t = t.escrow_reconciles <- t.escrow_reconciles + 1
-let incr_escrow_recalls t = t.escrow_recalls <- t.escrow_recalls + 1
-let incr_escrow_yields t = t.escrow_yields <- t.escrow_yields + 1
-let incr_escrow_refusals t = t.escrow_refusals <- t.escrow_refusals + 1
-let add_escrow_quota_units t n = t.escrow_quota_units <- t.escrow_quota_units + n
+let incr_roots_committed t = t.counters.roots_committed <- t.counters.roots_committed + 1
+let incr_retries t = t.counters.retries <- t.counters.retries + 1
+let incr_upgrades t = t.counters.upgrades <- t.counters.upgrades + 1
+
+let incr_global_acquisitions t =
+  t.counters.global_acquisitions <- t.counters.global_acquisitions + 1
 
 (* Home-node lock-protocol operations: every request the GDO home processes
    (acquires, upgrades, release batches) plus lease recall round trips. The
    lease experiment's headline is the reduction of this count. *)
 let home_lock_ops t =
-  t.global_acquisitions + t.upgrades + t.gdo_releases + t.lease_recalls + t.lease_yields
-
-let totals t =
-  let demand =
-    Oid.Table.fold (fun _ (e : per_object) acc -> acc + e.demand_fetches) t.objects 0
-  in
-  {
-    roots_committed = t.roots_committed;
-    roots_aborted = t.roots_aborted;
-    deadlock_aborts = t.deadlock_aborts;
-    sub_aborts = t.sub_aborts;
-    retries = t.retries;
-    local_acquisitions = t.local_acquisitions;
-    global_acquisitions = t.global_acquisitions;
-    upgrades = t.upgrades;
-    eager_pushes = t.eager_pushes;
-    demand_fetches = demand;
-    drops = t.drops;
-    duplicates = t.duplicates;
-    retransmits = t.retransmits;
-    timeouts = t.timeouts;
-    gdo_releases = t.gdo_releases;
-    lease_grants = t.lease_grants;
-    lease_hits = t.lease_hits;
-    lease_recalls = t.lease_recalls;
-    lease_yields = t.lease_yields;
-    lease_expiries = t.lease_expiries;
-    lease_aborts = t.lease_aborts;
-    give_ups = t.give_ups;
-    crash_aborts = t.crash_aborts;
-    nodes_declared_dead = t.nodes_declared_dead;
-    families_reclaimed = t.families_reclaimed;
-    failovers = t.failovers;
-    quorum_votes = t.quorum_votes;
-    false_suspicions = t.false_suspicions;
-    node_readmissions = t.node_readmissions;
-    stale_epoch_rejects = t.stale_epoch_rejects;
-    fence_deferrals = t.fence_deferrals;
-    node_parks = t.node_parks;
-    acks_piggybacked = t.acks_piggybacked;
-    acks_flushed = t.acks_flushed;
-    fetches_aggregated = t.fetches_aggregated;
-    releases_coalesced = t.releases_coalesced;
-    heartbeats_suppressed = t.heartbeats_suppressed;
-    cache_hits = t.cache_hits;
-    cache_misses = t.cache_misses;
-    cache_fills = t.cache_fills;
-    cache_invalidations = t.cache_invalidations;
-    ships = t.ships;
-    ship_declines = t.ship_declines;
-    ships_forced = t.ships_forced;
-    ship_bytes_saved = t.ship_bytes_saved;
-    escrow_reserves = t.escrow_reserves;
-    escrow_local_commits = t.escrow_local_commits;
-    escrow_reconciles = t.escrow_reconciles;
-    escrow_recalls = t.escrow_recalls;
-    escrow_yields = t.escrow_yields;
-    escrow_refusals = t.escrow_refusals;
-    escrow_quota_units = t.escrow_quota_units;
-  }
+  let c = t.counters in
+  c.global_acquisitions + c.upgrades + c.gdo_releases + c.lease_recalls + c.lease_yields
 
 let per_object t oid =
   match Oid.Table.find_opt t.objects oid with Some e -> e | None -> zero ()
@@ -415,10 +262,6 @@ let time_of ~messages ~bytes ~(link : Sim.Network.link) =
   (float_of_int messages *. link.software_cost_us)
   +. (float_of_int bytes *. 8.0 /. link.bandwidth_bps *. 1e6)
 
-let object_time_us t oid ~link =
-  let e = per_object t oid in
-  time_of ~messages:e.messages ~bytes:(e.control_bytes + e.data_bytes) ~link
-
 let total_time_us t ~link =
   time_of ~messages:(total_messages t) ~bytes:(total_bytes t) ~link
 
@@ -428,11 +271,6 @@ let time_of_am ~control_messages ~data_messages ~bytes ~(link : Sim.Network.link
   +. (float_of_int data_messages *. link.software_cost_us)
   +. (float_of_int bytes *. 8.0 /. link.bandwidth_bps *. 1e6)
 
-let object_time_us_am t oid ~link ~control_software_cost_us =
-  let e = per_object t oid in
-  time_of_am ~control_messages:e.control_messages ~data_messages:e.data_messages
-    ~bytes:(e.control_bytes + e.data_bytes) ~link ~control_software_cost_us
-
 let total_time_us_am t ~link ~control_software_cost_us =
   Oid.Table.fold
     (fun _ e acc ->
@@ -441,14 +279,11 @@ let total_time_us_am t ~link ~control_software_cost_us =
            ~bytes:(e.control_bytes + e.data_bytes) ~link ~control_software_cost_us)
     t.objects 0.0
 
-let size_histogram t =
-  Array.to_list (Array.mapi (fun i count -> (bucket_bounds.(i), count)) t.size_buckets)
-
 let completion_time_us t = t.completion_time_us
 let set_completion_time_us t v = t.completion_time_us <- v
 
 let pp_summary fmt t =
-  let tt = totals t in
+  let tt = t.counters in
   Format.fprintf fmt
     "@[<v>roots committed: %d (aborted %d, deadlock aborts %d, retries %d)@,\
      sub-transaction aborts: %d@,\

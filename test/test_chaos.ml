@@ -187,6 +187,37 @@ let prop_chaos_invariants =
           = chaos_spec.Workload.Spec.root_count)
         protocols)
 
+(* A page fetch whose request or reply the transport abandons aborts the
+   family on every lossy run, crash windows or not: the family must not
+   go on without its pages. Under COTEC/OTEC the missing page would trip
+   the stale-page invariant, under LOTEC a serializability cycle. Every
+   run passes the shared oracle. *)
+let test_abandoned_fetch_aborts () =
+  let run ~roots ~drop ~max_retransmits ~fault_seed protocol =
+    let config =
+      {
+        Core.Config.default with
+        Core.Config.faults =
+          Experiments.Chaos.fault_config ~drop ~duplicate:0.0 ~jitter_us:0.0 ~fault_seed;
+        max_retransmits;
+      }
+    in
+    let spec = { Workload.Scenarios.medium_high with Workload.Spec.root_count = roots } in
+    let wl = Workload.Generator.generate spec ~page_size:config.Core.Config.page_size in
+    match Experiments.Runner.execute ~config ~protocol wl with
+    | _ -> ()
+    | exception e ->
+        Alcotest.failf "%a, %d roots, drop %.1f, %d retransmits, fault seed %d: %s"
+          Dsm.Protocol.pp protocol roots drop max_retransmits fault_seed (Printexc.to_string e)
+  in
+  List.iter
+    (fun protocol ->
+      run ~roots:3 ~drop:0.5 ~max_retransmits:0 ~fault_seed:1 protocol;
+      for fault_seed = 1 to 8 do
+        run ~roots:20 ~drop:0.3 ~max_retransmits:1 ~fault_seed protocol
+      done)
+    Dsm.Protocol.[ Cotec; Otec; Lotec ]
+
 let tests =
   [
     ( "chaos",
@@ -196,6 +227,7 @@ let tests =
         Alcotest.test_case "faulty run deterministic" `Quick test_faulty_run_deterministic;
         Alcotest.test_case "sweep invariants" `Quick test_sweep_invariants;
         Alcotest.test_case "pause and crash windows" `Quick test_windows_survived;
+        Alcotest.test_case "abandoned fetch aborts the family" `Quick test_abandoned_fetch_aborts;
         QCheck_alcotest.to_alcotest prop_chaos_invariants;
       ] );
   ]

@@ -300,18 +300,18 @@ let test_metrics_time_model () =
   Dsm.Metrics.record_message m ~oid:(oid 1) ~kind:Sim.Network.Control ~bytes:1250;
   let link = { Sim.Network.bandwidth_bps = 1e8; software_cost_us = 20.0 } in
   (* 2 messages * 20us + 2500B * 8 / 1e8 = 40 + 200 = 240us. *)
-  Alcotest.(check (float 0.001)) "object time" 240.0 (Dsm.Metrics.object_time_us m (oid 1) ~link);
   Alcotest.(check (float 0.001)) "total time" 240.0 (Dsm.Metrics.total_time_us m ~link);
   (* Faster link, higher software cost: counts dominate. *)
   let fast = { Sim.Network.bandwidth_bps = 1e9; software_cost_us = 100.0 } in
-  Alcotest.(check (float 0.001)) "fast link" 220.0 (Dsm.Metrics.object_time_us m (oid 1) ~link:fast)
+  Alcotest.(check (float 0.001)) "fast link" 220.0 (Dsm.Metrics.total_time_us m ~link:fast)
 
 let test_metrics_counters () =
   let m = Dsm.Metrics.create () in
+  let c = Dsm.Metrics.counters m in
   Dsm.Metrics.incr_roots_committed m;
   Dsm.Metrics.incr_roots_committed m;
-  Dsm.Metrics.incr_deadlock_aborts m;
-  Dsm.Metrics.incr_sub_aborts m;
+  c.deadlock_aborts <- c.deadlock_aborts + 1;
+  c.sub_aborts <- c.sub_aborts + 1;
   Dsm.Metrics.incr_retries m;
   Dsm.Metrics.incr_upgrades m;
   Dsm.Metrics.record_demand_fetch m ~oid:(oid 3);
@@ -321,19 +321,15 @@ let test_metrics_counters () =
   Alcotest.(check int) "sub aborts" 1 t.Dsm.Metrics.sub_aborts;
   Alcotest.(check int) "retries" 1 t.Dsm.Metrics.retries;
   Alcotest.(check int) "upgrades" 1 t.Dsm.Metrics.upgrades;
-  Alcotest.(check int) "demand fetches" 1 t.Dsm.Metrics.demand_fetches
-
-let test_metrics_size_histogram () =
-  let m = Dsm.Metrics.create () in
-  Dsm.Metrics.record_message m ~oid:(oid 1) ~kind:Sim.Network.Control ~bytes:100;
-  Dsm.Metrics.record_message m ~oid:(oid 1) ~kind:Sim.Network.Control ~bytes:128;
-  Dsm.Metrics.record_message m ~oid:(oid 1) ~kind:Sim.Network.Data ~bytes:4100;
-  Dsm.Metrics.record_message m ~oid:(oid 1) ~kind:Sim.Network.Data ~bytes:50_000;
-  let h = Dsm.Metrics.size_histogram m in
-  Alcotest.(check int) "<=128" 2 (List.assoc 128 h);
-  Alcotest.(check int) "<=8192" 1 (List.assoc 8192 h);
-  Alcotest.(check int) "oversize" 1 (List.assoc max_int h);
-  Alcotest.(check int) "total counted" 4 (List.fold_left (fun a (_, c) -> a + c) 0 h)
+  Alcotest.(check int) "demand fetches" 1 t.Dsm.Metrics.demand_fetches;
+  (* [totals] is a snapshot: later updates reach the live record only. *)
+  Dsm.Metrics.incr_roots_committed m;
+  Dsm.Metrics.record_demand_fetch m ~oid:(oid 3);
+  Alcotest.(check int) "snapshot unchanged" 2 t.Dsm.Metrics.roots_committed;
+  Alcotest.(check int) "live committed" 3 c.roots_committed;
+  Alcotest.(check int) "live demand fetches" 2 c.demand_fetches;
+  Alcotest.(check int) "per-object demand fetches" 2
+    (Dsm.Metrics.per_object m (oid 3)).Dsm.Metrics.demand_fetches
 
 let test_metrics_am_time_model () =
   let m = Dsm.Metrics.create () in
@@ -342,13 +338,11 @@ let test_metrics_am_time_model () =
   let link = { Sim.Network.bandwidth_bps = 1e8; software_cost_us = 20.0 } in
   (* control at 1us + data at 20us + 2500B serialisation (200us) = 221. *)
   Alcotest.(check (float 0.001)) "split costs" 221.0
-    (Dsm.Metrics.object_time_us_am m (oid 1) ~link ~control_software_cost_us:1.0);
-  Alcotest.(check (float 0.001)) "total matches" 221.0
     (Dsm.Metrics.total_time_us_am m ~link ~control_software_cost_us:1.0);
   (* With equal costs the AM model degenerates to the plain one. *)
   Alcotest.(check (float 0.001)) "degenerates"
-    (Dsm.Metrics.object_time_us m (oid 1) ~link)
-    (Dsm.Metrics.object_time_us_am m (oid 1) ~link ~control_software_cost_us:20.0)
+    (Dsm.Metrics.total_time_us m ~link)
+    (Dsm.Metrics.total_time_us_am m ~link ~control_software_cost_us:20.0)
 
 let test_metrics_zero_object () =
   let m = Dsm.Metrics.create () in
@@ -380,7 +374,6 @@ let tests =
         Alcotest.test_case "metrics messages" `Quick test_metrics_messages;
         Alcotest.test_case "metrics time model" `Quick test_metrics_time_model;
         Alcotest.test_case "metrics counters" `Quick test_metrics_counters;
-        Alcotest.test_case "metrics size histogram" `Quick test_metrics_size_histogram;
         Alcotest.test_case "metrics am time model" `Quick test_metrics_am_time_model;
         Alcotest.test_case "metrics zero object" `Quick test_metrics_zero_object;
       ] );

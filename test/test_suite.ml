@@ -145,8 +145,12 @@ let tests =
   [
     ( "oracle",
       [
-        clause "fault hygiene" Dsm.Metrics.incr_drops;
-        clause "lease hygiene" Dsm.Metrics.incr_lease_hits;
+        clause "fault hygiene" (fun m ->
+            let c = Dsm.Metrics.counters m in
+            c.drops <- c.drops + 1);
+        clause "lease hygiene" (fun m ->
+            let c = Dsm.Metrics.counters m in
+            c.lease_hits <- c.lease_hits + 1);
         clause "wire reconciliation" (fun m ->
             Dsm.Metrics.record_wire m ~mtype:Dsm.Wire.Grant ~bytes:64);
         clause "root accounting" Dsm.Metrics.incr_roots_committed;
