@@ -114,34 +114,6 @@ type ship_state = {
   mutable exec_sites : (int * int) list;
 }
 
-(* Node-side escrow ledger for one (node, object): the delegated quota
-   still undrawn ([el_q_*]; family holds are subtracted at draw time), the
-   net locally-committed delta not yet reconciled home ([el_pending]), the
-   quota units those commits spent ([el_spent_*]), and the commit count
-   driving the lazy-reconcile cadence. [el_epoch] is the highest recall
-   epoch the node has already yielded to — the fence against duplicate or
-   reordered recalls. *)
-type escrow_ledger = {
-  mutable el_q_up : int;
-  mutable el_q_down : int;
-  mutable el_pending : int;
-  mutable el_spent_up : int;
-  mutable el_spent_down : int;
-  mutable el_commits : int;
-  mutable el_epoch : int;
-}
-
-(* Per-family escrow bookkeeping, resolved at root end. [fe_home] lists
-   objects with a home reservation (one Escrow_commit resolution message
-   each); [fe_local] the units drawn from the root node's delegated quota
-   as [(oid, up units, down units, net delta)] rows — folded into the
-   ledger at commit, returned to it at abort. A quota recall moves a
-   row from [fe_local] to [fe_home] (the carried re-book). *)
-type fam_escrow = {
-  mutable fe_home : Oid.t list;
-  mutable fe_local : (Oid.t * int * int * int) list;
-}
-
 (* A transaction's access log: the page versions it read and wrote itself,
    newest first, and the whole logs of its precommitted children, spliced
    in at precommit without copying an entry. *)
@@ -263,9 +235,6 @@ type t = {
   (* Root families currently executing an attempt (registered at attempt
      start, dropped at attempt end): the set a crash entry dooms. *)
   live_roots : unit Txn_id.Table.t;
-  (* (node, incarnation) pairs already declared dead, so one incarnation
-     is declared (and reclaimed) at most once across all observers. *)
-  declared_dead : (int * int, unit) Hashtbl.t;
   (* (observer, node, incarnation) suspicions already recorded, to trace
      each suspicion once rather than once per heartbeat tick. *)
   suspected_seen : (int * int * int, unit) Hashtbl.t;
@@ -284,7 +253,11 @@ type t = {
      home. All of it is inert when [crash_enabled] is false. *)
   mutable membership_epoch : int;  (* global; bumped per declaration/readmission *)
   epoch_view : int array;  (* node -> highest epoch it has heard of *)
-  declared_down : bool array;  (* node -> currently declared dead by quorum *)
+  (* node -> declared dead by quorum under its current incarnation. Every
+     readmission and rejoin clears it and bumps the incarnation, so one
+     incarnation is declared (and reclaimed) at most once across all
+     observers. *)
+  declared_down : bool array;
   acting_epoch : int array;  (* partition -> epoch of its last acting-home change *)
   (* node -> instant before which a successor must not serve the node's
      home partition: the latest expiry of any read lease the node granted
@@ -324,23 +297,9 @@ type t = {
      them or an abort replays them site by site. *)
   parked_logs : (int * Undo_log.t) list ref Txn_id.Table.t;
   mutable ship_waits : ship_wait list;
-  (* Escrow-commit subsystem (see Dsm.Escrow). Everything below is inert
-     when [escrow_enabled] is false — the default — keeping escrow-off
-     runs byte-identical to the lock-only runtime. *)
-  escrow_enabled : bool;
-  escrow_params : Dsm.Escrow.params option;  (* Some iff [escrow_enabled] *)
-  (* objects registered for escrow (their class declares a commuting
-     method); the node-side test mirroring the directory's registration. *)
-  escrow_oids : unit Oid.Table.t;
-  escrow_ledgers : escrow_ledger Itbl.t array;  (* per node: oid -> ledger *)
-  escrow_fams : fam_escrow Txn_id.Table.t;
-  (* home-side: objects with a quota recall in flight, mapped to the number
-     of yields still outstanding — guards against re-bumping the epoch
-     under an open recall (which would strand the stale yields' quota) and
-     clears exactly when the recalled epoch's last yield lands. *)
-  escrow_recalling : int Itbl.t;
-  (* typed op log for [Serializability.check_escrow], newest first. *)
-  mutable escrow_ops : Serializability.escrow_op list;
+  (* The escrow layer (see Escrow_layer): installed only when the escrow
+     policy is on, once [create] has registered every object. *)
+  mutable escrow : Escrow_layer.t option;
 }
 
 let config t = t.cfg
@@ -397,223 +356,6 @@ let is_doomed t family = t.crash_enabled && Txn_id.Table.mem t.doomed family
    method-statement boundaries and before page fetches. *)
 let check_crashed t ~txn_root =
   if is_doomed t txn_root then raise Crashed_abort
-
-let create ~config:cfg ~catalog =
-  (match Config.validate cfg with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Runtime.create: " ^ msg));
-  (if not cfg.Config.allow_recursive_catalogs then
-     match Catalog.validate_acyclic catalog with
-     | Ok () -> ()
-     | Error cycle ->
-         invalid_arg
-           (Format.asprintf "Runtime.create: catalog has recursive references through %a"
-              (Format.pp_print_list ~pp_sep:(fun f () -> Format.pp_print_string f " -> ") Oid.pp)
-              cycle));
-  let engine = Sim.Engine.create () in
-  let metrics = Dsm.Metrics.create () in
-  let counters = Dsm.Metrics.counters metrics in
-  let trace =
-    if cfg.Config.trace_capacity > 0 then
-      Some (Sim.Trace.create ~capacity:cfg.Config.trace_capacity)
-    else None
-  in
-  let on_message ~src:_ ~dst:_ ~kind ~bytes ~tag =
-    let oid = if tag >= 0 then Oid.of_int tag else Dsm.Metrics.untagged in
-    Dsm.Metrics.record_message metrics ~oid ~kind ~bytes
-  in
-  let on_fault ~event ~src ~dst =
-    (match event with
-    | Sim.Fault.Drop | Sim.Fault.Crash_drop | Sim.Fault.Partition_drop
-    | Sim.Fault.Link_cut_drop ->
-        counters.drops <- counters.drops + 1
-    | Sim.Fault.Duplicate -> counters.duplicates <- counters.duplicates + 1
-    | Sim.Fault.Pause_defer | Sim.Fault.Slow_defer -> ());
-    match trace with
-    | None -> ()
-    | Some tr ->
-        Sim.Trace.record tr ~time:(Sim.Engine.now engine)
-          (Dsm.Event.Fault { fault = event; src; dst })
-  in
-  let net =
-    Sim.Network.create ~engine ~node_count:cfg.Config.node_count ~link:cfg.Config.link
-      ?faults:cfg.Config.faults ~on_fault ~on_message ()
-  in
-  let tree = Txn_tree.create () in
-  (* Crash *or* link windows arm the whole failure-handling stack:
-     heartbeats, detectors, quorum membership, failover. A partition
-     makes messages loseable and nodes falsely suspectable, so it needs
-     everything a crash does except the state wipe. *)
-  let crash_enabled =
-    match cfg.Config.faults with
-    | Some f -> Sim.Fault.has_crash_windows f || Sim.Fault.has_link_windows f
-    | None -> false
-  in
-  let t =
-    {
-      cfg;
-      catalog;
-      engine;
-      net;
-      tree;
-      gdo = Gdo.Directory.create ();
-      stores = Array.init cfg.Config.node_count (fun node -> Dsm.Page_store.create ~node);
-      locks = Array.init cfg.Config.node_count (fun _ -> Local_locks.create tree);
-      metrics;
-      counters;
-      next_version = 0;
-      pending = Itbl.create 64;
-      inflight = Itbl.create 16;
-      transfers = Itbl.create 16;
-      snapshots = Txn_id.Table.create 64;
-      undo_logs = Txn_id.Table.create 64;
-      txn_objects = Txn_id.Table.create 64;
-      access_logs = Txn_id.Table.create 64;
-      history = [];
-      results = [];
-      outstanding = 0;
-      ran = false;
-      trace;
-      cpus =
-        (if cfg.Config.cpu_limited then
-           Some
-             (Array.init cfg.Config.node_count (fun _ ->
-                  Sim.Engine.Semaphore.create ~permits:1))
-         else None);
-      reliable = Sim.Network.faults_active net;
-      next_mid = 0;
-      acked = Itbl.create 256;
-      seen = Itbl.create 256;
-      batching = Dsm.Batching.enabled cfg.Config.batching;
-      batch_acks = Dsm.Batching.enabled cfg.Config.batching && Sim.Network.faults_active net;
-      batch_heartbeat =
-        (Dsm.Batching.enabled cfg.Config.batching
-        &&
-        match cfg.Config.faults with
-        | Some f -> Sim.Fault.has_crash_windows f || Sim.Fault.has_link_windows f
-        | None -> false);
-      pending_acks = Hashtbl.create 16;
-      ack_flush_armed = Hashtbl.create 16;
-      pending_releases = Hashtbl.create 16;
-      release_flush_armed = Hashtbl.create 16;
-      last_traffic = Array.make (cfg.Config.node_count * cfg.Config.node_count) neg_infinity;
-      lease_enabled = Gdo.Lease.policy_enabled cfg.Config.lease;
-      lease_mgr = Gdo.Lease.create cfg.Config.lease;
-      lease_caches =
-        Array.init cfg.Config.node_count (fun _ -> Gdo.Lease.Cache.create ());
-      lease_reads = Txn_id.Table.create 64;
-      lease_blocked = Itbl.create 16;
-      recall_started = Itbl.create 16;
-      cache_enabled = Dsm.Method_cache.policy_enabled cfg.Config.method_cache;
-      method_caches =
-        Array.init cfg.Config.node_count (fun _ ->
-            Dsm.Method_cache.create cfg.Config.method_cache);
-      crash_enabled;
-      crashed = Array.make cfg.Config.node_count false;
-      committed =
-        (if crash_enabled then
-           Array.init cfg.Config.node_count (fun node -> Dsm.Page_store.create ~node)
-         else [||]);
-      parked_releases = (if crash_enabled then Array.make cfg.Config.node_count [] else [||]);
-      incarnation = Array.make cfg.Config.node_count 0;
-      doomed = Txn_id.Table.create 16;
-      live_roots = Txn_id.Table.create 16;
-      declared_dead = Hashtbl.create 8;
-      suspected_seen = Hashtbl.create 16;
-      detectors =
-        Array.init cfg.Config.node_count (fun i ->
-            let d =
-              Sim.Failure_detector.create ~node_count:cfg.Config.node_count
-                ~timeout_us:cfg.Config.suspect_timeout_us
-            in
-            Sim.Failure_detector.set_self d i;
-            d);
-      acting_home = Array.init cfg.Config.node_count (fun i -> i);
-      rejoin = Array.make cfg.Config.node_count None;
-      membership_epoch = 0;
-      epoch_view = Array.make cfg.Config.node_count 0;
-      declared_down = Array.make cfg.Config.node_count false;
-      acting_epoch = Array.make cfg.Config.node_count 0;
-      fence_until = Array.make cfg.Config.node_count 0.0;
-      parked = Array.make cfg.Config.node_count false;
-      park_ivars = Array.make cfg.Config.node_count None;
-      votes = Hashtbl.create 8;
-      membership_log = [];
-      backoffs =
-        (let seed =
-           match cfg.Config.faults with Some f -> f.Sim.Fault.seed | None -> 0
-         in
-         Array.init cfg.Config.node_count (fun node ->
-             Sim.Backoff.stream ~seed ~node ~base_us:cfg.Config.request_timeout_us
-               ~cap_us:Config.retransmit_backoff_cap_us));
-      deliver_hook = (fun ~src:_ ~dst:_ -> ());
-      fetch_waits = [];
-      ship_enabled = Dsm.Shipping.policy_enabled cfg.Config.shipping;
-      ship_params =
-        (match cfg.Config.shipping with
-        | Dsm.Shipping.Off -> None
-        | Dsm.Shipping.On p -> Some p);
-      ship_states = Txn_id.Table.create 16;
-      parked_logs = Txn_id.Table.create 16;
-      ship_waits = [];
-      escrow_enabled = Dsm.Escrow.policy_enabled cfg.Config.escrow;
-      escrow_params =
-        (match cfg.Config.escrow with
-        | Dsm.Escrow.Off -> None
-        | Dsm.Escrow.On p -> Some p);
-      escrow_oids = Oid.Table.create 16;
-      escrow_ledgers = Array.init cfg.Config.node_count (fun _ -> Itbl.create 8);
-      escrow_fams = Txn_id.Table.create 16;
-      escrow_recalling = Itbl.create 8;
-      escrow_ops = [];
-    }
-  in
-  if t.cache_enabled then
-    for node = 0 to cfg.Config.node_count - 1 do
-      register_cache_invalidation t ~node
-    done;
-  (* Trivial dispatch: every node executes delivered thunks. With heartbeat
-     piggybacking, any delivered remote message doubles as a liveness
-     proof — it refreshes the receiver's failure detector exactly as a
-     Heartbeat would, which is what lets the sender suppress the periodic
-     one on an active channel. *)
-  for node = 0 to cfg.Config.node_count - 1 do
-    Sim.Network.set_handler net ~node (fun ~src (Exec f) ->
-        if src <> node && not t.crashed.(node) then begin
-          if t.batch_heartbeat then
-            Sim.Failure_detector.heartbeat t.detectors.(node) ~node:src
-              ~now:(Sim.Engine.now engine);
-          (* Membership: a delivered message carries the sender's epoch
-             view and is a liveness proof — it readmits a falsely-declared
-             sender. No-op until the crash machinery arms the hook. *)
-          t.deliver_hook ~src ~dst:node
-        end;
-        f ())
-  done;
-  (* Initial placement: all pages of every object live on its home node at
-     version 0; the GDO entry lives on the same node. *)
-  List.iter
-    (fun oid ->
-      let pages = Catalog.page_count catalog oid in
-      let home = home_of t oid in
-      Gdo.Directory.register_object t.gdo oid ~pages ~initial_node:home;
-      for p = 0 to pages - 1 do
-        Dsm.Page_store.receive t.stores.(home) oid ~page:p ~version:0
-      done;
-      (* Escrow registration: an object whose class declares any commuting
-         method carries an escrowed quantity at its home, seeded from the
-         policy's bounds. *)
-      match t.escrow_params with
-      | Some p
-        when List.exists
-               (fun (m : Obj_class.compiled_method) -> Method_ir.commutes m.Obj_class.ir)
-               (Obj_class.methods (Catalog.find catalog oid).Catalog.cls) ->
-          Gdo.Directory.register_escrow t.gdo oid ~lower:p.Dsm.Escrow.lower_bound
-            ~upper:p.Dsm.Escrow.upper_bound ~initial:p.Dsm.Escrow.initial;
-          Oid.Table.replace t.escrow_oids oid ()
-      | Some _ | None -> ())
-    (Catalog.oids catalog);
-  t
 
 (* Per-class protocol override (paper section 6 future work), looked up
    on every access; with no overrides configured it is the global
@@ -674,21 +416,23 @@ let attach_ack_riders t ~src ~dst f =
    transport's (re)transmit path: the per-type ledger entry records the
    carrier's own bytes, pending acks ride along as accounted riders, and
    the traffic note feeds heartbeat suppression. *)
-let wire_send t ~mtype ~src ~dst ~kind ~bytes ~tag f =
+let wire_send t ~mtype ~src ~dst ~bytes ~tag f =
   Dsm.Metrics.record_wire t.metrics ~mtype ~bytes;
   let rider_bytes, f = attach_ack_riders t ~src ~dst f in
   note_traffic t ~src ~dst;
-  Sim.Network.send t.net ~src ~dst ~kind ~bytes:(bytes + rider_bytes) ~tag (Exec f)
+  Sim.Network.send t.net ~src ~dst ~kind:(Dsm.Wire.kind mtype) ~bytes:(bytes + rider_bytes) ~tag
+    (Exec f)
 
 (* Same-node sends bypass the network's [on_message] hook, so they are
    excluded here too — the wire ledger must reconcile exactly with the
    per-object ledger that hook feeds. A crashed node sends nothing: the
    suppression sits before both accounting hooks, so the two ledgers stay
    reconciled. *)
-let send_exec t ~mtype ~src ~dst ~kind ~bytes ~tag f =
+let send_exec t ~mtype ~src ~dst ~bytes ~tag f =
   if not (t.crash_enabled && t.crashed.(src)) then begin
-    if src = dst then Sim.Network.send t.net ~src ~dst ~kind ~bytes ~tag (Exec f)
-    else wire_send t ~mtype ~src ~dst ~kind ~bytes ~tag f
+    if src = dst then
+      Sim.Network.send t.net ~src ~dst ~kind:(Dsm.Wire.kind mtype) ~bytes ~tag (Exec f)
+    else wire_send t ~mtype ~src ~dst ~bytes ~tag f
   end
 
 (* Flush timer: the channel saw no payload within [ack_flush_us] of its
@@ -711,7 +455,7 @@ let flush_acks t ~src ~dst =
         t.cfg.Config.control_msg_bytes
         + ((k - 1) * Dsm.Batching.ack_rider_bytes)
       in
-      send_exec t ~mtype:Dsm.Wire.Ack ~src ~dst ~kind:Sim.Network.Control ~bytes ~tag:(-1)
+      send_exec t ~mtype:Dsm.Wire.Ack ~src ~dst ~bytes ~tag:(-1)
         (fun () -> List.iter (fun mid -> Itbl.replace t.acked mid ()) mids)
 
 (* Receiver side of ack piggybacking: park the ack of [mid] on the reverse
@@ -754,8 +498,8 @@ let tag_of oid = Oid.to_int oid
    reported to the sender's failure detector as a suspect hint), or the
    sender crashed and its unacked transport state was discarded. Callers
    use it to fail the blocked operation instead of stalling the engine. *)
-let send_reliable ?(on_abandon = fun () -> ()) t ~mtype ~src ~dst ~kind ~bytes ~tag f =
-  if (not t.reliable) || src = dst then send_exec t ~mtype ~src ~dst ~kind ~bytes ~tag f
+let send_reliable ?(on_abandon = fun () -> ()) t ~mtype ~src ~dst ~bytes ~tag f =
+  if (not t.reliable) || src = dst then send_exec t ~mtype ~src ~dst ~bytes ~tag f
   else begin
     t.next_mid <- t.next_mid + 1;
     let mid = t.next_mid in
@@ -763,7 +507,7 @@ let send_reliable ?(on_abandon = fun () -> ()) t ~mtype ~src ~dst ~kind ~bytes ~
     let deliver () =
       (if t.batch_acks then queue_ack t ~src:dst ~dst:src mid
        else
-         send_exec t ~mtype:Dsm.Wire.Ack ~src:dst ~dst:src ~kind:Sim.Network.Control
+         send_exec t ~mtype:Dsm.Wire.Ack ~src:dst ~dst:src
            ~bytes:t.cfg.Config.control_msg_bytes ~tag:(-1)
            (fun () -> Itbl.replace t.acked mid ()));
       if not (Itbl.mem t.seen mid) then begin
@@ -774,7 +518,7 @@ let send_reliable ?(on_abandon = fun () -> ()) t ~mtype ~src ~dst ~kind ~bytes ~
     (* Retransmitted copies are charged under the original message type, one
        ledger entry per transmission — matching [on_message], which fires on
        every copy put on the wire. *)
-    let transmit () = wire_send t ~mtype ~src ~dst ~kind ~bytes ~tag deliver in
+    let transmit () = wire_send t ~mtype ~src ~dst ~bytes ~tag deliver in
     let rec arm attempt timeout =
       Sim.Engine.schedule t.engine ~delay:timeout (fun () ->
           if not (Itbl.mem t.acked mid) then begin
@@ -883,8 +627,7 @@ let reply_from_home t ~home ~dst ~oid (iv : reply Sim.Engine.Ivar.t) (r : reply)
     let on_abandon () =
       if not (Sim.Engine.Ivar.is_filled iv) then Sim.Engine.Ivar.fill iv (Error Crashed)
     in
-    send_reliable ~on_abandon t ~mtype ~src:home ~dst ~kind:Sim.Network.Control ~bytes
-      ~tag:(tag_of oid) deliver
+    send_reliable ~on_abandon t ~mtype ~src:home ~dst ~bytes ~tag:(tag_of oid) deliver
 
 (* Ship a directory mutation to the partition's replicas (paper §4.1: the
    GDO is "partitioned and replicated"). Asynchronous and fire-and-forget:
@@ -898,7 +641,7 @@ let replicate_gdo_update t ~home ~oid =
   for i = 1 to t.cfg.Config.gdo_replicas do
     let replica = (home + i) mod n in
     if replica <> home then
-      send_exec t ~mtype:Dsm.Wire.Gdo_replica ~src:home ~dst:replica ~kind:Sim.Network.Control
+      send_exec t ~mtype:Dsm.Wire.Gdo_replica ~src:home ~dst:replica
         ~bytes:t.cfg.Config.control_msg_bytes ~tag:(tag_of oid)
         (fun () -> ())
   done
@@ -949,7 +692,7 @@ let send_lease_yield t ~node ~oid =
   if home = node then
     Sim.Engine.schedule t.engine ~delay:Sim.Network.local_delivery_cost_us run
   else
-    send_reliable t ~mtype:Dsm.Wire.Lease_yield ~src:node ~dst:home ~kind:Sim.Network.Control
+    send_reliable t ~mtype:Dsm.Wire.Lease_yield ~src:node ~dst:home
       ~bytes:t.cfg.Config.control_msg_bytes ~tag:(tag_of oid) run
 
 (* Executed at a leased node when a Lease_recall arrives. *)
@@ -983,7 +726,7 @@ let start_lease_recall t ~home ~oid ~excluded =
             Sim.Engine.schedule t.engine ~delay:Sim.Network.local_delivery_cost_us deliver
           else
             send_reliable t ~mtype:Dsm.Wire.Lease_recall ~src:home ~dst:node
-              ~kind:Sim.Network.Control ~bytes:t.cfg.Config.control_msg_bytes
+              ~bytes:t.cfg.Config.control_msg_bytes
               ~tag:(tag_of oid) deliver)
         ro_nodes;
       (* The force-clear backstop. A single timer at ro_deadline would keep
@@ -1041,49 +784,9 @@ let attach_lease t ~oid ~node (g : Gdo.Directory.grant) =
 let family_defunct t family =
   t.reliable && Txn_tree.status t.tree family = Txn_tree.Aborted
 
-(* ------------------------------------------------------------------ *)
-(* Escrow bookkeeping helpers (see Dsm.Escrow). The ledgers and family
-   records are created on demand; everything stays empty with the policy
-   off.                                                                *)
-
-let escrow_ledger t ~node oid =
-  let key = Oid.to_int oid in
-  match Itbl.find_opt t.escrow_ledgers.(node) key with
-  | Some l -> l
-  | None ->
-      let l =
-        {
-          el_q_up = 0;
-          el_q_down = 0;
-          el_pending = 0;
-          el_spent_up = 0;
-          el_spent_down = 0;
-          el_commits = 0;
-          el_epoch = 0;
-        }
-      in
-      Itbl.replace t.escrow_ledgers.(node) key l;
-      l
-
-let fam_escrow_of t family =
-  match Txn_id.Table.find_opt t.escrow_fams family with
-  | Some fe -> fe
-  | None ->
-      let fe = { fe_home = []; fe_local = [] } in
-      Txn_id.Table.replace t.escrow_fams family fe;
-      fe
-
-(* The op log replayed by [Serializability.check_escrow]. Node-side
-   effects (local commits, reconcile sends, recall surrenders) are logged
-   when the node's ledger changes; home-side effects (reservations,
-   delegations, resolutions) when the home applies them. Until an
-   in-flight reconcile or yield lands, the home's view is strictly more
-   conservative than the log's, so every home admission is log-admissible. *)
-let record_escrow_op t op = t.escrow_ops <- op :: t.escrow_ops
-
 (* Directory half of an acquire, shared by the direct path and the
    continuations parked behind a lease recall. *)
-let rec process_acquire_core t ~home ~requester ~family ~oid ~mode ~block
+let process_acquire_core t ~home ~requester ~family ~oid ~mode ~block
     (iv : reply Sim.Engine.Ivar.t) =
   match Gdo.Directory.acquire t.gdo oid ~family ~node:requester ~mode ~block () with
   | Gdo.Directory.Granted g ->
@@ -1093,26 +796,23 @@ let rec process_acquire_core t ~home ~requester ~family ~oid ~mode ~block
   | Gdo.Directory.Queued ->
       replicate_gdo_update t ~home ~oid;
       Itbl.replace t.pending (okey oid family) iv;
-      (* A waiter queued behind outstanding escrow work: recall whatever
-         quota is delegated so the queue can drain once the reservations
-         resolve. *)
-      if t.escrow_enabled then maybe_recall_escrow t ~home ~oid
+      (match t.escrow with Some e -> Escrow_layer.waiter_queued e ~home ~oid | None -> ())
   | Gdo.Directory.Busy -> reply_from_home t ~home ~dst:requester ~oid iv (Error Busy)
   | Gdo.Directory.Deadlock cycle ->
       reply_from_home t ~home ~dst:requester ~oid iv (Error (Deadlock cycle))
 
-and deliver_deferred_grant t ~home (d : Gdo.Directory.delivery) =
+let rec deliver_deferred_grant t ~home (d : Gdo.Directory.delivery) =
   let oid = d.d_grant.Gdo.Directory.g_oid in
   match Itbl.find_opt t.pending (okey oid d.d_family) with
   | None -> ()  (* e.g. a test driving the directory directly *)
   | Some iv ->
       Itbl.remove t.pending (okey oid d.d_family);
-      if family_defunct t d.d_family then begin
-        (* The queued family aborted while waiting (transport give-up or
-           crash unblocked it): hand the just-granted lock straight back
-           instead of delivering it to a corpse. If the waiter is a
-           function-shipped fiber that outlived the abort, fail its wait so
-           it unwinds (without shipping the ivar is already filled). *)
+      if family_defunct t d.d_family || Sim.Engine.Ivar.is_filled iv then begin
+        (* The requester stopped waiting (a transport give-up or a crash
+           failed its wait), and its family aborted or is aborting: hand
+           the just-granted lock straight back instead of delivering it to
+           a corpse. If the waiter is a function-shipped fiber that
+           outlived the abort, fail its wait so it unwinds. *)
         if not (Sim.Engine.Ivar.is_filled iv) then Sim.Engine.Ivar.fill iv (Error Crashed);
         let deliveries = Gdo.Directory.release t.gdo oid ~family:d.d_family ~dirty:[] in
         List.iter (deliver_deferred_grant t ~home) deliveries
@@ -1122,191 +822,14 @@ and deliver_deferred_grant t ~home (d : Gdo.Directory.delivery) =
         reply_from_home t ~home ~dst:d.d_node ~oid iv (Ok (d.d_grant, lease))
       end
 
-(* Home side of a quota recall: bump the escrow epoch and ask every node
-   holding delegated quota to surrender it. One recall runs at a time per
-   object ([escrow_recalling] holds the outstanding yield count); nodes
-   always answer a fresh-epoch recall, so the count reliably drains. *)
-and maybe_recall_escrow t ~home ~oid =
-  if Gdo.Directory.has_escrow t.gdo oid then begin
-    let quotas = Gdo.Directory.escrow_quotas t.gdo oid in
-    if quotas <> [] && not (Itbl.mem t.escrow_recalling (Oid.to_int oid)) then begin
-      Itbl.replace t.escrow_recalling (Oid.to_int oid) (List.length quotas);
-      let epoch = Gdo.Directory.escrow_begin_recall t.gdo oid in
-      t.counters.escrow_recalls <- t.counters.escrow_recalls + 1;
-      record_event t (fun () ->
-          Dsm.Event.Escrow_recall { oid; node = home; nodes = List.length quotas; epoch });
-      List.iter
-        (fun (n, _, _) ->
-          send_exec t ~mtype:Dsm.Wire.Escrow_recall ~src:home ~dst:n
-            ~kind:Sim.Network.Control ~bytes:t.cfg.Config.control_msg_bytes ~tag:(tag_of oid)
-            (fun () -> node_escrow_yield t ~node:n ~home ~oid ~epoch))
-        quotas
-    end
-  end
-
-(* Node side of a quota recall: surrender everything. The unreconciled
-   delta goes home as a final reconcile, the units still held by
-   uncommitted families are carried over to become home reservations
-   (their rows move from [fe_local] to [fe_home], so their resolutions
-   travel to the home), and the ledger zeroes — the fast path misses until
-   a later request re-delegates. *)
-and node_escrow_yield t ~node ~home ~oid ~epoch =
-  let l = escrow_ledger t ~node oid in
-  if epoch > l.el_epoch then begin
-    l.el_epoch <- epoch;
-    let carried = ref [] in
-    Txn_id.Table.iter
-      (fun f fe ->
-        if Txn_tree.node_of t.tree f = node then
-          match List.find_opt (fun (o, _, _, _) -> Oid.equal o oid) fe.fe_local with
-          | Some (_, up, down, d) ->
-              fe.fe_local <- List.filter (fun (o, _, _, _) -> not (Oid.equal o oid)) fe.fe_local;
-              if not (List.exists (Oid.equal oid) fe.fe_home) then
-                fe.fe_home <- oid :: fe.fe_home;
-              carried := (f, up, down, d) :: !carried
-          | None -> ())
-      t.escrow_fams;
-    let carried =
-      List.sort (fun (a, _, _, _) (b, _, _, _) -> Txn_id.compare a b) !carried
-    in
-    let delta = l.el_pending and used_up = l.el_spent_up and used_down = l.el_spent_down in
-    if delta <> 0 || used_up > 0 || used_down > 0 then
-      record_escrow_op t (Serializability.E_reconcile { oid; node; delta; used_up; used_down });
-    record_escrow_op t (Serializability.E_revoke { oid; node });
-    List.iter
-      (fun (f, up, down, _) ->
-        if up > 0 then
-          record_escrow_op t (Serializability.E_reserve { oid; family = f; delta = up });
-        if down > 0 then
-          record_escrow_op t (Serializability.E_reserve { oid; family = f; delta = -down }))
-      carried;
-    l.el_q_up <- 0;
-    l.el_q_down <- 0;
-    l.el_pending <- 0;
-    l.el_spent_up <- 0;
-    l.el_spent_down <- 0;
-    l.el_commits <- 0;
-    t.counters.escrow_yields <- t.counters.escrow_yields + 1;
-    record_event t (fun () -> Dsm.Event.Escrow_yield { oid; node; delta });
-    let carried_net = List.map (fun (f, up, down, _) -> (f, up - down)) carried in
-    let start () =
-      process_escrow_yield t ~home ~oid ~node ~epoch ~delta ~used_up ~used_down
-        ~carried:carried_net
-    in
-    if node = home then start ()
-    else
-      send_exec t ~mtype:Dsm.Wire.Escrow_yield ~src:node ~dst:home ~kind:Sim.Network.Control
-        ~bytes:t.cfg.Config.control_msg_bytes ~tag:(tag_of oid) start
-  end
-
-(* Home receipt of a yield: reconcile, zero the node's quota, re-book the
-   carried family units as home reservations, evict waiters whose wait now
-   closes a cycle through a carried family (they get the usual deadlock
-   refusal), and deliver any promoted grants. *)
-and process_escrow_yield t ~home ~oid ~node ~epoch ~delta ~used_up ~used_down ~carried =
-  Sim.Engine.schedule t.engine ~delay:Config.gdo_op_us (fun () ->
-      let deliveries, victims =
-        Gdo.Directory.escrow_yield t.gdo oid ~node ~epoch ~delta ~used_up ~used_down ~carried
-      in
-      (match Itbl.find_opt t.escrow_recalling (Oid.to_int oid) with
-      | Some n when n <= 1 -> Itbl.remove t.escrow_recalling (Oid.to_int oid)
-      | Some n -> Itbl.replace t.escrow_recalling (Oid.to_int oid) (n - 1)
-      | None -> ());
-      List.iter
-        (fun (f, vnode) ->
-          match Itbl.find_opt t.pending (okey oid f) with
-          | None -> ()
-          | Some iv ->
-              Itbl.remove t.pending (okey oid f);
-              reply_from_home t ~home ~dst:vnode ~oid iv (Error (Deadlock [ f ])))
-        victims;
-      List.iter (deliver_deferred_grant t ~home) deliveries)
-
-(* Home side of a slow-path escrow reservation: run the admission test,
-   and on admission ride the reply with a quota top-up toward the policy's
-   [local_quota] on the requested side — the delegation that makes later
-   calls at that node commit with zero messages. *)
-let process_escrow_request t ~home ~requester ~family ~oid ~delta ~want_up ~want_down
-    (iv : (bool * int * int) Sim.Engine.Ivar.t) =
-  Sim.Engine.schedule t.engine ~delay:Config.gdo_op_us (fun () ->
-      let result = Gdo.Directory.escrow_reserve t.gdo oid ~family ~node:requester ~delta in
-      let admitted = result = Gdo.Directory.Escrow_admitted in
-      record_event t (fun () ->
-          Dsm.Event.Escrow_reserve { oid; family; node = requester; delta; admitted });
-      let gu, gd =
-        if admitted then begin
-          t.counters.escrow_reserves <- t.counters.escrow_reserves + 1;
-          record_escrow_op t (Serializability.E_reserve { oid; family; delta });
-          let gu, gd =
-            (* No delegation while a recall is draining: an in-flight yield
-               zeroes the node's directory rows wholesale, so units granted
-               now would be silently dropped when it lands — and the node's
-               later reconcile of them would underflow the quota ledger. *)
-            if
-              (want_up > 0 || want_down > 0)
-              && not (Itbl.mem t.escrow_recalling (Oid.to_int oid))
-            then
-              Gdo.Directory.escrow_delegate t.gdo oid ~node:requester ~up:want_up
-                ~down:want_down
-            else (0, 0)
-          in
-          if gu > 0 || gd > 0 then begin
-            t.counters.escrow_quota_units <- t.counters.escrow_quota_units + (gu + gd);
-            record_escrow_op t
-              (Serializability.E_delegate { oid; node = requester; up = gu; down = gd });
-            record_event t (fun () ->
-                Dsm.Event.Escrow_delegate { oid; node = requester; up = gu; down = gd })
-          end;
-          (gu, gd)
-        end
-        else begin
-          t.counters.escrow_refusals <- t.counters.escrow_refusals + 1;
-          (0, 0)
-        end
-      in
-      let fill () = Sim.Engine.Ivar.fill iv (admitted, gu, gd) in
-      if home = requester then fill ()
-      else
-        send_exec t ~mtype:Dsm.Wire.Escrow_reply ~src:home ~dst:requester
-          ~kind:Sim.Network.Control ~bytes:t.cfg.Config.control_msg_bytes ~tag:(tag_of oid)
-          fill)
-
-(* Fiber side of a slow-path reservation: one round trip to the home.
-   Returns true when admitted; any delegated quota is installed into the
-   node's ledger either way so a refused call still leaves the fast path
-   armed for the next one. *)
-let escrow_request t ~node ~family ~oid ~delta =
-  let p = match t.escrow_params with Some p -> p | None -> assert false in
-  let l = escrow_ledger t ~node oid in
-  let want_up = if delta > 0 then max 0 (p.Dsm.Escrow.local_quota - l.el_q_up) else 0 in
-  let want_down = if delta < 0 then max 0 (p.Dsm.Escrow.local_quota - l.el_q_down) else 0 in
-  let home = home_of t oid in
-  let iv = Sim.Engine.Ivar.create () in
-  let epoch0 = l.el_epoch in
-  let start () =
-    process_escrow_request t ~home ~requester:node ~family ~oid ~delta ~want_up ~want_down iv
-  in
-  if home = node then start ()
-  else
-    send_exec t ~mtype:Dsm.Wire.Escrow_request ~src:node ~dst:home ~kind:Sim.Network.Control
-      ~bytes:t.cfg.Config.control_msg_bytes ~tag:(tag_of oid) start;
-  let admitted, gu, gd = Sim.Engine.Ivar.read iv in
-  (* Epoch fence on the install: if a recall was processed while this fiber
-     was blocked, the node has already yielded — its directory quota rows
-     are wiped when that yield lands at the home, so installing the
-     delegated units now would let the node spend quota the home no longer
-     records (the next reconcile would underflow the quota ledger). Drop
-     them; the admission itself is a home-side reservation and stays
-     valid. *)
-  if l.el_epoch = epoch0 then begin
-    if gu > 0 then l.el_q_up <- l.el_q_up + gu;
-    if gd > 0 then l.el_q_down <- l.el_q_down + gd
-  end;
-  if admitted then begin
-    let fe = fam_escrow_of t family in
-    if not (List.exists (Oid.equal oid) fe.fe_home) then fe.fe_home <- oid :: fe.fe_home
-  end;
-  admitted
+(* Fail a queued acquire with a deadlock refusal (an escrow yield's
+   victims get it). *)
+let refuse_waiter t ~home ~oid ~family ~node =
+  match Itbl.find_opt t.pending (okey oid family) with
+  | None -> ()
+  | Some iv ->
+      Itbl.remove t.pending (okey oid family);
+      reply_from_home t ~home ~dst:node ~oid iv (Error (Deadlock [ family ]))
 
 (* Recall-before-write: a write acquisition reaching a home with leases
    outstanding (or a recall already running) parks until the recall clears.
@@ -1459,19 +982,31 @@ and gdo_release t ~node ~family items =
               or a crash inside the flush window could swallow a committed
               family's releases and leak its locks (see [Batching]). *)
            queue_release t ~node ~home ~family items
-         else send_release t ~node ~home ~family items)
+         else send_release t ~node ~home [ (family, items) ])
 
-(* One Release message carrying one family's per-home batch — the
-   uncombined wire format. *)
-and send_release t ~node ~home ~family items =
+(* One Release message carrying one or more families' per-home batches.
+   One control header for the message; every family beyond the first adds
+   its 8-byte id on top of its items — cheaper than the headers separate
+   sends would pay. *)
+and send_release t ~node ~home batches =
+  let k = List.length batches in
+  if k > 1 then begin
+    t.counters.releases_coalesced <- t.counters.releases_coalesced + (k - 1);
+    record_event t (fun () -> Dsm.Event.Release_coalesced { node; home; families = k })
+  end;
   let bytes =
     t.cfg.Config.control_msg_bytes
-    + List.fold_left (fun acc (_, dirty) -> acc + 8 + (8 * List.length dirty)) 0 items
+    + List.fold_left
+        (fun acc (_, items) ->
+          List.fold_left (fun acc (_, dirty) -> acc + 8 + (8 * List.length dirty)) acc items)
+        0 batches
+    + (8 * (k - 1))
   in
-  send_reliable t ~mtype:Dsm.Wire.Release ~src:node ~dst:home ~kind:Sim.Network.Control
-    ~bytes ~tag:(-1)
-    ~on_abandon:(fun () -> resend_release t ~node ~family items)
-    (fun () -> process_release t ~home ~from:node ~family items)
+  send_reliable t ~mtype:Dsm.Wire.Release ~src:node ~dst:home ~bytes ~tag:(-1)
+    ~on_abandon:(fun () ->
+      List.iter (fun (family, items) -> resend_release t ~node ~family items) batches)
+    (fun () ->
+      List.iter (fun (family, items) -> process_release t ~home ~from:node ~family items) batches)
 
 (* Coalescing: park the family's batch and flush the channel after
    [Batching.release_flush_us]. The zero window still combines — the flush
@@ -1497,42 +1032,12 @@ and queue_release t ~node ~home ~family items =
 
 and flush_releases t ~node ~home =
   Hashtbl.remove t.release_flush_armed (node, home);
-  let batches =
-    match Hashtbl.find_opt t.pending_releases (node, home) with
-    | None -> []
-    | Some q ->
-        let b = List.rev !q in
-        q := [];
-        b
-  in
-  match batches with
-  | [] -> ()
-  | [ (family, items) ] -> send_release t ~node ~home ~family items
-  | batches ->
-      let k = List.length batches in
-      t.counters.releases_coalesced <- t.counters.releases_coalesced + (k - 1);
-      record_event t (fun () -> Dsm.Event.Release_coalesced { node; home; families = k });
-      (* One control header for the combined message; every family beyond
-         the first adds its 8-byte id on top of its items — cheaper than
-         the (k-1) headers the separate sends would have paid. *)
-      let bytes =
-        t.cfg.Config.control_msg_bytes
-        + List.fold_left
-            (fun acc (_, items) ->
-              List.fold_left
-                (fun acc (_, dirty) -> acc + 8 + (8 * List.length dirty))
-                acc items)
-            0 batches
-        + (8 * (k - 1))
-      in
-      send_reliable t ~mtype:Dsm.Wire.Release ~src:node ~dst:home ~kind:Sim.Network.Control
-        ~bytes ~tag:(-1)
-        ~on_abandon:(fun () ->
-          List.iter (fun (family, items) -> resend_release t ~node ~family items) batches)
-        (fun () ->
-          List.iter
-            (fun (family, items) -> process_release t ~home ~from:node ~family items)
-            batches)
+  match Hashtbl.find_opt t.pending_releases (node, home) with
+  | None | Some { contents = [] } -> ()
+  | Some q ->
+      let batches = List.rev !q in
+      q := [];
+      send_release t ~node ~home batches
 
 (* Fiber-side global acquisition: route to the home, block until the reply. *)
 let gdo_acquire t ~node ~family ~oid ~mode ~block : reply =
@@ -1550,7 +1055,7 @@ let gdo_acquire t ~node ~family ~oid ~mode ~block : reply =
       if home = node then start ()
       else
         send_reliable t ~mtype:Dsm.Wire.Acquire_request ~src:node ~dst:home
-          ~kind:Sim.Network.Control ~bytes:t.cfg.Config.control_msg_bytes ~tag:(tag_of oid)
+          ~bytes:t.cfg.Config.control_msg_bytes ~tag:(tag_of oid)
           ~on_abandon:(fun () ->
             if not (Sim.Engine.Ivar.is_filled iv) then
               Sim.Engine.Ivar.fill iv (Error Crashed))
@@ -1586,7 +1091,7 @@ let send_failover_confirms t ~home ~successor =
   |> List.sort Int.compare
   |> List.iter (fun dst ->
          send_exec t ~mtype:Dsm.Wire.Failover_confirm ~src:successor ~dst
-           ~kind:Sim.Network.Control ~bytes:t.cfg.Config.control_msg_bytes ~tag:(-1)
+           ~bytes:t.cfg.Config.control_msg_bytes ~tag:(-1)
            (fun () -> ()))
 
 (* Re-derive, for every partition, the node currently serving it: the home
@@ -1628,24 +1133,24 @@ let recompute_acting_homes t =
     end
   done
 
+(* Does family [f] execute at [node]: rooted there, or with a
+   function-shipped executor registered there? A crash of the node dooms
+   it, and the node's reclamation evicts it. *)
+let executes_at t f ~node =
+  Txn_tree.node_of t.tree f = node
+  || t.ship_enabled
+     &&
+     match Txn_id.Table.find_opt t.ship_states f with
+     | Some st -> List.exists (fun (n, _) -> n = node) st.exec_sites
+     | None -> false
+
 (* Reclaim a dead (or freshly restarted) node's residue at the directory:
    evict its doomed families — releasing held locks, draining wait-queue
    and waits-for entries, promoting queued survivors — drop its leases,
    and (while it is down) repoint page-map entries stranded on it to a
    surviving copy of the same committed version. *)
 let reclaim_dead_node t ~node:s ~repoint =
-  let dead f =
-    Txn_id.Table.mem t.doomed f
-    && (Txn_tree.node_of t.tree f = s
-       ||
-       (* A family rooted elsewhere but with a function-shipped executor
-          registered at the dead node is just as gone. *)
-       t.ship_enabled
-       &&
-       match Txn_id.Table.find_opt t.ship_states f with
-       | Some st -> List.exists (fun (n, _) -> n = s) st.exec_sites
-       | None -> false)
-  in
+  let dead f = Txn_id.Table.mem t.doomed f && executes_at t f ~node:s in
   let evicted, deliveries = Gdo.Directory.evict_families t.gdo ~dead in
   if t.lease_enabled then
     List.iter
@@ -1690,7 +1195,7 @@ let broadcast_view_change t ~src =
   if epoch > t.epoch_view.(src) then t.epoch_view.(src) <- epoch;
   for dst = 0 to t.cfg.Config.node_count - 1 do
     if dst <> src && not t.crashed.(dst) then
-      send_exec t ~mtype:Dsm.Wire.View_change ~src ~dst ~kind:Sim.Network.Control
+      send_exec t ~mtype:Dsm.Wire.View_change ~src ~dst
         ~bytes:t.cfg.Config.control_msg_bytes ~tag:(-1)
         (fun () -> if epoch > t.epoch_view.(dst) then t.epoch_view.(dst) <- epoch)
   done
@@ -1718,7 +1223,6 @@ let quorum t =
 let declare_dead t ~suspect:s ~by:o =
   let now = Sim.Engine.now t.engine in
   let inc = t.incarnation.(s) in
-  Hashtbl.replace t.declared_dead (s, inc) ();
   t.declared_down.(s) <- true;
   t.counters.nodes_declared_dead <- t.counters.nodes_declared_dead + 1;
   (* Ground truth is consulted for METRICS ONLY — the declaration itself
@@ -1739,7 +1243,7 @@ let declare_dead t ~suspect:s ~by:o =
      readmitted node does not flap. *)
   for dst = 0 to t.cfg.Config.node_count - 1 do
     if dst <> o && not t.crashed.(dst) then
-      send_exec t ~mtype:Dsm.Wire.Suspect ~src:o ~dst ~kind:Sim.Network.Control
+      send_exec t ~mtype:Dsm.Wire.Suspect ~src:o ~dst
         ~bytes:t.cfg.Config.control_msg_bytes ~tag:(-1)
         (fun () -> Sim.Failure_detector.hint t.detectors.(dst) ~node:s)
   done;
@@ -1790,7 +1294,7 @@ let declare_dead t ~suspect:s ~by:o =
    observer); only votes from observers not themselves declared count. *)
 let record_vote t ~suspect:s ~observer:o =
   let key = (s, t.incarnation.(s)) in
-  if not (Hashtbl.mem t.declared_dead key) then begin
+  if not t.declared_down.(s) then begin
     let tally =
       match Hashtbl.find_opt t.votes key with
       | Some tl -> tl
@@ -1826,12 +1330,12 @@ let check_suspects t ~observer:o =
         Hashtbl.replace t.suspected_seen seen_key ();
         record_event t (fun () -> Dsm.Event.Node_suspected { node = s; by = o })
       end;
-      if not (Hashtbl.mem t.declared_dead (s, inc)) then begin
+      if not t.declared_down.(s) then begin
         record_vote t ~suspect:s ~observer:o;
-        if not (Hashtbl.mem t.declared_dead (s, inc)) then
+        if not t.declared_down.(s) then
           for dst = 0 to t.cfg.Config.node_count - 1 do
             if dst <> o && dst <> s && not t.crashed.(dst) then
-              send_exec t ~mtype:Dsm.Wire.Suspect ~src:o ~dst ~kind:Sim.Network.Control
+              send_exec t ~mtype:Dsm.Wire.Suspect ~src:o ~dst
                 ~bytes:t.cfg.Config.control_msg_bytes ~tag:(-1)
                 (fun () ->
                   if
@@ -1918,15 +1422,7 @@ let crash_enter t ~node:d =
      this store are about to be wiped): ids are never reused, so the mark
      permanently fences the family's pre-crash stragglers. *)
   Txn_id.Table.iter
-    (fun f () ->
-      if
-        Txn_tree.node_of t.tree f = d
-        || t.ship_enabled
-           &&
-           (match Txn_id.Table.find_opt t.ship_states f with
-           | Some st -> List.exists (fun (n, _) -> n = d) st.exec_sites
-           | None -> false)
-      then Txn_id.Table.replace t.doomed f ())
+    (fun f () -> if executes_at t f ~node:d then Txn_id.Table.replace t.doomed f ())
     t.live_roots;
   (* Unblock global acquires that cannot complete: requests by doomed
      families and requests routed to this node as acting home (checked
@@ -2113,7 +1609,7 @@ let arm_crash_machinery t =
                       Dsm.Event.Heartbeat_suppressed { src = s; dst })
                 end
                 else
-                  send_exec t ~mtype:Dsm.Wire.Heartbeat ~src:s ~dst ~kind:Sim.Network.Control
+                  send_exec t ~mtype:Dsm.Wire.Heartbeat ~src:s ~dst
                     ~bytes:cfg.Config.control_msg_bytes ~tag:(-1)
                     (fun () ->
                       Sim.Failure_detector.heartbeat t.detectors.(dst) ~node:s
@@ -2189,11 +1685,11 @@ let fetch_groups t ~family ~node ~oid groups =
                     copies;
                   if not (Sim.Engine.Ivar.is_filled iv) then Sim.Engine.Ivar.fill iv ()
                 in
-                send_reliable t ~mtype:Dsm.Wire.Page_reply ~src ~dst:node ~kind:Sim.Network.Data
+                send_reliable t ~mtype:Dsm.Wire.Page_reply ~src ~dst:node
                   ~bytes:reply_bytes ~tag:(tag_of oid) ~on_abandon:fail install)
         in
         send_reliable t ~mtype:Dsm.Wire.Page_request ~src:node ~dst:src
-          ~kind:Sim.Network.Control ~bytes:req_bytes ~tag:(tag_of oid) ~on_abandon:fail serve;
+          ~bytes:req_bytes ~tag:(tag_of oid) ~on_abandon:fail serve;
         (fw, iv))
       groups
   in
@@ -2333,6 +1829,19 @@ let lease_release t ~node ~family ~oid =
   match Gdo.Lease.Cache.remove_reader t.lease_caches.(node) oid ~family with
   | `Yield -> send_lease_yield t ~node ~oid
   | `Nothing -> ()
+
+(* Release the family's lock on [oid] at [site] against the site's lease
+   cache when the read there is lease-backed (the directory never saw
+   it). False when it is a directory lock, which the caller releases
+   globally. *)
+let release_lease_backed t ~site ~family oid =
+  t.lease_enabled
+  && List.mem site (lease_nodes t ~family ~oid)
+  && begin
+       unmark_lease_backed_at t ~family ~oid ~node:site;
+       lease_release t ~node:site ~family ~oid;
+       true
+     end
 
 (* TTL doom (see Gdo.Lease): lease-backed reads are only as good as the
    lease backing them. Re-validate every one before the family commits; a
@@ -2618,38 +2127,29 @@ let park_log t ~owner ~site log =
         cell := !cell @ [ (site, fresh) ]
   end
 
-(* Apply undo logs over a node's store. A single log restores exactly
-   as the single-site runtime always has (sequential newest-first
-   application ends at the oldest pre-image per page). Several logs for one
-   site — a shipped descendant wrote pages its owner also wrote, and the
-   interleaving was lost when the logs were parked separately — combine
-   into one oldest-pre-image-per-page plan, which is what the correctly
-   interleaved single log would have produced: pre-image versions are
-   drawn from a global monotone counter, so oldest = minimum. *)
-let restore_logs t ~node logs =
-  match logs with
-  | [] -> ()
-  | [ log ] ->
-      List.iter
-        (fun { Undo_log.oid; page; prev_version } ->
-          Dsm.Page_store.restore t.stores.(node) oid ~page ~version:prev_version)
-        (Undo_log.entries_newest_first log)
-  | logs ->
-      let oldest = Hashtbl.create 16 in
-      List.iter
-        (fun log ->
-          List.iter
-            (fun { Undo_log.oid; page; prev_version = version } ->
-              let key = (Oid.to_int oid, page) in
-              match Hashtbl.find_opt oldest key with
-              | Some (_, v) when v <= version -> ()
-              | Some _ | None -> Hashtbl.replace oldest key (oid, version))
-            (Undo_log.entries_newest_first log))
-        logs;
-      Hashtbl.iter
-        (fun (_, page) (oid, version) ->
-          Dsm.Page_store.restore t.stores.(node) oid ~page ~version)
-        oldest
+(* Apply an undo log over a node's store: newest-first application ends
+   at the oldest pre-image per page. A transaction's own log restores at
+   its node and each parked log at its site; there is never a second log
+   for a site, since [park_log] keeps one per site and [precommit_txn]
+   merges a log for the owner's own node into the owner's log. *)
+let restore_log t ~node log =
+  List.iter
+    (fun { Undo_log.oid; page; prev_version } ->
+      Dsm.Page_store.restore t.stores.(node) oid ~page ~version:prev_version)
+    (Undo_log.entries_newest_first log)
+
+(* Crash unwinding with shipping: doom may have come from a crash
+   elsewhere in the family's execution-site set, and sites that did NOT
+   crash still hold the family's uncommitted writes, which the wipe did not
+   discard. Restore [txn]'s log and its parked logs there, intact sites
+   only. *)
+let restore_intact_sites t ~family ~node txn =
+  if t.ship_enabled then begin
+    if intact_site t ~family ~site:node then restore_log t ~node (undo_log_of t txn);
+    List.iter
+      (fun (site, log) -> if intact_site t ~family ~site then restore_log t ~node:site log)
+      (parked_of t txn)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Transaction completion (Algorithm 4.3 and root paths).              *)
@@ -2704,20 +2204,8 @@ let undo_txn t txn =
      into the wiped store would resurrect uncommitted state over the
      durable versions, so switch to the crash unwinding instead. *)
   check_crashed t ~txn_root:(Txn_tree.root_of t.tree txn);
-  if parked = [] then restore_logs t ~node [ log ]
-  else begin
-    (* The transaction's own log restores at its node; each parked log at
-       the site its shipped descendants wrote. *)
-    let sites = List.sort_uniq compare (node :: List.map fst parked) in
-    List.iter
-      (fun site ->
-        let logs =
-          (if site = node then [ log ] else [])
-          @ List.filter_map (fun (s, l) -> if s = site then Some l else None) parked
-        in
-        restore_logs t ~node:site logs)
-      sites
-  end
+  restore_log t ~node log;
+  List.iter (fun (site, l) -> restore_log t ~node:site l) parked
 
 (* Crash unwinding of one transaction level: purge local state with no
    undo (the crash wipe already reset the node's pages to their durable
@@ -2727,19 +2215,8 @@ let undo_txn t txn =
 let crashed_purge_sub t txn =
   let node = Txn_tree.node_of t.tree txn in
   let family = Txn_tree.root_of t.tree txn in
-  (* With shipping, doom may have come from a crash elsewhere in the
-     family's execution-site set: sites that did NOT crash still hold the
-     family's uncommitted writes, which the wipe did not discard. Restore
-     them here (and the parked state of shipped descendants), intact sites
-     only. *)
-  if t.ship_enabled then begin
-    if intact_site t ~family ~site:node then restore_logs t ~node [ undo_log_of t txn ];
-    List.iter
-      (fun (site, log) ->
-        if intact_site t ~family ~site then restore_logs t ~node:site [ log ])
-      (parked_of t txn);
-    drop_parked t txn
-  end;
+  restore_intact_sites t ~family ~node txn;
+  drop_parked t txn;
   List.iter
     (fun site -> Local_locks.abort t.locks.(site) txn ~to_release:(fun _ -> ()))
     (family_exec_sites t ~family ~node);
@@ -2754,13 +2231,8 @@ let abort_sub_txn t txn =
   let family = Txn_tree.root_of t.tree txn in
   let release site oid =
     Oid.Table.remove (family_snapshots t family) oid;
-    if t.lease_enabled && List.mem site (lease_nodes t ~family ~oid) then begin
-      (* The directory never saw this site's read lock: release it against
-         the site's lease cache only. *)
-      unmark_lease_backed_at t ~family ~oid ~node:site;
-      lease_release t ~node:site ~family ~oid
-    end
-    else gdo_release t ~node:site ~family [ (oid, []) ]
+    if not (release_lease_backed t ~site ~family oid) then
+      gdo_release t ~node:site ~family [ (oid, []) ]
   in
   List.iter
     (fun site -> Local_locks.abort t.locks.(site) txn ~to_release:(release site))
@@ -2797,7 +2269,7 @@ let eager_push t ~node items =
                  The extra recipients are installed off-network, so only the
                  charged copy is exposed to fault injection. *)
               send_reliable t ~mtype:Dsm.Wire.Eager_push ~src:node ~dst:first
-                ~kind:Sim.Network.Data ~bytes ~tag:(tag_of oid) (install first);
+                ~bytes ~tag:(tag_of oid) (install first);
               let delay = Sim.Network.transfer_time_us (Sim.Network.link t.net) bytes in
               List.iter
                 (fun dest -> Sim.Engine.schedule t.engine ~delay (fun () -> install dest ()))
@@ -2806,7 +2278,7 @@ let eager_push t ~node items =
               List.iter
                 (fun dest ->
                   send_reliable t ~mtype:Dsm.Wire.Eager_push ~src:node ~dst:dest
-                    ~kind:Sim.Network.Data ~bytes ~tag:(tag_of oid) (install dest))
+                    ~bytes ~tag:(tag_of oid) (install dest))
                 dests
         end
       end)
@@ -2824,24 +2296,31 @@ let dedup_accesses pick log =
         if c <> 0 then c else Int.compare a.version b.version)
     (log_entries pick log [])
 
-(* Split one site's released objects into lease-backed reads (released
-   against the site's lease cache, no directory traffic) and directory
-   locks (released globally as before). Lease-backed locks are read-only by
-   construction: a write would have upgraded, and upgrading converts the
-   lock to a directory lock. *)
-let split_lease_released t ~site ~family released =
-  if not t.lease_enabled then released
-  else begin
-    let leased, global =
-      List.partition (fun oid -> List.mem site (lease_nodes t ~family ~oid)) released
-    in
-    List.iter
-      (fun oid ->
-        unmark_lease_backed_at t ~family ~oid ~node:site;
-        lease_release t ~node:site ~family ~oid)
-      leased;
-    global
-  end
+(* Release a root's locks at every execution site: lease-backed reads
+   against the site's lease cache, and directory locks through [release],
+   called once per site with the objects no earlier site listed (an object
+   cached at more than one site, a directory grant plus shipped
+   re-acquisitions, releases globally once). Lease-backed locks are
+   read-only by construction: a write would have upgraded, and upgrading
+   converts the lock to a directory lock. Returns the objects released
+   globally. *)
+let release_root_sites t ~root ~node release =
+  let seen = Oid.Table.create 16 in
+  List.iter
+    (fun site ->
+      let released =
+        List.filter
+          (fun oid ->
+            if release_lease_backed t ~site ~family:root oid || Oid.Table.mem seen oid then false
+            else begin
+              Oid.Table.add seen oid ();
+              true
+            end)
+          (Local_locks.root_release t.locks.(site) ~root)
+      in
+      if released <> [] then release site released)
+    (family_exec_sites t ~family:root ~node);
+  seen
 
 (* Drop a completed family's function-shipping state. *)
 let drop_ship_state t root =
@@ -2849,90 +2328,6 @@ let drop_ship_state t root =
     Txn_id.Table.remove t.ship_states root;
     drop_parked t root
   end
-
-(* Push a node ledger's unreconciled local commits home: one message, the
-   home folds the net delta in and retires the spent quota units. Called
-   when the batch threshold is reached and at end of run. *)
-let escrow_send_reconcile t ~node oid (l : escrow_ledger) =
-  let delta = l.el_pending and used_up = l.el_spent_up and used_down = l.el_spent_down in
-  if delta <> 0 || used_up > 0 || used_down > 0 then begin
-    let commits = l.el_commits in
-    record_escrow_op t (Serializability.E_reconcile { oid; node; delta; used_up; used_down });
-    l.el_pending <- 0;
-    l.el_spent_up <- 0;
-    l.el_spent_down <- 0;
-    l.el_commits <- 0;
-    t.counters.escrow_reconciles <- t.counters.escrow_reconciles + 1;
-    record_event t (fun () -> Dsm.Event.Escrow_reconcile { oid; node; delta; commits });
-    let home = home_of t oid in
-    let apply () =
-      Sim.Engine.schedule t.engine ~delay:Config.gdo_op_us (fun () ->
-          Gdo.Directory.escrow_reconcile t.gdo oid ~node ~delta ~used_up ~used_down)
-    in
-    if home = node then apply ()
-    else
-      send_exec t ~mtype:Dsm.Wire.Escrow_reconcile ~src:node ~dst:home
-        ~kind:Sim.Network.Control ~bytes:t.cfg.Config.control_msg_bytes ~tag:(tag_of oid)
-        apply
-  end
-
-(* Root-resolution half of escrow. On commit the family's fast-path holds
-   become the node's zero-message local commits (folded into the ledger,
-   reconciled home lazily in batches); on abort the drawn units simply
-   return to the delegated quota. Home-side reservations get one
-   resolution message per object either way, so the home folds (or drops)
-   the family's row and promotes any queued waiters. *)
-let escrow_resolve_family t root ~node ~commit =
-  match Txn_id.Table.find_opt t.escrow_fams root with
-  | None -> ()
-  | Some fe ->
-      Txn_id.Table.remove t.escrow_fams root;
-      let p = match t.escrow_params with Some p -> p | None -> assert false in
-      let local = List.sort (fun (a, _, _, _) (b, _, _, _) -> Oid.compare a b) fe.fe_local in
-      List.iter
-        (fun (oid, up, down, nd) ->
-          let l = escrow_ledger t ~node oid in
-          if commit then begin
-            (* Two checker ops when the family held units on both sides, so
-               the replayed quota spend matches the reconcile report. *)
-            if up > 0 then begin
-              l.el_spent_up <- l.el_spent_up + up;
-              record_escrow_op t (Serializability.E_local_commit { oid; node; delta = up })
-            end;
-            if down > 0 then begin
-              l.el_spent_down <- l.el_spent_down + down;
-              record_escrow_op t (Serializability.E_local_commit { oid; node; delta = -down })
-            end;
-            l.el_pending <- l.el_pending + nd;
-            l.el_commits <- l.el_commits + 1;
-            if l.el_commits >= p.Dsm.Escrow.reconcile_every then
-              escrow_send_reconcile t ~node oid l
-          end
-          else begin
-            l.el_q_up <- l.el_q_up + up;
-            l.el_q_down <- l.el_q_down + down
-          end)
-        local;
-      List.iter
-        (fun oid ->
-          let home = home_of t oid in
-          let resolve () =
-            Sim.Engine.schedule t.engine ~delay:Config.gdo_op_us (fun () ->
-                let deliveries =
-                  if commit then Gdo.Directory.escrow_commit t.gdo oid ~family:root
-                  else Gdo.Directory.escrow_abort t.gdo oid ~family:root
-                in
-                record_escrow_op t
-                  (if commit then Serializability.E_commit { oid; family = root }
-                   else Serializability.E_abort { oid; family = root });
-                List.iter (deliver_deferred_grant t ~home) deliveries)
-          in
-          if home = node then resolve ()
-          else
-            send_exec t ~mtype:Dsm.Wire.Escrow_commit ~src:node ~dst:home
-              ~kind:Sim.Network.Control ~bytes:t.cfg.Config.control_msg_bytes
-              ~tag:(tag_of oid) resolve)
-        (List.sort Oid.compare fe.fe_home)
 
 (* Runs entirely without yielding (waits happen at the caller, before the
    commit point), so a crash window can never tear a commit: either the
@@ -2946,9 +2341,7 @@ let commit_root t root =
      Collect the final version of every dirty page across the root's own
      log and its parked per-site logs (a page written at several sites
      reports its newest version — version numbers are globally monotone),
-     then release per site; an object cached at more than one site (a
-     directory grant plus shipped re-acquisitions) releases globally once,
-     from the first site listing it. *)
+     then release per site. *)
   let site_logs = (node, undo_log_of t root) :: parked_of t root in
   let by_page = Hashtbl.create 16 in
   List.iter
@@ -2976,40 +2369,25 @@ let commit_root t root =
       by_page []
     |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
   in
-  let seen = Oid.Table.create 16 in
-  let released_count = ref 0 in
-  List.iter
-    (fun site ->
-      let released = Local_locks.root_release t.locks.(site) ~root in
-      let released = split_lease_released t ~site ~family:root released in
-      let released =
-        List.filter
-          (fun oid ->
-            if Oid.Table.mem seen oid then false
-            else begin
-              Oid.Table.add seen oid ();
-              true
-            end)
-          released
-      in
-      released_count := !released_count + List.length released;
-      if released <> [] then begin
+  let released =
+    release_root_sites t ~root ~node (fun site released ->
         let items = List.map (fun oid -> (oid, dirty_of oid)) released in
         let push_items =
           List.filter (fun (oid, _) -> Dsm.Protocol.is_eager_push (protocol_for t oid)) items
         in
         if push_items <> [] then eager_push t ~node:site push_items;
-        gdo_release t ~node:site ~family:root items
-      end)
-    (family_exec_sites t ~family:root ~node);
+        gdo_release t ~node:site ~family:root items)
+  in
   (* Locks are held to root commit (rule 2), so every dirty object must
      have been among the released locks. *)
   Hashtbl.iter
     (fun _ (oid, _, _) ->
-      if not (Oid.Table.mem seen oid) then
+      if not (Oid.Table.mem released oid) then
         failwith (Format.asprintf "Runtime: dirty object %a not among released locks" Oid.pp oid))
     by_page;
-  if t.escrow_enabled then escrow_resolve_family t root ~node ~commit:true;
+  (match t.escrow with
+  | Some e -> Escrow_layer.resolve_family e root ~node ~commit:true
+  | None -> ());
   if t.lease_enabled then drop_lease_reads t root;
   if not t.cfg.Config.streaming then
     t.history <-
@@ -3021,7 +2399,7 @@ let commit_root t root =
       :: t.history;
   Txn_tree.set_status t.tree root Txn_tree.Committed;
   record_event t (fun () ->
-      Dsm.Event.Root_commit { family = root; node; released = !released_count });
+      Dsm.Event.Root_commit { family = root; node; released = Oid.Table.length released });
   Txn_id.Table.remove t.snapshots root;
   drop_ship_state t root;
   drop_txn_state t root;
@@ -3036,25 +2414,13 @@ let abort_root t root =
   undo_txn t root;
   Sim.Engine.wait Config.local_lock_op_us;
   check_crashed t ~txn_root:root;
-  let seen = Oid.Table.create 16 in
-  List.iter
-    (fun site ->
-      let released = Local_locks.root_release t.locks.(site) ~root in
-      let released = split_lease_released t ~site ~family:root released in
-      let released =
-        List.filter
-          (fun oid ->
-            if Oid.Table.mem seen oid then false
-            else begin
-              Oid.Table.add seen oid ();
-              true
-            end)
-          released
-      in
-      if released <> [] then
+  let (_ : unit Oid.Table.t) =
+    release_root_sites t ~root ~node (fun site released ->
         gdo_release t ~node:site ~family:root (List.map (fun oid -> (oid, [])) released))
-    (family_exec_sites t ~family:root ~node);
-  if t.escrow_enabled then escrow_resolve_family t root ~node ~commit:false;
+  in
+  (match t.escrow with
+  | Some e -> Escrow_layer.resolve_family e root ~node ~commit:false
+  | None -> ());
   if t.lease_enabled then drop_lease_reads t root;
   Txn_tree.set_status t.tree root Txn_tree.Aborted;
   record_event t (fun () -> Dsm.Event.Root_abort { family = root; node });
@@ -3072,13 +2438,7 @@ let abort_root t root =
    uncommitted writes from the root's remaining logs first. *)
 let crashed_purge_root t root =
   let node = Txn_tree.node_of t.tree root in
-  if t.ship_enabled then begin
-    if intact_site t ~family:root ~site:node then restore_logs t ~node [ undo_log_of t root ];
-    List.iter
-      (fun (site, log) ->
-        if intact_site t ~family:root ~site then restore_logs t ~node:site [ log ])
-      (parked_of t root)
-  end;
+  restore_intact_sites t ~family:root ~node root;
   List.iter
     (fun site -> ignore (Local_locks.root_release t.locks.(site) ~root))
     (family_exec_sites t ~family:root ~node);
@@ -3267,74 +2627,15 @@ let check_no_recursion t ~parent ~target =
   let depth = climb parent 1 in
   Sim.Engine.wait (Config.local_lock_op_us *. float_of_int depth)
 
-(* The escrow commit path for a declared-commutative invocation on an
-   escrowed object: no lock, no page I/O — the method's effect is its unit
-   delta, booked either against the node's delegated quota (fast path,
-   zero messages) or as a home reservation (slow path, one round trip).
-   The units are held by the family until the root resolves; aborts are
-   family-level only (Config.validate excludes injected sub-retries with
-   escrow on), so per-family tracking is exact. Returns false when escrow
-   does not apply or the home refused — the caller falls back to the
-   exclusive-lock path. *)
-let escrow_try t ~oid ~(cm : Obj_class.compiled_method) ~node ~family =
-  t.escrow_enabled
-  && Method_ir.commutes cm.Obj_class.ir
-  && Oid.Table.mem t.escrow_oids oid
-  && begin
-       let delta = Method_ir.escrow_delta cm.Obj_class.ir in
-       (* The body's statements still cost CPU; they just run against the
-          escrowed quantity instead of pages. *)
-       for _ = 1 to Method_ir.statement_count cm.Obj_class.ir do
-         exec_statement t ~node
-       done;
-       (* Ride out lock bursts instead of folding at the first refusal: a
-          refused call that falls back grabs the write lock, which refuses
-          the next reservation in turn — one statement-batch writer would
-          cascade into escrow disabling itself on the hot account exactly
-          when it matters. Bounded, so a real conflict still reaches the
-          lock path (and its deadlock detection) quickly; each attempt
-          re-checks the fast path first, since quota may have landed while
-          we slept. *)
-       let backoff_us = [ 100.0; 200.0; 400.0; 800.0; 1600.0 ] in
-       let rec attempt backoffs =
-         let l = escrow_ledger t ~node oid in
-         let can_local =
-           if delta > 0 then l.el_q_up >= delta else l.el_q_down >= -delta
-         in
-         if can_local then begin
-           if delta > 0 then l.el_q_up <- l.el_q_up - delta
-           else l.el_q_down <- l.el_q_down + delta;
-           t.counters.escrow_local_commits <- t.counters.escrow_local_commits + 1;
-           record_event t (fun () ->
-               Dsm.Event.Escrow_local_commit { oid; family; node; delta });
-           let fe = fam_escrow_of t family in
-           let up = max delta 0 and down = max (-delta) 0 in
-           (match List.find_opt (fun (o, _, _, _) -> Oid.equal o oid) fe.fe_local with
-           | Some (_, u, d, nd) ->
-               fe.fe_local <-
-                 (oid, u + up, d + down, nd + delta)
-                 :: List.filter (fun (o, _, _, _) -> not (Oid.equal o oid)) fe.fe_local
-           | None -> fe.fe_local <- (oid, up, down, delta) :: fe.fe_local);
-           true
-         end
-         else if escrow_request t ~node ~family ~oid ~delta then true
-         else
-           match backoffs with
-           | [] -> false
-           | wait :: rest ->
-               Sim.Engine.wait wait;
-               attempt rest
-       in
-       attempt backoff_us
-     end
-
 let rec run_body t ~prng ~txn ~oid ~(cm : Obj_class.compiled_method) =
   let node = Txn_tree.node_of t.tree txn in
   let family = Txn_tree.root_of t.tree txn in
   Txn_id.Table.replace t.txn_objects txn oid;
   if try_cache_serve t ~txn ~oid ~cm then ()
-  else if escrow_try t ~oid ~cm ~node ~family then ()
-  else run_body_exec t ~prng ~txn ~oid ~cm ~node ~family
+  else
+    match t.escrow with
+    | Some e when Escrow_layer.try_invoke e ~oid ~cm ~node ~family -> ()
+    | Some _ | None -> run_body_exec t ~prng ~txn ~oid ~cm ~node ~family
 
 and run_body_exec t ~prng ~txn ~oid ~(cm : Obj_class.compiled_method) ~node ~family =
   let mode = if cm.Obj_class.summary.Access_analysis.updates then Lock.Write else Lock.Read in
@@ -3537,7 +2838,7 @@ and ship_invocation t ~prng ~parent ~oid ~meth ~family ~site =
   let fail_wait () =
     if not (Sim.Engine.Ivar.is_filled iv) then Sim.Engine.Ivar.fill iv Ship_crashed
   in
-  send_reliable t ~mtype:Dsm.Wire.Ship_invoke ~src:pnode ~dst:site ~kind:Sim.Network.Control
+  send_reliable t ~mtype:Dsm.Wire.Ship_invoke ~src:pnode ~dst:site
     ~bytes:params.Dsm.Shipping.invoke_bytes ~tag:(tag_of oid) ~on_abandon:fail_wait
     (fun () ->
       (* Delivery fences: a site inside its crash window executes nothing
@@ -3561,7 +2862,7 @@ and ship_invocation t ~prng ~parent ~oid ~meth ~family ~site =
             in
             if not (t.crash_enabled && t.crashed.(site)) then
               send_reliable t ~mtype:Dsm.Wire.Ship_reply ~src:site ~dst:pnode
-                ~kind:Sim.Network.Control ~bytes:params.Dsm.Shipping.reply_bytes
+                ~bytes:params.Dsm.Shipping.reply_bytes
                 ~tag:(tag_of oid) ~on_abandon:fail_wait
                 (fun () ->
                   if not (Sim.Engine.Ivar.is_filled iv) then Sim.Engine.Ivar.fill iv outcome))
@@ -3576,6 +2877,221 @@ and ship_invocation t ~prng ~parent ~oid ~meth ~family ~site =
 
 (* ------------------------------------------------------------------ *)
 (* Root driving.                                                       *)
+
+let create ~config:cfg ~catalog =
+  (match Config.validate cfg with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Runtime.create: " ^ msg));
+  (if not cfg.Config.allow_recursive_catalogs then
+     match Catalog.validate_acyclic catalog with
+     | Ok () -> ()
+     | Error cycle ->
+         invalid_arg
+           (Format.asprintf "Runtime.create: catalog has recursive references through %a"
+              (Format.pp_print_list ~pp_sep:(fun f () -> Format.pp_print_string f " -> ") Oid.pp)
+              cycle));
+  let engine = Sim.Engine.create () in
+  let metrics = Dsm.Metrics.create () in
+  let counters = Dsm.Metrics.counters metrics in
+  let trace =
+    if cfg.Config.trace_capacity > 0 then
+      Some (Sim.Trace.create ~capacity:cfg.Config.trace_capacity)
+    else None
+  in
+  let on_message ~src:_ ~dst:_ ~kind ~bytes ~tag =
+    let oid = if tag >= 0 then Oid.of_int tag else Dsm.Metrics.untagged in
+    Dsm.Metrics.record_message metrics ~oid ~kind ~bytes
+  in
+  let on_fault ~event ~src ~dst =
+    (match event with
+    | Sim.Fault.Drop | Sim.Fault.Crash_drop | Sim.Fault.Partition_drop
+    | Sim.Fault.Link_cut_drop ->
+        counters.drops <- counters.drops + 1
+    | Sim.Fault.Duplicate -> counters.duplicates <- counters.duplicates + 1
+    | Sim.Fault.Pause_defer | Sim.Fault.Slow_defer -> ());
+    match trace with
+    | None -> ()
+    | Some tr ->
+        Sim.Trace.record tr ~time:(Sim.Engine.now engine)
+          (Dsm.Event.Fault { fault = event; src; dst })
+  in
+  let net =
+    Sim.Network.create ~engine ~node_count:cfg.Config.node_count ~link:cfg.Config.link
+      ?faults:cfg.Config.faults ~on_fault ~on_message ()
+  in
+  let tree = Txn_tree.create () in
+  (* Crash *or* link windows arm the whole failure-handling stack:
+     heartbeats, detectors, quorum membership, failover. A partition
+     makes messages loseable and nodes falsely suspectable, so it needs
+     everything a crash does except the state wipe. *)
+  let crash_enabled =
+    match cfg.Config.faults with
+    | Some f -> Sim.Fault.has_crash_windows f || Sim.Fault.has_link_windows f
+    | None -> false
+  in
+  let t =
+    {
+      cfg;
+      catalog;
+      engine;
+      net;
+      tree;
+      gdo = Gdo.Directory.create ();
+      stores = Array.init cfg.Config.node_count (fun node -> Dsm.Page_store.create ~node);
+      locks = Array.init cfg.Config.node_count (fun _ -> Local_locks.create tree);
+      metrics;
+      counters;
+      next_version = 0;
+      pending = Itbl.create 64;
+      inflight = Itbl.create 16;
+      transfers = Itbl.create 16;
+      snapshots = Txn_id.Table.create 64;
+      undo_logs = Txn_id.Table.create 64;
+      txn_objects = Txn_id.Table.create 64;
+      access_logs = Txn_id.Table.create 64;
+      history = [];
+      results = [];
+      outstanding = 0;
+      ran = false;
+      trace;
+      cpus =
+        (if cfg.Config.cpu_limited then
+           Some
+             (Array.init cfg.Config.node_count (fun _ ->
+                  Sim.Engine.Semaphore.create ~permits:1))
+         else None);
+      reliable = Sim.Network.faults_active net;
+      next_mid = 0;
+      acked = Itbl.create 256;
+      seen = Itbl.create 256;
+      batching = Dsm.Batching.enabled cfg.Config.batching;
+      batch_acks = Dsm.Batching.enabled cfg.Config.batching && Sim.Network.faults_active net;
+      batch_heartbeat =
+        (Dsm.Batching.enabled cfg.Config.batching
+        &&
+        match cfg.Config.faults with
+        | Some f -> Sim.Fault.has_crash_windows f || Sim.Fault.has_link_windows f
+        | None -> false);
+      pending_acks = Hashtbl.create 16;
+      ack_flush_armed = Hashtbl.create 16;
+      pending_releases = Hashtbl.create 16;
+      release_flush_armed = Hashtbl.create 16;
+      last_traffic = Array.make (cfg.Config.node_count * cfg.Config.node_count) neg_infinity;
+      lease_enabled = Gdo.Lease.policy_enabled cfg.Config.lease;
+      lease_mgr = Gdo.Lease.create cfg.Config.lease;
+      lease_caches =
+        Array.init cfg.Config.node_count (fun _ -> Gdo.Lease.Cache.create ());
+      lease_reads = Txn_id.Table.create 64;
+      lease_blocked = Itbl.create 16;
+      recall_started = Itbl.create 16;
+      cache_enabled = Dsm.Method_cache.policy_enabled cfg.Config.method_cache;
+      method_caches =
+        Array.init cfg.Config.node_count (fun _ ->
+            Dsm.Method_cache.create cfg.Config.method_cache);
+      crash_enabled;
+      crashed = Array.make cfg.Config.node_count false;
+      committed =
+        (if crash_enabled then
+           Array.init cfg.Config.node_count (fun node -> Dsm.Page_store.create ~node)
+         else [||]);
+      parked_releases = (if crash_enabled then Array.make cfg.Config.node_count [] else [||]);
+      incarnation = Array.make cfg.Config.node_count 0;
+      doomed = Txn_id.Table.create 16;
+      live_roots = Txn_id.Table.create 16;
+      suspected_seen = Hashtbl.create 16;
+      detectors =
+        Array.init cfg.Config.node_count (fun i ->
+            let d =
+              Sim.Failure_detector.create ~node_count:cfg.Config.node_count
+                ~timeout_us:cfg.Config.suspect_timeout_us
+            in
+            Sim.Failure_detector.set_self d i;
+            d);
+      acting_home = Array.init cfg.Config.node_count (fun i -> i);
+      rejoin = Array.make cfg.Config.node_count None;
+      membership_epoch = 0;
+      epoch_view = Array.make cfg.Config.node_count 0;
+      declared_down = Array.make cfg.Config.node_count false;
+      acting_epoch = Array.make cfg.Config.node_count 0;
+      fence_until = Array.make cfg.Config.node_count 0.0;
+      parked = Array.make cfg.Config.node_count false;
+      park_ivars = Array.make cfg.Config.node_count None;
+      votes = Hashtbl.create 8;
+      membership_log = [];
+      backoffs =
+        (let seed =
+           match cfg.Config.faults with Some f -> f.Sim.Fault.seed | None -> 0
+         in
+         Array.init cfg.Config.node_count (fun node ->
+             Sim.Backoff.stream ~seed ~node ~base_us:cfg.Config.request_timeout_us
+               ~cap_us:Config.retransmit_backoff_cap_us));
+      deliver_hook = (fun ~src:_ ~dst:_ -> ());
+      fetch_waits = [];
+      ship_enabled = Dsm.Shipping.policy_enabled cfg.Config.shipping;
+      ship_params =
+        (match cfg.Config.shipping with
+        | Dsm.Shipping.Off -> None
+        | Dsm.Shipping.On p -> Some p);
+      ship_states = Txn_id.Table.create 16;
+      parked_logs = Txn_id.Table.create 16;
+      ship_waits = [];
+      escrow = None;
+    }
+  in
+  if t.cache_enabled then
+    for node = 0 to cfg.Config.node_count - 1 do
+      register_cache_invalidation t ~node
+    done;
+  (* Trivial dispatch: every node executes delivered thunks. With heartbeat
+     piggybacking, any delivered remote message doubles as a liveness
+     proof — it refreshes the receiver's failure detector exactly as a
+     Heartbeat would, which is what lets the sender suppress the periodic
+     one on an active channel. *)
+  for node = 0 to cfg.Config.node_count - 1 do
+    Sim.Network.set_handler net ~node (fun ~src (Exec f) ->
+        if src <> node && not t.crashed.(node) then begin
+          if t.batch_heartbeat then
+            Sim.Failure_detector.heartbeat t.detectors.(node) ~node:src
+              ~now:(Sim.Engine.now engine);
+          (* Membership: a delivered message carries the sender's epoch
+             view and is a liveness proof — it readmits a falsely-declared
+             sender. No-op until the crash machinery arms the hook. *)
+          t.deliver_hook ~src ~dst:node
+        end;
+        f ())
+  done;
+  (* Initial placement: all pages of every object live on its home node at
+     version 0; the GDO entry lives on the same node. *)
+  List.iter
+    (fun oid ->
+      let pages = Catalog.page_count catalog oid in
+      let home = home_of t oid in
+      Gdo.Directory.register_object t.gdo oid ~pages ~initial_node:home;
+      for p = 0 to pages - 1 do
+        Dsm.Page_store.receive t.stores.(home) oid ~page:p ~version:0
+      done)
+    (Catalog.oids catalog);
+  (match cfg.Config.escrow with
+  | Dsm.Escrow.Off -> ()
+  | Dsm.Escrow.On p ->
+      let env =
+        {
+          Escrow_layer.engine;
+          gdo = t.gdo;
+          tree;
+          counters;
+          record_event = record_event t;
+          home_of = home_of t;
+          send =
+            (fun ~mtype ~src ~dst ~oid f ->
+              send_exec t ~mtype ~src ~dst ~bytes:cfg.Config.control_msg_bytes ~tag:(tag_of oid) f);
+          exec_statement = exec_statement t;
+          deliver_grant = deliver_deferred_grant t;
+          refuse_waiter = refuse_waiter t;
+        }
+      in
+      t.escrow <- Some (Escrow_layer.create env p ~node_count:cfg.Config.node_count catalog));
+  t
 
 let submit t ~at ~node ~oid ~meth ~seed =
   if t.ran then invalid_arg "Runtime.submit: run already completed";
@@ -3706,24 +3222,14 @@ let submit t ~at ~node ~oid ~meth ~seed =
               :: t.results;
           t.outstanding <- t.outstanding - 1))
 
-(* End-of-run escrow flush: every node ledger pushes its last partial
-   batch home, so the run ends with no unreconciled deltas (the checker's
-   end condition) and the homes report true final quantities. *)
-let escrow_flush t =
-  Array.iteri
-    (fun node ledgers ->
-      Itbl.fold (fun key l acc -> (key, l) :: acc) ledgers []
-      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-      |> List.iter (fun (key, l) -> escrow_send_reconcile t ~node (Oid.of_int key) l))
-    t.escrow_ledgers
-
 let run t =
   if t.crash_enabled && not t.ran then arm_crash_machinery t;
   Sim.Engine.run t.engine;
-  if t.escrow_enabled then begin
-    escrow_flush t;
-    Sim.Engine.run t.engine
-  end;
+  (match t.escrow with
+  | Some e ->
+      Escrow_layer.flush e;
+      Sim.Engine.run t.engine
+  | None -> ());
   t.ran <- true;
   assert (t.outstanding = 0);
   Dsm.Metrics.set_completion_time_us t.metrics (Sim.Engine.now t.engine)
@@ -3731,13 +3237,7 @@ let run t =
 let results t = List.rev t.results
 let committed_history t = List.rev t.history
 
-let check_escrow t =
-  match t.escrow_params with
-  | None -> Ok []
-  | Some p ->
-      Serializability.check_escrow ~lower:p.Dsm.Escrow.lower_bound
-        ~upper:p.Dsm.Escrow.upper_bound ~initial:p.Dsm.Escrow.initial
-        ~ops:(List.rev t.escrow_ops)
+let check_escrow t = match t.escrow with None -> Ok [] | Some e -> Escrow_layer.check e
 
 let membership_epoch t = t.membership_epoch
 let node_declared_down t ~node = t.declared_down.(node)

@@ -21,7 +21,14 @@ open Objmodel
     - Algorithm 4.3 LocalLockRelease — pre-commit/abort/commit disposition;
     - Algorithm 4.4 GlobalLockRelease — the GDO-home release handler;
     - Algorithm 4.5 TransferOfUpdatedPages — the page-transfer engine, with
-      per-protocol transfer sets from {!Dsm.Protocol.transfer_set}. *)
+      per-protocol transfer sets from {!Dsm.Protocol.transfer_set}.
+
+    Escrow commit lives in {!Escrow_layer}: [create] installs it only when
+    the escrow policy is on, and the runtime calls it at five points (a
+    commuting invocation, a waiter queued at a home, root commit and abort,
+    the end-of-run flush, {!check_escrow}). The other levers (leases, the
+    method cache, batching, shipping, crash recovery and membership) are
+    still branches in this module. *)
 
 type t
 

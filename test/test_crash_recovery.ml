@@ -371,98 +371,35 @@ let test_release_swallowed () =
            [ (1, tc +. 0.01, tc +. 4_000.0); (writer_node, tc +. 0.02, tc +. 6_000.0) ]))
 
 (* ------------------------------------------------------------------ *)
-(* Commit-point crash enumeration: every node crashes right after every
-   root commit, and the committing node a little later too.            *)
+(* Crash-point enumeration (see [Crash_point]): one 4,000 us crash
+   window per run, at points read off a traced baseline.               *)
 
-let crash_point_workload =
-  let memo = Hashtbl.create 4 in
-  fun spec_seed ->
-    match Hashtbl.find_opt memo spec_seed with
-    | Some wl -> wl
-    | None ->
-        let wl =
-          Workload.Generator.generate
-            { spec with Workload.Spec.seed = spec_seed }
-            ~page_size:Core.Config.default.Core.Config.page_size
-        in
-        Hashtbl.add memo spec_seed wl;
-        wl
-
-(* One crash point: [spec] at [spec_seed] under the crash suite's timers,
-   with a single 4,000 us crash window on [node] opening at [start]. The
-   shared oracle and the stall detector raise on a violation. A failing
-   enumeration case names its tuple; this call replays it. *)
-let crash_point ?(trace_capacity = 0) ~spec_seed ~protocol ~replicas ~node ~start () =
-  let config =
-    Experiments.Chaos.tight_timers
-      {
-        Core.Config.default with
-        Core.Config.faults =
-          Some (Experiments.Chaos.crash_faults ~fault_seed:1 [ (node, start, start +. 4_000.0) ]);
-        gdo_replicas = replicas;
-        trace_capacity;
-      }
-  in
-  Experiments.Runner.execute ~config ~protocol (crash_point_workload spec_seed)
-
-(* (time, node) of every root commit, read off a run whose only window is
-   late: every run with a window arms the same transport and heartbeats,
-   so a crash-point run matches this one up to its window. *)
-let root_commits ~spec_seed ~protocol ~replicas =
-  let run =
-    crash_point ~trace_capacity:200_000 ~spec_seed ~protocol ~replicas ~node:0 ~start:90_000.0 ()
-  in
-  match Core.Runtime.trace run.Experiments.Runner.runtime with
-  | None -> Alcotest.fail "tracing is off"
-  | Some tr ->
-      if Sim.Trace.dropped tr > 0 then Alcotest.fail "the trace ring dropped events";
-      List.filter_map
-        (fun (e : Dsm.Event.t Sim.Trace.entry) ->
-          match e.Sim.Trace.data with
-          | Dsm.Event.Root_commit { node; _ } -> Some (e.Sim.Trace.time, node)
-          | _ -> None)
-        (Sim.Trace.events tr)
+let check_crash_points ~expected (runs, failures) =
+  Alcotest.(check int) "crash points" expected runs;
+  if failures <> [] then Alcotest.fail (Crash_point.report ~runs failures)
 
 (* Spec seeds 42, 1, 2, 3 x COTEC/OTEC/LOTEC x 0 and 1 GDO replicas: after
    each root commit at t, every node crashes at t + 0.01 us, and the
    committing node at t + 5, 20 and 60 us — 4,200 runs. *)
 let test_commit_point_enumeration () =
-  let runs = ref 0 and failures = ref [] in
-  List.iter
-    (fun spec_seed ->
-      List.iter
-        (fun protocol ->
-          List.iter
-            (fun replicas ->
-              List.iter
-                (fun (tc, committer) ->
-                  List.iter
-                    (fun (node, start) ->
-                      incr runs;
-                      match crash_point ~spec_seed ~protocol ~replicas ~node ~start () with
-                      | _ -> ()
-                      | exception e ->
-                          failures :=
-                            Format.asprintf
-                              "(spec seed %d, %a, replicas %d, node %d, start %.17g): %s"
-                              spec_seed Dsm.Protocol.pp protocol replicas node start
-                              (Printexc.to_string e)
-                            :: !failures)
-                    (List.init node_count (fun node -> (node, tc +. 0.01))
-                    @ List.map (fun d -> (committer, tc +. d)) [ 5.0; 20.0; 60.0 ]))
-                (root_commits ~spec_seed ~protocol ~replicas))
-            [ 0; 1 ])
-        Dsm.Protocol.[ Cotec; Otec; Lotec ])
-    [ 42; 1; 2; 3 ];
-  Alcotest.(check int) "crash points" 4_200 !runs;
-  match List.rev !failures with
-  | [] -> ()
-  | fs ->
-      Alcotest.failf
-        "%d of %d crash points fail; replay one with crash_point ~spec_seed ~protocol \
-         ~replicas ~node ~start ():@.%s"
-        (List.length fs) !runs
-        (String.concat "\n" (List.filteri (fun i _ -> i < 10) fs))
+  check_crash_points ~expected:4_200
+    (Crash_point.enumerate ~spec_seeds:[ 42; 1; 2; 3 ] Crash_point.commit_points)
+
+(* The every-event slice at spec seed 1: every node crashes 0.01 us after
+   every distinct event time below 40,000 us — 4,864 runs. The full slice
+   over seeds 42, 1, 2 and 3 is test/crash_point/every_event.exe. *)
+let test_every_event_slice () =
+  check_crash_points ~expected:4_864
+    (Crash_point.enumerate ~spec_seeds:[ 1 ] Crash_point.every_event_points)
+
+(* A crash point of the slice at spec seed 2 where a release promotes a
+   family whose requester has stopped waiting (a crash failed its wait)
+   to lock holder: the home must hand the lock straight back, or two LOTEC
+   roots wait on it forever. *)
+let test_orphan_grant_replay () =
+  ignore
+    (Crash_point.run ~spec_seed:2 ~protocol:Dsm.Protocol.Lotec ~replicas:1 ~node:1
+       ~start:2510.0747430466686 ())
 
 let tests =
   [
@@ -483,5 +420,8 @@ let tests =
         Alcotest.test_case "release swallowed by crashes" `Quick test_release_swallowed;
         Alcotest.test_case "commit-point crash enumeration" `Quick
           test_commit_point_enumeration;
+        Alcotest.test_case "every-event crash slice (spec seed 1)" `Quick
+          test_every_event_slice;
+        Alcotest.test_case "orphan grant (spec seed 2 replay)" `Quick test_orphan_grant_replay;
       ] );
   ]

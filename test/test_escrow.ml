@@ -644,6 +644,47 @@ let test_escrow_off_byte_identity () =
         (escrow_counter_sum (Dsm.Metrics.totals m)))
     goldens
 
+(* ---------- escrow registration ---------- *)
+
+(* The directory escrows an object exactly when the escrow layer is
+   installed and the object's class declares a commuting method, so a
+   commuting invocation always lands on an escrowed object. Checked on the
+   bank preset, where every class commutes, and on a variant with fewer
+   commuting methods, where some classes declare none. *)
+let test_escrow_registration () =
+  let check spec =
+    let catalog = (Workload.Generator.generate spec ~page_size:4096).Workload.Generator.catalog in
+    let oids = Objmodel.Catalog.oids catalog in
+    let escrowed escrow =
+      let config =
+        { Core.Config.default with Core.Config.node_count = spec.Workload.Spec.node_count; escrow }
+      in
+      let gdo = Core.Runtime.directory (Core.Runtime.create ~config ~catalog) in
+      List.filter (Gdo.Directory.has_escrow gdo) oids
+    in
+    let commuting =
+      List.filter
+        (fun oid ->
+          List.exists
+            (fun (m : Objmodel.Obj_class.compiled_method) ->
+              Objmodel.Method_ir.commutes m.Objmodel.Obj_class.ir)
+            (Objmodel.Obj_class.methods (Objmodel.Catalog.find catalog oid).Objmodel.Catalog.cls))
+        oids
+    in
+    let ints = List.map Objmodel.Oid.to_int in
+    Alcotest.(check (list int)) "policy off escrows nothing" [] (ints (escrowed Dsm.Escrow.off));
+    Alcotest.(check (list int))
+      "policy on escrows exactly the commuting classes' objects" (ints commuting)
+      (ints (escrowed (Dsm.Escrow.On Dsm.Escrow.default_params)));
+    (List.length commuting, List.length oids)
+  in
+  let bank = Workload.Scenarios.bank in
+  let commuting, objects = check bank in
+  Alcotest.(check int) "every bank class commutes" objects commuting;
+  let commuting, objects = check { bank with Workload.Spec.commuting_fraction = 0.3 } in
+  Alcotest.(check bool) "some classes commute, some do not" true
+    (commuting > 0 && commuting < objects)
+
 (* ---------- the headline gate ---------- *)
 
 (* The acceptance numbers: on the hottest-skew bank workload, LOTEC with
@@ -710,6 +751,7 @@ let tests =
         QCheck_alcotest.to_alcotest prop_check_escrow_matches_model;
         Alcotest.test_case "replay logs reach both verdicts" `Quick test_escrow_log_mix;
         Alcotest.test_case "escrow off is byte-identical" `Quick test_escrow_off_byte_identity;
+        Alcotest.test_case "escrow registration" `Quick test_escrow_registration;
         Alcotest.test_case "lotec headline gate" `Quick test_lotec_headline_gate;
       ] );
   ]
