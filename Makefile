@@ -29,10 +29,12 @@ suite-%:
 determinism:
 	OCAMLRUNPARAM=R dune exec test/determinism/main.exe
 
-# The every-event crash slice: each node crashes 0.01 us after every
-# distinct traced event time below 40,000 us, at spec seeds 42, 1, 2 and 3
-# under every protocol with 0 and 1 GDO replicas (23,208 runs, about a
-# minute). Tier-1 runs spec seed 1 alone.
+# The every-event slices: each node gets a 4,000 us window 0.01 us after
+# every distinct traced event time below 40,000 us, at spec seeds 42, 1, 2
+# and 3 under every protocol with 0 and 1 GDO replicas, once per window
+# kind: a crash, a partition isolating the node, a one-way cut to the
+# next node, a pause (92,752 runs, a few minutes). Tier-1 runs the crash
+# and partition kinds at spec seed 1.
 crash-slice:
 	dune exec test/crash_point/every_event.exe
 

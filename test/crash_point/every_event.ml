@@ -1,22 +1,36 @@
-(* The every-event crash slice at spec seeds 42, 1, 2 and 3: each node
-   crashes 0.01 us after every distinct traced event time below 40,000 us,
-   under COTEC, OTEC and LOTEC with 0 and 1 GDO replicas — 23,208 runs,
-   about a minute in a dev build. Tier-1 runs seed 1 alone; this runs the
-   whole slice. Exits 1 on any failure or a changed run count.
+(* The every-event slices at spec seeds 42, 1, 2 and 3: each node gets a
+   4,000 us window 0.01 us after every distinct traced event time below
+   40,000 us of its kind's baseline, under COTEC, OTEC and LOTEC with 0
+   and 1 GDO replicas, for each window kind (crash, partition, one-way
+   cut, pause) — 92,752 runs, a few minutes in a dev build. Tier-1 runs
+   the crash and partition kinds at seed 1; this runs every kind at every
+   seed. Exits 1 on any failure or a changed run count.
 
      dune exec test/crash_point/every_event.exe *)
 
-let expected_runs = 23_208
+let expected_runs = function
+  | Crash_point.Crash | Partition | One_way -> 23_208
+  | Pause -> 23_128
 
 let () =
-  let runs, failures =
-    Crash_point.enumerate ~spec_seeds:[ 42; 1; 2; 3 ] Crash_point.every_event_points
+  let ok =
+    List.fold_left
+      (fun ok kind ->
+        let name = Crash_point.kind_name kind in
+        let runs, failures =
+          Crash_point.enumerate ~kind ~spec_seeds:[ 42; 1; 2; 3 ] Crash_point.every_event_points
+        in
+        match failures with
+        | [] when runs = expected_runs kind ->
+            Printf.printf "every-event %s slice: %d runs pass\n%!" name runs;
+            ok
+        | [] ->
+            Printf.printf "every-event %s slice: %d runs, expected %d\n%!" name runs
+              (expected_runs kind);
+            false
+        | fs ->
+            print_endline (Crash_point.report ~runs fs);
+            false)
+      true Crash_point.kinds
   in
-  match failures with
-  | [] when runs = expected_runs -> Printf.printf "every-event crash slice: %d runs pass\n" runs
-  | [] ->
-      Printf.printf "every-event crash slice: %d runs, expected %d\n" runs expected_runs;
-      exit 1
-  | fs ->
-      print_endline (Crash_point.report ~runs fs);
-      exit 1
+  if not ok then exit 1

@@ -401,6 +401,23 @@ let test_orphan_grant_replay () =
     (Crash_point.run ~spec_seed:2 ~protocol:Dsm.Protocol.Lotec ~replicas:1 ~node:1
        ~start:2510.0747430466686 ())
 
+(* The every-event slice at spec seed 1 with each crash window replaced
+   by a partition isolating the node — 4,864 runs. A falsely declared node
+   must be readmitted and a parked one unparked by the end, or the oracle
+   fails; the sums show the slice reaches both. *)
+let test_every_event_partition_slice () =
+  let parks = ref 0 and readmissions = ref 0 in
+  let observe r =
+    let c = Dsm.Metrics.counters (Experiments.Runner.metrics r) in
+    parks := !parks + c.Dsm.Metrics.node_parks;
+    readmissions := !readmissions + c.Dsm.Metrics.node_readmissions
+  in
+  check_crash_points ~expected:4_864
+    (Crash_point.enumerate ~kind:Crash_point.Partition ~observe ~spec_seeds:[ 1 ]
+       Crash_point.every_event_points);
+  Alcotest.(check bool) "some node parks" true (!parks > 0);
+  Alcotest.(check bool) "some node is readmitted" true (!readmissions > 0)
+
 let tests =
   [
     ( "crash-recovery",
@@ -423,5 +440,7 @@ let tests =
         Alcotest.test_case "every-event crash slice (spec seed 1)" `Quick
           test_every_event_slice;
         Alcotest.test_case "orphan grant (spec seed 2 replay)" `Quick test_orphan_grant_replay;
+        Alcotest.test_case "every-event partition slice (spec seed 1)" `Quick
+          test_every_event_partition_slice;
       ] );
   ]
