@@ -4,7 +4,8 @@
    and 1 GDO replicas, for each window kind (crash, partition, one-way
    cut, pause) — 92,752 runs, a few minutes in a dev build. Tier-1 runs
    the crash and partition kinds at seed 1; this runs every kind at every
-   seed. Exits 1 on any failure or a changed run count.
+   seed. Each passing kind prints its membership totals over its runs.
+   Exits 1 on any failure or a changed run count.
 
      dune exec test/crash_point/every_event.exe *)
 
@@ -17,12 +18,27 @@ let () =
     List.fold_left
       (fun ok kind ->
         let name = Crash_point.kind_name kind in
+        let declared = ref 0 and falsely = ref 0 and parks = ref 0 and readmitted = ref 0 in
+        let messages = ref 0 in
+        let observe r =
+          let m = Experiments.Runner.metrics r in
+          let c = Dsm.Metrics.counters m in
+          declared := !declared + c.Dsm.Metrics.nodes_declared_dead;
+          falsely := !falsely + c.Dsm.Metrics.false_suspicions;
+          parks := !parks + c.Dsm.Metrics.node_parks;
+          readmitted := !readmitted + c.Dsm.Metrics.node_readmissions;
+          messages := !messages + Dsm.Metrics.total_messages m
+        in
         let runs, failures =
-          Crash_point.enumerate ~kind ~spec_seeds:[ 42; 1; 2; 3 ] Crash_point.every_event_points
+          Crash_point.enumerate ~kind ~observe ~spec_seeds:[ 42; 1; 2; 3 ]
+            Crash_point.every_event_points
         in
         match failures with
         | [] when runs = expected_runs kind ->
-            Printf.printf "every-event %s slice: %d runs pass\n%!" name runs;
+            Printf.printf
+              "every-event %s slice: %d runs pass (%d declared dead, %d falsely; %d parks, %d \
+               readmissions; %d messages)\n%!"
+              name runs !declared !falsely !parks !readmitted !messages;
             ok
         | [] ->
             Printf.printf "every-event %s slice: %d runs, expected %d\n%!" name runs
