@@ -170,13 +170,12 @@ type t = {
   seen : unit Itbl.t;  (* at receivers: mids whose effect already ran *)
   (* Message-combining layer (see Dsm.Batching). [batch_acks] arms ack
      piggybacking (batching on AND reliable transport active — without
-     faults there are no transport acks to combine); [batch_heartbeat]
-     arms heartbeat suppression (batching on AND crash or link windows
-     configured). Everything here is inert when batching is off, keeping
-     batching-off runs byte-identical to the pre-batching runtime. *)
+     faults there are no transport acks to combine); heartbeat suppression
+     lives in [Membership]. Everything here is inert when batching is off,
+     keeping batching-off runs byte-identical to the pre-batching
+     runtime. *)
   batching : bool;
   batch_acks : bool;
-  batch_heartbeat : bool;
   (* (acking node, original sender) channel -> mids whose transport ack is
      deferred to ride the channel's next payload (or its flush timer). *)
   pending_acks : (int * int, int list ref) Hashtbl.t;
@@ -186,9 +185,6 @@ type t = {
   pending_releases :
     (int * int, (Txn_id.t * (Oid.t * (int * int * int) list) list) list ref) Hashtbl.t;
   release_flush_armed : (int * int, unit) Hashtbl.t;
-  (* src * node_count + dst -> time of the channel's last outbound remote
-     message; lets the heartbeat tick skip recently active channels. *)
-  last_traffic : float array;
   (* Read-lease subsystem (see Gdo.Lease). All four fields are inert when
      [lease_enabled] is false — the default — keeping fault-free runs
      byte-identical to the pre-lease runtime. *)
@@ -226,7 +222,6 @@ type t = {
   (* node -> releases that could not leave while the node was down,
      newest first; sent again at its rejoin. *)
   parked_releases : (Txn_id.t * (Oid.t * (int * int * int) list) list) list array;
-  incarnation : int array;  (* bumped at every rejoin; fences stragglers *)
   (* Root families whose executing node crashed under them: their fibers
      unwind with Crashed_abort at the next choke point and their directory
      residue is reclaimed at dead declaration. Never cleared — family ids
@@ -235,53 +230,13 @@ type t = {
   (* Root families currently executing an attempt (registered at attempt
      start, dropped at attempt end): the set a crash entry dooms. *)
   live_roots : unit Txn_id.Table.t;
-  (* (observer, node, incarnation) suspicions already recorded, to trace
-     each suspicion once rather than once per heartbeat tick. *)
-  suspected_seen : (int * int * int, unit) Hashtbl.t;
-  detectors : Sim.Failure_detector.t array;  (* one observer per node *)
-  (* Partition home -> node currently serving it. Identity while the home
-     is up; with [gdo_replicas > 0] a crashed home's partition is served
-     by its first live ring successor until the rejoin. *)
-  acting_home : int array;
   rejoin : unit Sim.Engine.Ivar.t option array;  (* filled at window end *)
-  (* Quorum-membership subsystem (no ground-truth oracle): a suspicion
-     becomes a declaration only when a majority of the not-yet-declared
-     observers corroborate it from their own detectors. Every declaration
-     or readmission bumps the membership epoch; acquisition requests are
-     stamped with the sender's epoch view and refused when stale, fencing
-     out the regime of a falsely-declared (partitioned, not crashed)
-     home. All of it is inert when [crash_enabled] is false. *)
-  mutable membership_epoch : int;  (* global; bumped per declaration/readmission *)
-  epoch_view : int array;  (* node -> highest epoch it has heard of *)
-  (* node -> declared dead by quorum under its current incarnation. Every
-     readmission and rejoin clears it and bumps the incarnation, so one
-     incarnation is declared (and reclaimed) at most once across all
-     observers. *)
-  declared_down : bool array;
-  acting_epoch : int array;  (* partition -> epoch of its last acting-home change *)
-  (* node -> instant before which a successor must not serve the node's
-     home partition: the latest expiry of any read lease the node granted
-     (lease-expiry fencing; 0 with leases off). *)
-  fence_until : float array;
-  (* A node that can reach fewer than a majority of eligible peers parks:
-     it refuses directory service and starts no new roots until the
-     majority is reachable again (minority side of a partition). *)
-  parked : bool array;
-  park_ivars : unit Sim.Engine.Ivar.t option array;
-  (* (suspect, incarnation) -> observers that voted; a vote is recorded
-     only from an observer whose own detector suspects the node. *)
-  votes : (int * int, (int, unit) Hashtbl.t) Hashtbl.t;
-  (* (epoch, partition, serving) appended per acting-home change, newest
-     first: the split-brain auditor's input (see Membership_audit). *)
-  mutable membership_log : (int * int * int) list;
+  (* Quorum membership (see Membership): installed exactly when
+     [crash_enabled], once [create] has built the runtime. *)
+  mutable membership : Membership.t option;
   (* Per-node decorrelated-jitter retransmit streams (see Sim.Backoff);
      draw nothing unless a retransmit timer actually fires. *)
   backoffs : Sim.Backoff.t array;
-  (* Membership work done on every delivered remote message (epoch
-     max-merge, readmission of a falsely-declared sender); a no-op until
-     [arm_crash_machinery] installs the real hook, so fault-free runs are
-     untouched. *)
-  mutable deliver_hook : src:int -> dst:int -> unit;
   mutable fetch_waits : fetch_wait list;
   (* Function-shipping subsystem (see Dsm.Shipping). Everything below is
      inert when [ship_enabled] is false — the default — keeping
@@ -342,11 +297,14 @@ let exec_statement t ~node =
           Sim.Engine.wait t.cfg.Config.statement_us)
 
 (* An object's partition is fixed (oid mod node_count); the node serving
-   it is the partition's acting home — the home itself except while it is
-   crashed and a replica has taken over (see recompute_acting_homes). *)
+   it is the partition's acting home — the home itself except while a
+   quorum holds it dead and a replica has taken over (see Membership). *)
 let home_of t oid =
   let p = Oid.to_int oid mod t.cfg.Config.node_count in
-  if t.crash_enabled then t.acting_home.(p) else p
+  match t.membership with None -> p | Some m -> Membership.home_of m p
+
+let incarnation t node =
+  match t.membership with None -> 0 | Some m -> Membership.incarnation m node
 
 let is_doomed t family = t.crash_enabled && Txn_id.Table.mem t.doomed family
 
@@ -371,16 +329,8 @@ let protocol_for t oid =
 
 (* ------------------------------------------------------------------ *)
 (* Message combining (see [Dsm.Batching]): deferred transport acks ride
-   the channel's next payload, releases coalesce per home, heartbeats are
-   suppressed by recent traffic. All of it is inert when the policy is
-   off.                                                                *)
-
-(* Channel-activity note for heartbeat suppression: any outbound remote
-   message proves the sender alive to the destination (the receive
-   handler feeds the failure detector on every delivery). *)
-let note_traffic t ~src ~dst =
-  if t.batch_heartbeat then
-    t.last_traffic.((src * t.cfg.Config.node_count) + dst) <- Sim.Engine.now t.engine
+   the channel's next payload and releases coalesce per home. All of it
+   is inert when the policy is off.                                    *)
 
 let take_pending_acks t ~src ~dst =
   match Hashtbl.find_opt t.pending_acks (src, dst) with
@@ -415,11 +365,11 @@ let attach_ack_riders t ~src ~dst f =
 (* Remote-send bookkeeping shared by [send_exec] and the reliable
    transport's (re)transmit path: the per-type ledger entry records the
    carrier's own bytes, pending acks ride along as accounted riders, and
-   the traffic note feeds heartbeat suppression. *)
+   membership notes the traffic for heartbeat suppression. *)
 let wire_send t ~mtype ~src ~dst ~bytes ~tag f =
   Dsm.Metrics.record_wire t.metrics ~mtype ~bytes;
   let rider_bytes, f = attach_ack_riders t ~src ~dst f in
-  note_traffic t ~src ~dst;
+  (match t.membership with Some m -> Membership.note_traffic m ~src ~dst | None -> ());
   Sim.Network.send t.net ~src ~dst ~kind:(Dsm.Wire.kind mtype) ~bytes:(bytes + rider_bytes) ~tag
     (Exec f)
 
@@ -503,7 +453,7 @@ let send_reliable ?(on_abandon = fun () -> ()) t ~mtype ~src ~dst ~bytes ~tag f 
   else begin
     t.next_mid <- t.next_mid + 1;
     let mid = t.next_mid in
-    let inc0 = if t.crash_enabled then t.incarnation.(src) else 0 in
+    let inc0 = incarnation t src in
     let deliver () =
       (if t.batch_acks then queue_ack t ~src:dst ~dst:src mid
        else
@@ -522,7 +472,7 @@ let send_reliable ?(on_abandon = fun () -> ()) t ~mtype ~src ~dst ~bytes ~tag f 
     let rec arm attempt timeout =
       Sim.Engine.schedule t.engine ~delay:timeout (fun () ->
           if not (Itbl.mem t.acked mid) then begin
-            if t.crash_enabled && (t.crashed.(src) || t.incarnation.(src) <> inc0) then
+            if t.crash_enabled && (t.crashed.(src) || incarnation t src <> inc0) then
               (* The sender crashed since this message was sent: its unacked
                  transport state is gone. Fail the blocked operation quietly
                  (its family is doomed anyway) — no timeout accounting for a
@@ -544,7 +494,9 @@ let send_reliable ?(on_abandon = fun () -> ()) t ~mtype ~src ~dst ~bytes ~tag f 
                    unreachable), and fail the blocked operation — the engine
                    never hangs on an abandoned message. *)
                 t.counters.give_ups <- t.counters.give_ups + 1;
-                Sim.Failure_detector.hint t.detectors.(src) ~node:dst;
+                (match t.membership with
+                | Some m -> Membership.hint m ~observer:src ~node:dst
+                | None -> ());
                 record_event t (fun () ->
                     Dsm.Event.Retransmit { mid; src; dst; attempt; abandoned = true });
                 on_abandon ()
@@ -862,64 +814,51 @@ let gate_lease_write t ~home ~requester ~family ~oid ~block ~core
   else core ()
 
 (* Executed at the GDO home when an acquire request arrives. [epoch] is
-   the membership epoch stamped by the requester at send time; a request
-   under a stale view — or reaching a node the current view says is not
-   this partition's acting home — is refused, and the requester retries
-   under the new regime. This is the request-side half of the split-brain
-   fence. *)
+   the membership epoch stamped by the requester at send time; membership
+   refuses a request under a stale view, or one reaching a node that must
+   not serve the partition (the request-side half of the split-brain
+   fence), and defers one that a lease fence holds back. *)
 let rec process_acquire t ~home ~requester ~family ~oid ~mode ~block ~epoch
     (iv : reply Sim.Engine.Ivar.t) =
   Sim.Engine.schedule t.engine ~delay:Config.gdo_op_us (fun () ->
-      let p = Oid.to_int oid mod t.cfg.Config.node_count in
       (* A home that crashed between delivery and processing mutates
-         nothing (its requesters were unblocked by the crash sweep); a
-         request from a defunct family is fenced — nobody is waiting on
-         its reply, and granting it would leak the lock forever. *)
+         nothing (its requesters were unblocked by the crash sweep). *)
       if t.crash_enabled && t.crashed.(home) then ()
-      else if
-        t.crash_enabled
-        && (t.acting_home.(p) <> home
-           || epoch < t.acting_epoch.(p)
-           || t.declared_down.(home)
-           || t.parked.(home))
-      then begin
-        (* Epoch fence: this node is not the partition's acting home under
-           the current view, the request predates the view that installed
-           the acting home, or the node is declared/parked and must not
-           grant. Refuse; the requester re-routes under its caught-up
-           view. *)
-        t.counters.stale_epoch_rejects <- t.counters.stale_epoch_rejects + 1;
-        reply_from_home t ~home ~dst:requester ~oid iv (Error Crashed)
-      end
-      else if
-        t.crash_enabled && home <> p
-        && Sim.Engine.now t.engine < t.fence_until.(p)
-      then begin
-        (* Lease fence: a successor serving a dead home's partition must
-           wait out every read lease the dead home granted — a stale
-           lease-holder could otherwise read while the successor grants a
-           conflicting write. Defer the whole acquire to the fence. *)
-        t.counters.fence_deferrals <- t.counters.fence_deferrals + 1;
-        let wait = t.fence_until.(p) -. Sim.Engine.now t.engine in
-        Sim.Engine.schedule t.engine ~delay:wait (fun () ->
-            process_acquire t ~home ~requester ~family ~oid ~mode ~block ~epoch iv)
-      end
-      else if family_defunct t family then begin
-        (* Nothing is granted, but the requester may be a function-shipped
-           fiber that outlived its family's abort (the invoker's transport
-           gave up on the round trip): fail its wait so it unwinds and
-           restores its writes instead of blocking forever. Without
-           shipping the ivar is always already filled (the family could
-           only become defunct after its one fiber was unblocked). *)
-        if not (Sim.Engine.Ivar.is_filled iv) then Sim.Engine.Ivar.fill iv (Error Crashed)
-      end
-      else begin
-        Gdo.Directory.note_cached t.gdo oid ~node:requester;
-        let core () = process_acquire_core t ~home ~requester ~family ~oid ~mode ~block iv in
-        if t.lease_enabled && Lock.equal mode Lock.Write then
-          gate_lease_write t ~home ~requester ~family ~oid ~block ~core iv
-        else core ()
-      end)
+      else
+        let admission =
+          match t.membership with
+          | None -> Membership.Serve
+          | Some m ->
+              Membership.admit m ~home ~partition:(Oid.to_int oid mod t.cfg.Config.node_count)
+                ~epoch
+        in
+        match admission with
+        | Membership.Refuse -> reply_from_home t ~home ~dst:requester ~oid iv (Error Crashed)
+        | Membership.Defer wait ->
+            Sim.Engine.schedule t.engine ~delay:wait (fun () ->
+                process_acquire t ~home ~requester ~family ~oid ~mode ~block ~epoch iv)
+        | Membership.Serve ->
+            if family_defunct t family then begin
+              (* A request from a defunct family is fenced: nobody is
+                 waiting on its reply, and granting it would leak the lock
+                 forever. But the requester may be a function-shipped fiber
+                 that outlived its family's abort (the invoker's transport
+                 gave up on the round trip): fail its wait so it unwinds
+                 and restores its writes instead of blocking forever.
+                 Without shipping the ivar is always already filled (the
+                 family could only become defunct after its one fiber was
+                 unblocked). *)
+              if not (Sim.Engine.Ivar.is_filled iv) then Sim.Engine.Ivar.fill iv (Error Crashed)
+            end
+            else begin
+              Gdo.Directory.note_cached t.gdo oid ~node:requester;
+              let core () =
+                process_acquire_core t ~home ~requester ~family ~oid ~mode ~block iv
+              in
+              if t.lease_enabled && Lock.equal mode Lock.Write then
+                gate_lease_write t ~home ~requester ~family ~oid ~block ~core iv
+              else core ()
+            end)
 
 (* Executed at the GDO home when a release arrives. [items] lists the objects
    (with their dirty page info) whose home is this node; [from] is the
@@ -1048,7 +987,7 @@ let gdo_acquire t ~node ~family ~oid ~mode ~block : reply =
       let iv = Sim.Engine.Ivar.create () in
       Itbl.replace t.inflight key iv;
       let home = home_of t oid in
-      let epoch = if t.crash_enabled then t.epoch_view.(node) else 0 in
+      let epoch = match t.membership with Some m -> Membership.epoch_view m node | None -> 0 in
       let start () =
         process_acquire t ~home ~requester:node ~family ~oid ~mode ~block ~epoch iv
       in
@@ -1065,73 +1004,23 @@ let gdo_acquire t ~node ~family ~oid ~mode ~block : reply =
       r
 
 (* ------------------------------------------------------------------ *)
-(* Crash recovery: window entry/exit, heartbeat failure detection,
-   dead-family reclamation at the directory, GDO home failover. Armed by
-   [run] only when crash windows are configured, so crash-free runs are
-   byte-identical to the pre-recovery runtime.                          *)
+(* Crash recovery: window entry/exit and dead-family reclamation at the
+   directory; failure detection and failover are [Membership]'s. Armed by
+   [run] only when crash or link windows are configured, so other runs
+   are byte-identical to the pre-recovery runtime.                      *)
 
-(* Conservative state reconstruction, traffic side: the successor
-   re-confirms the holders of every entry of the partition it takes over.
-   In-process the directory structure is shared, so only the messages are
-   modelled; the genuinely ambiguous families — those of the crashed home
-   itself — are aborted by the dead-family eviction. *)
-let send_failover_confirms t ~home ~successor =
-  let dests = Hashtbl.create 8 in
-  List.iter
-    (fun oid ->
-      if Oid.to_int oid mod t.cfg.Config.node_count = home then
-        List.iter
-          (fun (h : Gdo.Directory.holder) ->
-            if h.node <> successor && not t.crashed.(h.node) then Hashtbl.replace dests h.node ())
-          (Gdo.Directory.holders t.gdo oid))
-    (Catalog.oids t.catalog);
-  (* Sorted, not hash order: the send sequence must be hash-seed
-     independent. *)
-  Hashtbl.fold (fun dst () acc -> dst :: acc) dests []
-  |> List.sort Int.compare
-  |> List.iter (fun dst ->
-         send_exec t ~mtype:Dsm.Wire.Failover_confirm ~src:successor ~dst
-           ~bytes:t.cfg.Config.control_msg_bytes ~tag:(-1)
-           (fun () -> ()))
+(* Fail every global acquire in flight whose (object id, family) satisfies
+   [stuck], so its family aborts instead of waiting on a reply that cannot
+   come. *)
+let fail_inflight t stuck =
+  Itbl.fold
+    (fun key iv acc ->
+      if stuck (key lsr 42) (Txn_id.of_int (key land ((1 lsl 42) - 1))) then iv :: acc else acc)
+    t.inflight []
+  |> List.iter (fun iv ->
+         if not (Sim.Engine.Ivar.is_filled iv) then Sim.Engine.Ivar.fill iv (Error Crashed))
 
-(* Re-derive, for every partition, the node currently serving it: the home
-   itself while not *declared* dead; with replication, a declared home's
-   first undeclared ring successor (a replica site) until the readmission
-   or rejoin. Failover keys off the quorum declaration, never off ground
-   truth — the gap between a crash and its declaration is a real
-   availability gap, and a false declaration really does move the
-   partition (the epoch fence keeps that safe). Each change stamps the
-   partition with the current membership epoch and appends to the
-   acting-home log the split-brain auditor checks. Survivors re-route
-   through [home_of] from the next send on — the sim's stand-in for the
-   client-side timeout-and-redirect a real deployment would run. *)
-let recompute_acting_homes t =
-  let n = t.cfg.Config.node_count in
-  for p = 0 to n - 1 do
-    let serving =
-      if not t.declared_down.(p) then p
-      else if t.cfg.Config.gdo_replicas = 0 then p
-      else
-        let rec scan i =
-          if i > t.cfg.Config.gdo_replicas then p  (* every replica declared too *)
-          else
-            let c = (p + i) mod n in
-            if not t.declared_down.(c) then c else scan (i + 1)
-        in
-        scan 1
-    in
-    if serving <> t.acting_home.(p) then begin
-      t.acting_home.(p) <- serving;
-      t.acting_epoch.(p) <- t.membership_epoch;
-      t.membership_log <- (t.membership_epoch, p, serving) :: t.membership_log;
-      if serving <> p then begin
-        t.counters.failovers <- t.counters.failovers + 1;
-        record_event t (fun () -> Dsm.Event.Failover { home = p; successor = serving });
-        send_failover_confirms t ~home:p ~successor:serving
-      end
-      else record_event t (fun () -> Dsm.Event.Failback { home = p })
-    end
-  done
+let routed_to t ~node oid_i = home_of t (Oid.of_int oid_i) = node
 
 (* Does family [f] execute at [node]: rooted there, or with a
    function-shipped executor registered there? A crash of the node dooms
@@ -1185,236 +1074,11 @@ let reclaim_dead_node t ~node:s ~repoint =
       deliver_deferred_grant t ~home:(home_of t dv.d_grant.Gdo.Directory.g_oid) dv)
     deliveries
 
-(* Announce the current membership epoch from [src]. The View_change
-   message makes the bump explicit on the wire; every other delivered
-   remote message also max-merges the sender's view at the receiver (see
-   the delivery hook), so a dropped announcement only delays convergence,
-   never prevents it. *)
-let broadcast_view_change t ~src =
-  let epoch = t.membership_epoch in
-  if epoch > t.epoch_view.(src) then t.epoch_view.(src) <- epoch;
-  for dst = 0 to t.cfg.Config.node_count - 1 do
-    if dst <> src && not t.crashed.(dst) then
-      send_exec t ~mtype:Dsm.Wire.View_change ~src ~dst
-        ~bytes:t.cfg.Config.control_msg_bytes ~tag:(-1)
-        (fun () -> if epoch > t.epoch_view.(dst) then t.epoch_view.(dst) <- epoch)
-  done
-
-(* The quorum size right now: a majority of the nodes not currently
-   declared dead. Degenerate clusters (<= 2 nodes) use 1 — there is no
-   third observer to corroborate, and requiring 2 of 2 would let a single
-   crash block its own declaration forever. *)
-let quorum t =
-  let n = t.cfg.Config.node_count in
-  if n <= 2 then 1
-  else begin
-    let live = ref 0 in
-    for i = 0 to n - 1 do
-      if not t.declared_down.(i) then incr live
-    done;
-    (!live / 2) + 1
-  end
-
-(* A quorum of live observers corroborated the suspicion: declare the
-   node dead. The declaration is a membership decision, not ground truth
-   — a falsely declared node (partitioned away, not crashed) is fenced
-   out by the epoch bump until one of its messages is delivered again
-   (see [readmit], the rejoin path that never wipes state). *)
-let declare_dead t ~suspect:s ~by:o =
-  let now = Sim.Engine.now t.engine in
-  let inc = t.incarnation.(s) in
-  t.declared_down.(s) <- true;
-  t.counters.nodes_declared_dead <- t.counters.nodes_declared_dead + 1;
-  (* Ground truth is consulted for METRICS ONLY — the declaration itself
-     never reads [t.crashed]. *)
-  if not t.crashed.(s) then t.counters.false_suspicions <- t.counters.false_suspicions + 1;
-  (* Declaration latency: from the start of the suspect's silence (the
-     declarer's last liveness proof) to the quorum verdict — the window
-     during which a genuinely dead node's partition is unavailable.
-     First-suspicion-to-verdict would read ~0 here: detectors sweep on
-     synchronized ticks, so suspicion and quorum often land in the same
-     instant. *)
-  Dsm.Metrics.record_declaration_latency_us t.metrics
-    (now -. Sim.Failure_detector.last_heard t.detectors.(o) ~node:s);
-  record_event t (fun () -> Dsm.Event.Node_dead { node = s; incarnation = inc; by = o });
-  (* Gossip the final verdict as detector hints, so every survivor's view
-     converges without waiting out its own timeout. A later heartbeat
-     from the node clears the hint (Failure_detector.heartbeat), so a
-     readmitted node does not flap. *)
-  for dst = 0 to t.cfg.Config.node_count - 1 do
-    if dst <> o && not t.crashed.(dst) then
-      send_exec t ~mtype:Dsm.Wire.Suspect ~src:o ~dst
-        ~bytes:t.cfg.Config.control_msg_bytes ~tag:(-1)
-        (fun () -> Sim.Failure_detector.hint t.detectors.(dst) ~node:s)
-  done;
-  (* New membership regime: requests stamped under the old view —
-     including any from the declared node itself — are refused by the
-     acting homes until their senders catch up. *)
-  t.membership_epoch <- t.membership_epoch + 1;
-  broadcast_view_change t ~src:o;
-  (* Lease-expiry fencing: the successor may serve the dead home's
-     partition only once every read lease that home granted has provably
-     expired or been recalled. With leases off this is [now] — no wait. *)
-  let fence = ref now in
-  List.iter
-    (fun oid ->
-      if Oid.to_int oid mod t.cfg.Config.node_count = s then
-        fence := Float.max !fence (Gdo.Lease.fence_deadline t.lease_mgr oid ~now))
-    (Catalog.oids t.catalog);
-  t.fence_until.(s) <- !fence;
-  (* Acquires already routed to partitions the dead node was serving
-     would otherwise wait out the full capped retransmit schedule; fail
-     them now so their families retry against the new acting homes.
-     Computed against the pre-failover routing, filled after it. *)
-  let stranded =
-    Itbl.fold
-      (fun key iv acc ->
-        let oid_i = key lsr 42 in
-        if t.acting_home.(oid_i mod t.cfg.Config.node_count) = s then iv :: acc else acc)
-      t.inflight []
-  in
-  recompute_acting_homes t;
-  List.iter
-    (fun iv ->
-      if not (Sim.Engine.Ivar.is_filled iv) then Sim.Engine.Ivar.fill iv (Error Crashed))
-    stranded;
-  (* Directory reclamation of the dead node's residue waits for the lease
-     fence, and stands down unless the node is genuinely crashed and
-     still declared under this incarnation: a live node's locks are never
-     stolen, which is exactly what makes a false declaration harmless to
-     safety (doomed families are the only evictees; a false declaration
-     dooms nothing). *)
-  let delay = Float.max Config.gdo_op_us (!fence -. now) in
-  Sim.Engine.schedule t.engine ~delay (fun () ->
-      if t.crashed.(s) && t.declared_down.(s) && t.incarnation.(s) = inc then
-        reclaim_dead_node t ~node:s ~repoint:true)
-
-(* Record [observer]'s vote that [suspect] is dead, and declare on
-   quorum. A vote is recorded at most once per (suspect, incarnation,
-   observer); only votes from observers not themselves declared count. *)
-let record_vote t ~suspect:s ~observer:o =
-  let key = (s, t.incarnation.(s)) in
-  if not t.declared_down.(s) then begin
-    let tally =
-      match Hashtbl.find_opt t.votes key with
-      | Some tl -> tl
-      | None ->
-          let tl = Hashtbl.create 4 in
-          Hashtbl.add t.votes key tl;
-          tl
-    in
-    if not (Hashtbl.mem tally o) then begin
-      Hashtbl.replace tally o ();
-      t.counters.quorum_votes <- t.counters.quorum_votes + 1
-    end;
-    let live_votes =
-      Hashtbl.fold (fun ob () acc -> if t.declared_down.(ob) then acc else acc + 1) tally 0
-    in
-    if live_votes >= quorum t then declare_dead t ~suspect:s ~by:o
-  end
-
-(* One detector sweep for [observer]: vote for every current suspect and
-   gossip the suspicion to the other live nodes. A receiver corroborates
-   ONLY when its own detector independently agrees — gossip never feeds a
-   detector, or a single partitioned-away observer could manufacture a
-   quorum by itself. The gossip is re-sent every sweep until the
-   declaration (or until the suspicion clears), so votes lost to the very
-   partition under suspicion are re-offered after the heal. *)
-let check_suspects t ~observer:o =
-  let now = Sim.Engine.now t.engine in
-  List.iter
-    (fun s ->
-      let inc = t.incarnation.(s) in
-      let seen_key = (o, s, inc) in
-      if not (Hashtbl.mem t.suspected_seen seen_key) then begin
-        Hashtbl.replace t.suspected_seen seen_key ();
-        record_event t (fun () -> Dsm.Event.Node_suspected { node = s; by = o })
-      end;
-      if not t.declared_down.(s) then begin
-        record_vote t ~suspect:s ~observer:o;
-        if not t.declared_down.(s) then
-          for dst = 0 to t.cfg.Config.node_count - 1 do
-            if dst <> o && dst <> s && not t.crashed.(dst) then
-              send_exec t ~mtype:Dsm.Wire.Suspect ~src:o ~dst
-                ~bytes:t.cfg.Config.control_msg_bytes ~tag:(-1)
-                (fun () ->
-                  if
-                    (not t.crashed.(dst))
-                    && Sim.Failure_detector.is_suspect t.detectors.(dst) ~node:s
-                         ~now:(Sim.Engine.now t.engine)
-                  then record_vote t ~suspect:s ~observer:dst)
-          done
-      end)
-    (Sim.Failure_detector.suspects t.detectors.(o) ~now)
-
-(* A message from a declared-dead, not-actually-crashed node was
-   delivered: the declaration was false. Readmit the node — clear the
-   declaration, bump its incarnation (the spent (node, incarnation) key
-   keeps the old regime's stragglers fenced), announce a new view and
-   hand its partitions back. Nothing is wiped: reclamation only ever runs
-   against genuinely crashed nodes, so a false declaration costs
-   availability, never state. *)
-let readmit t ~node:s =
-  t.declared_down.(s) <- false;
-  t.incarnation.(s) <- t.incarnation.(s) + 1;
-  t.fence_until.(s) <- 0.0;
-  t.counters.node_readmissions <- t.counters.node_readmissions + 1;
-  record_event t (fun () ->
-      Dsm.Event.Node_readmitted { node = s; incarnation = t.incarnation.(s) });
-  t.membership_epoch <- t.membership_epoch + 1;
-  broadcast_view_change t ~src:s;
-  recompute_acting_homes t
-
-(* Minority-side self-parking: a node whose own detector can reach fewer
-   than a majority of the eligible (undeclared) nodes stops serving the
-   directory and starts no new roots — it may be on the minority side of
-   a partition, where continuing to grant is what the majority side's
-   failover would turn into a split brain. Re-evaluated every detector
-   sweep; a symmetric even split parks both sides, and everyone resumes
-   at the heal. Only meaningful with >= 3 nodes: a 2-node cluster has no
-   majority to protect. *)
-let unpark t ~node:s =
-  if t.parked.(s) then begin
-    t.parked.(s) <- false;
-    (match t.park_ivars.(s) with
-    | Some iv ->
-        t.park_ivars.(s) <- None;
-        if not (Sim.Engine.Ivar.is_filled iv) then Sim.Engine.Ivar.fill iv ()
-    | None -> ());
-    record_event t (fun () -> Dsm.Event.Node_parked { node = s; parked = false })
-  end
-
-let update_parking t ~node:s =
-  if t.cfg.Config.node_count >= 3 && (not t.crashed.(s)) && not t.declared_down.(s) then begin
-    let n = t.cfg.Config.node_count in
-    let now = Sim.Engine.now t.engine in
-    let eligible = ref 0 in
-    for i = 0 to n - 1 do
-      if not t.declared_down.(i) then incr eligible
-    done;
-    let reachable = ref 0 in
-    for i = 0 to n - 1 do
-      if
-        (not t.declared_down.(i))
-        && (i = s || not (Sim.Failure_detector.is_suspect t.detectors.(s) ~node:i ~now))
-      then incr reachable
-    done;
-    if !reachable < (!eligible / 2) + 1 then begin
-      if not t.parked.(s) then begin
-        t.parked.(s) <- true;
-        t.park_ivars.(s) <- Some (Sim.Engine.Ivar.create ());
-        t.counters.node_parks <- t.counters.node_parks + 1;
-        record_event t (fun () -> Dsm.Event.Node_parked { node = s; parked = true })
-      end
-    end
-    else unpark t ~node:s
-  end
-
 (* Fail-stop crash: wipe the node's volatile state and unblock every
    operation that can no longer complete, so doomed fibers unwind instead
    of stalling the engine. *)
 let crash_enter t ~node:d =
-  record_event t (fun () -> Dsm.Event.Node_crash { node = d; incarnation = t.incarnation.(d) });
+  record_event t (fun () -> Dsm.Event.Node_crash { node = d; incarnation = incarnation t d });
   t.crashed.(d) <- true;
   t.rejoin.(d) <- Some (Sim.Engine.Ivar.create ());
   (* Doom every family executing at the node — rooted here, or with a
@@ -1425,23 +1089,8 @@ let crash_enter t ~node:d =
     (fun f () -> if executes_at t f ~node:d then Txn_id.Table.replace t.doomed f ())
     t.live_roots;
   (* Unblock global acquires that cannot complete: requests by doomed
-     families and requests routed to this node as acting home (checked
-     before the failover recompute below, matching send-time routing). *)
-  let stuck =
-    Itbl.fold
-      (fun key iv acc ->
-        let oid_i = key lsr 42 and fam = Txn_id.of_int (key land ((1 lsl 42) - 1)) in
-        if
-          Txn_id.Table.mem t.doomed fam
-          || t.acting_home.(oid_i mod t.cfg.Config.node_count) = d
-        then iv :: acc
-        else acc)
-      t.inflight []
-  in
-  List.iter
-    (fun iv ->
-      if not (Sim.Engine.Ivar.is_filled iv) then Sim.Engine.Ivar.fill iv (Error Crashed))
-    stuck;
+     families and requests routed to this node as acting home. *)
+  fail_inflight t (fun oid_i fam -> Txn_id.Table.mem t.doomed fam || routed_to t ~node:d oid_i);
   (* Complete doomed families' transfer waits (awaiters re-check doom). *)
   Itbl.iter
     (fun key iv ->
@@ -1499,36 +1148,13 @@ let crash_enter t ~node:d =
      flush timers fire harmlessly on the emptied channels. *)
   if t.batch_acks then
     Hashtbl.iter (fun (src, _) q -> if src = d then q := []) t.pending_acks;
-  (* No failover here: the partition moves only at the quorum declaration
-     (see [declare_dead]) — ground truth never drives membership. A parked
-     node that crashes is force-unparked so waiters re-check and land on
-     the rejoin wait instead. *)
-  unpark t ~node:d
+  Option.iter (fun m -> Membership.crash_enter m ~node:d) t.membership
 
 (* Window end: the node rejoins under a fresh incarnation, runs its
    restart recovery scan, and parked roots resume. *)
 let crash_rejoin t ~node:d =
   t.crashed.(d) <- false;
-  t.incarnation.(d) <- t.incarnation.(d) + 1;
-  record_event t (fun () ->
-      Dsm.Event.Node_restart { node = d; incarnation = t.incarnation.(d) });
-  (* Stand-in for the rejoin announcement a restarted node would broadcast:
-     refresh detector state directly so the node is neither re-declared nor
-     stuck seeing everyone else as silent. *)
-  let now = Sim.Engine.now t.engine in
-  Array.iteri
-    (fun o det -> if o <> d then Sim.Failure_detector.heartbeat det ~node:d ~now)
-    t.detectors;
-  for p = 0 to t.cfg.Config.node_count - 1 do
-    if p <> d then Sim.Failure_detector.heartbeat t.detectors.(d) ~node:p ~now
-  done;
-  if t.declared_down.(d) then begin
-    t.declared_down.(d) <- false;
-    t.fence_until.(d) <- 0.0;
-    t.membership_epoch <- t.membership_epoch + 1;
-    broadcast_view_change t ~src:d
-  end;
-  recompute_acting_homes t;
+  Option.iter (fun m -> Membership.crash_rejoin m ~node:d) t.membership;
   (* Releases parked while the node was down leave now, to the current
      acting homes. *)
   let parked = List.rev t.parked_releases.(d) in
@@ -1545,86 +1171,6 @@ let crash_rejoin t ~node:d =
       t.rejoin.(d) <- None;
       if not (Sim.Engine.Ivar.is_filled iv) then Sim.Engine.Ivar.fill iv ()
   | None -> ()
-
-(* Schedule the crash windows and start the heartbeat loops. Heartbeats
-   run from time 0 to a fixed horizon past the last window (plus the
-   suspect timeout): late enough that any crash is detected and declared,
-   bounded so the event queue drains and the run terminates. *)
-let arm_crash_machinery t =
-  let cfg = t.cfg in
-  (* Epoch piggybacking and message-driven readmission: every delivered
-     remote message max-merges the sender's membership view into the
-     receiver's, and a delivery from a declared-dead node that is not in
-     fact crashed is living proof the declaration was false — readmit it.
-     Installed here so fault-free runs keep the inert default hook. *)
-  t.deliver_hook <-
-    (fun ~src ~dst ->
-      if t.epoch_view.(src) > t.epoch_view.(dst) then
-        t.epoch_view.(dst) <- t.epoch_view.(src);
-      if t.declared_down.(src) && not t.crashed.(src) then readmit t ~node:src);
-  let windows =
-    match cfg.Config.faults with Some f -> Sim.Fault.crash_windows f | None -> []
-  in
-  let link_windows =
-    match cfg.Config.faults with Some f -> f.Sim.Fault.link_windows | None -> []
-  in
-  List.iter
-    (fun (w : Sim.Fault.window) ->
-      Sim.Engine.schedule t.engine ~delay:w.Sim.Fault.w_from_us (fun () ->
-          if not t.crashed.(w.Sim.Fault.w_node) then crash_enter t ~node:w.Sim.Fault.w_node);
-      Sim.Engine.schedule t.engine ~delay:w.Sim.Fault.w_until_us (fun () ->
-          if t.crashed.(w.Sim.Fault.w_node) then crash_rejoin t ~node:w.Sim.Fault.w_node))
-    windows;
-  let horizon =
-    Float.max
-      (List.fold_left (fun acc w -> Float.max acc w.Sim.Fault.w_until_us) 0.0 windows)
-      (List.fold_left
-         (fun acc (lw : Sim.Fault.link_window) -> Float.max acc lw.Sim.Fault.lw_until_us)
-         0.0 link_windows)
-    +. cfg.Config.suspect_timeout_us
-    +. (2.0 *. cfg.Config.heartbeat_interval_us)
-  in
-  let n = cfg.Config.node_count in
-  let rec tick s =
-    Sim.Engine.schedule t.engine ~delay:cfg.Config.heartbeat_interval_us (fun () ->
-        if Sim.Engine.now t.engine <= horizon then begin
-          if not t.crashed.(s) then begin
-            let now = Sim.Engine.now t.engine in
-            for dst = 0 to n - 1 do
-              if dst <> s then
-                if
-                  t.batch_heartbeat
-                  && t.last_traffic.((s * n) + dst) > now -. cfg.Config.heartbeat_interval_us
-                then begin
-                  (* The channel carried a message within the last period:
-                     its delivery already refreshed dst's detector (the
-                     receive handler treats any delivery as a liveness
-                     proof), so the periodic heartbeat is redundant.
-                     Accounted as a 0-message/0-byte rider so the
-                     suppression stays visible in the ledger. *)
-                  t.counters.heartbeats_suppressed <- t.counters.heartbeats_suppressed + 1;
-                  Dsm.Metrics.record_rider t.metrics ~mtype:Dsm.Wire.Heartbeat ~count:1
-                    ~bytes:0;
-                  record_event t (fun () ->
-                      Dsm.Event.Heartbeat_suppressed { src = s; dst })
-                end
-                else
-                  send_exec t ~mtype:Dsm.Wire.Heartbeat ~src:s ~dst
-                    ~bytes:cfg.Config.control_msg_bytes ~tag:(-1)
-                    (fun () ->
-                      Sim.Failure_detector.heartbeat t.detectors.(dst) ~node:s
-                        ~now:(Sim.Engine.now t.engine))
-            done;
-            check_suspects t ~observer:s;
-            update_parking t ~node:s
-          end;
-          tick s
-        end
-        else unpark t ~node:s)
-  in
-  for s = 0 to n - 1 do
-    tick s
-  done
 
 (* ------------------------------------------------------------------ *)
 (* Page movement (Algorithm 4.5 and demand fetches).                   *)
@@ -2057,7 +1603,7 @@ let ship_state_of t ~family ~node =
   match Txn_id.Table.find_opt t.ship_states family with
   | Some s -> s
   | None ->
-      let inc = if t.crash_enabled then t.incarnation.(node) else 0 in
+      let inc = incarnation t node in
       let s = { pins = Oid.Table.create 8; exec_sites = [ (node, inc) ] } in
       Txn_id.Table.add t.ship_states family s;
       s
@@ -2067,7 +1613,7 @@ let ship_state_of t ~family ~node =
 let register_ship_site t ~family ~site =
   let s = Txn_id.Table.find t.ship_states family in
   if not (List.exists (fun (n, _) -> n = site) s.exec_sites) then begin
-    let inc = if t.crash_enabled then t.incarnation.(site) else 0 in
+    let inc = incarnation t site in
     s.exec_sites <- s.exec_sites @ [ (site, inc) ]
   end
 
@@ -2095,8 +1641,7 @@ let intact_site t ~family ~site =
       List.exists
         (fun (n, inc) ->
           n = site
-          && ((not t.crash_enabled)
-             || ((not t.crashed.(site)) && t.incarnation.(site) = inc)))
+          && ((not t.crash_enabled) || ((not t.crashed.(site)) && incarnation t site = inc)))
         s.exec_sites
 
 let parked_of t txn =
@@ -2966,17 +2511,10 @@ let create ~config:cfg ~catalog =
       seen = Itbl.create 256;
       batching = Dsm.Batching.enabled cfg.Config.batching;
       batch_acks = Dsm.Batching.enabled cfg.Config.batching && Sim.Network.faults_active net;
-      batch_heartbeat =
-        (Dsm.Batching.enabled cfg.Config.batching
-        &&
-        match cfg.Config.faults with
-        | Some f -> Sim.Fault.has_crash_windows f || Sim.Fault.has_link_windows f
-        | None -> false);
       pending_acks = Hashtbl.create 16;
       ack_flush_armed = Hashtbl.create 16;
       pending_releases = Hashtbl.create 16;
       release_flush_armed = Hashtbl.create 16;
-      last_traffic = Array.make (cfg.Config.node_count * cfg.Config.node_count) neg_infinity;
       lease_enabled = Gdo.Lease.policy_enabled cfg.Config.lease;
       lease_mgr = Gdo.Lease.create cfg.Config.lease;
       lease_caches =
@@ -2995,29 +2533,10 @@ let create ~config:cfg ~catalog =
            Array.init cfg.Config.node_count (fun node -> Dsm.Page_store.create ~node)
          else [||]);
       parked_releases = (if crash_enabled then Array.make cfg.Config.node_count [] else [||]);
-      incarnation = Array.make cfg.Config.node_count 0;
       doomed = Txn_id.Table.create 16;
       live_roots = Txn_id.Table.create 16;
-      suspected_seen = Hashtbl.create 16;
-      detectors =
-        Array.init cfg.Config.node_count (fun i ->
-            let d =
-              Sim.Failure_detector.create ~node_count:cfg.Config.node_count
-                ~timeout_us:cfg.Config.suspect_timeout_us
-            in
-            Sim.Failure_detector.set_self d i;
-            d);
-      acting_home = Array.init cfg.Config.node_count (fun i -> i);
       rejoin = Array.make cfg.Config.node_count None;
-      membership_epoch = 0;
-      epoch_view = Array.make cfg.Config.node_count 0;
-      declared_down = Array.make cfg.Config.node_count false;
-      acting_epoch = Array.make cfg.Config.node_count 0;
-      fence_until = Array.make cfg.Config.node_count 0.0;
-      parked = Array.make cfg.Config.node_count false;
-      park_ivars = Array.make cfg.Config.node_count None;
-      votes = Hashtbl.create 8;
-      membership_log = [];
+      membership = None;
       backoffs =
         (let seed =
            match cfg.Config.faults with Some f -> f.Sim.Fault.seed | None -> 0
@@ -3025,7 +2544,6 @@ let create ~config:cfg ~catalog =
          Array.init cfg.Config.node_count (fun node ->
              Sim.Backoff.stream ~seed ~node ~base_us:cfg.Config.request_timeout_us
                ~cap_us:Config.retransmit_backoff_cap_us));
-      deliver_hook = (fun ~src:_ ~dst:_ -> ());
       fetch_waits = [];
       ship_enabled = Dsm.Shipping.policy_enabled cfg.Config.shipping;
       ship_params =
@@ -3042,22 +2560,13 @@ let create ~config:cfg ~catalog =
     for node = 0 to cfg.Config.node_count - 1 do
       register_cache_invalidation t ~node
     done;
-  (* Trivial dispatch: every node executes delivered thunks. With heartbeat
-     piggybacking, any delivered remote message doubles as a liveness
-     proof — it refreshes the receiver's failure detector exactly as a
-     Heartbeat would, which is what lets the sender suppress the periodic
-     one on an active channel. *)
+  (* Trivial dispatch: every node executes delivered thunks, after
+     membership has read a remote delivery's view and liveness proof. *)
   for node = 0 to cfg.Config.node_count - 1 do
     Sim.Network.set_handler net ~node (fun ~src (Exec f) ->
-        if src <> node && not t.crashed.(node) then begin
-          if t.batch_heartbeat then
-            Sim.Failure_detector.heartbeat t.detectors.(node) ~node:src
-              ~now:(Sim.Engine.now engine);
-          (* Membership: a delivered message carries the sender's epoch
-             view and is a liveness proof — it readmits a falsely-declared
-             sender. No-op until the crash machinery arms the hook. *)
-          t.deliver_hook ~src ~dst:node
-        end;
+        (match t.membership with
+        | Some m when src <> node && not t.crashed.(node) -> Membership.delivered m ~src ~dst:node
+        | _ -> ());
         f ())
   done;
   (* Initial placement: all pages of every object live on its home node at
@@ -3091,6 +2600,25 @@ let create ~config:cfg ~catalog =
         }
       in
       t.escrow <- Some (Escrow_layer.create env p ~node_count:cfg.Config.node_count catalog));
+  if crash_enabled then
+    t.membership <-
+      Some
+        (Membership.create
+           {
+             Membership.engine;
+             cfg;
+             metrics;
+             record_event = record_event t;
+             send =
+               (fun ~mtype ~src ~dst f ->
+                 send_exec t ~mtype ~src ~dst ~bytes:cfg.Config.control_msg_bytes ~tag:(-1) f);
+             crashed = (fun node -> t.crashed.(node));
+             gdo = t.gdo;
+             lease_mgr = t.lease_mgr;
+             catalog;
+             fail_stranded = (fun ~node -> fail_inflight t (fun oid_i _ -> routed_to t ~node oid_i));
+             reclaim = (fun ~node -> reclaim_dead_node t ~node ~repoint:true);
+           });
   t
 
 let submit t ~at ~node ~oid ~meth ~seed =
@@ -3120,12 +2648,12 @@ let submit t ~at ~node ~oid ~meth ~seed =
                     Sim.Engine.Ivar.read iv;
                     wait_ready ()
                 | None -> ())
-              else if t.crash_enabled && t.parked.(node) then (
-                match t.park_ivars.(node) with
+              else
+                match Option.bind t.membership (Membership.park_wait ~node) with
                 | Some iv ->
                     Sim.Engine.Ivar.read iv;
                     wait_ready ()
-                | None -> ())
+                | None -> ()
             in
             wait_ready ();
             let root = Txn_tree.create_root t.tree ~node in
@@ -3222,8 +2750,22 @@ let submit t ~at ~node ~oid ~meth ~seed =
               :: t.results;
           t.outstanding <- t.outstanding - 1))
 
+(* Crash windows open and close on schedule, and membership starts its
+   heartbeat loops. *)
 let run t =
-  if t.crash_enabled && not t.ran then arm_crash_machinery t;
+  (match t.membership with
+  | Some m when not t.ran ->
+      let faults = Option.value t.cfg.Config.faults ~default:Sim.Fault.none in
+      List.iter
+        (fun (w : Sim.Fault.window) ->
+          let node = w.Sim.Fault.w_node in
+          Sim.Engine.schedule t.engine ~delay:w.Sim.Fault.w_from_us (fun () ->
+              if not t.crashed.(node) then crash_enter t ~node);
+          Sim.Engine.schedule t.engine ~delay:w.Sim.Fault.w_until_us (fun () ->
+              if t.crashed.(node) then crash_rejoin t ~node))
+        (Sim.Fault.crash_windows faults);
+      Membership.run m
+  | _ -> ());
   Sim.Engine.run t.engine;
   (match t.escrow with
   | Some e ->
@@ -3239,25 +2781,18 @@ let committed_history t = List.rev t.history
 
 let check_escrow t = match t.escrow with None -> Ok [] | Some e -> Escrow_layer.check e
 
-let membership_epoch t = t.membership_epoch
-let node_declared_down t ~node = t.declared_down.(node)
-let node_parked t ~node = t.parked.(node)
+let membership_epoch t = match t.membership with Some m -> Membership.epoch m | None -> 0
 
 let audit t =
   let dir = Gdo.Directory.audit t.gdo in
-  let mem =
-    match Membership_audit.check t.membership_log with Ok () -> [] | Error vs -> vs
-  in
-  dir @ mem
+  match t.membership with Some m -> dir @ Membership.audit m | None -> dir
 
 let dump_directory t =
-  let partition_info oid =
-    let p = Oid.to_int oid mod t.cfg.Config.node_count in
-    Printf.sprintf "[p%d acting=%d@e%d fence=%.0f%s%s]" p t.acting_home.(p)
-      t.acting_epoch.(p) t.fence_until.(p)
-      (if t.declared_down.(p) then " declared-down" else "")
-      (if t.parked.(p) then " parked" else "")
-  in
-  Gdo.Directory.dump ~partition_info t.gdo
+  match t.membership with
+  | None -> Gdo.Directory.dump t.gdo
+  | Some m ->
+      Gdo.Directory.dump t.gdo ~partition_info:(fun oid ->
+          Membership.partition_info m (Oid.to_int oid mod t.cfg.Config.node_count))
+
 let check_serializable t = Serializability.check (committed_history t)
 let next_version_exceeds t n = t.next_version > n

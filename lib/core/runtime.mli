@@ -23,12 +23,17 @@ open Objmodel
     - Algorithm 4.5 TransferOfUpdatedPages — the page-transfer engine, with
       per-protocol transfer sets from {!Dsm.Protocol.transfer_set}.
 
-    Escrow commit lives in {!Escrow_layer}: [create] installs it only when
-    the escrow policy is on, and the runtime calls it at five points (a
-    commuting invocation, a waiter queued at a home, root commit and abort,
-    the end-of-run flush, {!check_escrow}). The other levers (leases, the
-    method cache, batching, shipping, crash recovery and membership) are
-    still branches in this module. *)
+    Two extensions are installed layers. Escrow commit lives in
+    {!Escrow_layer}: [create] installs it only when the escrow policy is
+    on, and the runtime calls it at five points (a commuting invocation, a
+    waiter queued at a home, root commit and abort, the end-of-run flush,
+    {!check_escrow}). Quorum membership lives in {!Membership}: [create]
+    installs it only when the config has crash or link windows, and the
+    runtime asks it for a partition's acting home, a requester's epoch
+    stamp, an acquire's admission, a parked root's wait, and tells it of
+    traffic, transport give-ups, deliveries, crashes and rejoins. The other
+    levers (leases, the method cache, batching, shipping) and crash
+    recovery are still branches in this module. *)
 
 type t
 
@@ -95,31 +100,22 @@ val check_escrow : t -> ((Objmodel.Oid.t * int) list, string list) result
 
 val membership_epoch : t -> int
 (** Current membership epoch: bumped at every quorum death declaration,
-    readmission, and rejoin-with-standing-declaration. 0 for fault-free
-    runs. *)
-
-val node_declared_down : t -> node:int -> bool
-(** Has a quorum declared [node] dead under its current incarnation (and
-    no readmission or rejoin cleared it)? Membership state, not ground
-    truth: true for a falsely declared live node until one of its
-    messages gets through. *)
-
-val node_parked : t -> node:int -> bool
-(** Is [node] currently self-parked (its own detector reaches fewer than
-    a majority of undeclared nodes)? A parked node serves no acquires and
-    starts no new roots until the majority is reachable again. *)
+    readmission, and rejoin-with-standing-declaration. 0 when membership
+    is not installed (no crash or link windows). *)
 
 val audit : t -> string list
 (** The split-brain auditor: {!Gdo.Directory.audit} over the directory
     (at most one exclusive holder per entry, holder/waiter consistency)
-    plus {!Membership_audit.check} over the acting-home log (at most one
-    serving node per (epoch, partition)). Empty when clean; run after
-    {!run} in nemesis tests. *)
+    plus, when membership is installed, {!Membership.audit}: at most one
+    serving node per (epoch, partition) in the acting-home log, and no
+    node still declared dead or parked. Empty when clean; run after
+    {!run}. *)
 
 val dump_directory : t -> string
-(** {!Gdo.Directory.dump} enriched with per-object membership state:
-    partition, acting home and its epoch, lease fence, declared/parked
-    flags — the stall diagnostic for partition nemesis runs. *)
+(** {!Gdo.Directory.dump}, with per-object membership state when
+    membership is installed: partition, acting home and its epoch, lease
+    fence, declared/parked flags — the stall diagnostic for partition
+    nemesis runs. *)
 
 val next_version_exceeds : t -> int -> bool
 (** True if more than [n] page versions were produced — a cheap progress

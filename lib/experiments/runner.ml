@@ -101,12 +101,6 @@ let oracle run =
     if t.crash_aborts <> 0 || t.nodes_declared_dead <> t.false_suspicions then
       fail "crash accounting" "%d crash aborts, %d declared dead, %d false suspicions"
         t.crash_aborts t.nodes_declared_dead t.false_suspicions;
-  for node = 0 to config.node_count - 1 do
-    if Core.Runtime.node_declared_down rt ~node then
-      fail "membership" "node %d still declared dead after the run" node;
-    if Core.Runtime.node_parked rt ~node then
-      fail "membership" "node %d still parked after the run" node
-  done;
   List.rev !violations
 
 let execute ?(config = Core.Config.default) ?on_stall ~protocol

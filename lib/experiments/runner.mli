@@ -35,7 +35,10 @@ val oracle : run -> string list
       and an object with messages has bytes;
     - [wire reconciliation]: the send-time wire ledger equals the network
       ledger exactly, in messages and in bytes;
-    - [split-brain audit]: {!Core.Runtime.audit} is empty;
+    - [split-brain audit]: {!Core.Runtime.audit} is empty — the directory
+      is consistent, no partition was served by two nodes in one
+      membership epoch, and no node is still declared dead or parked at
+      the end;
     - [map holder]: for every page, the node the GDO page map names as its
       holder stores exactly the version the map records;
     - [lease hygiene], [cache hygiene], [batching hygiene] (riders
@@ -44,8 +47,7 @@ val oracle : run -> string list
     - [fault hygiene]: with faults inactive, zero drops, duplicates,
       retransmits, timeouts and give-ups;
     - [crash accounting]: with no crash window, zero crash aborts and
-      every death declaration counted as a false suspicion;
-    - [membership]: no node is still declared dead or parked at the end. *)
+      every death declaration counted as a false suspicion. *)
 
 val execute_all :
   ?config:Core.Config.t -> protocols:Dsm.Protocol.t list -> Workload.Generator.t -> run list

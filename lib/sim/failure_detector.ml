@@ -34,6 +34,4 @@ let suspects t ~now =
   !out
 
 let last_heard t ~node = t.last_heard.(node)
-let node_count t = Array.length t.last_heard
-let self t = t.self
 let set_self t node = t.self <- Some node

@@ -9,13 +9,11 @@
 
     The module is a pure data structure in the style of [Gdo.Directory]:
     it records observations and answers queries; all messaging, timer
-    scheduling and the actual dead-declaration protocol live in the
-    runtime. Because the simulation has ground truth about crashes, the
-    runtime confirms every suspicion against the node's real state before
-    declaring it dead — modelling an eventually-perfect failure detector
-    (◊P): suspicions may be raised about slow-but-live peers, but no live
-    peer is ever {e declared} dead (see DESIGN.md, "Failure model &
-    recovery"). *)
+    scheduling and the quorum declaration protocol live in
+    [Core.Membership], which declares a node dead only when a majority of
+    the undeclared observers suspect it — so a partitioned-away live node
+    can be declared, and is readmitted when it is heard from again (see
+    DESIGN.md, "Failure model & recovery"). *)
 
 type t
 
@@ -45,9 +43,6 @@ val suspects : t -> now:float -> int list
 val last_heard : t -> node:int -> float
 (** Time of the last liveness proof received from [node] (0 if never) —
     the start of its current silence, for declaration-latency metrics. *)
-
-val node_count : t -> int
-val self : t -> int option
 
 val set_self : t -> int -> unit
 (** Record which node this detector observes for; that node is excluded

@@ -56,19 +56,19 @@ let test_membership_audit_clean () =
   (* Newest first, as the runtime prepends: partition 2 failed over to
      node 3 at epoch 1, back to node 2 at epoch 2. *)
   let log = [ (2, 2, 2); (1, 2, 3); (0, 2, 2) ] in
-  (match Core.Membership_audit.check log with
-  | Ok () -> ()
-  | Error vs -> Alcotest.failf "clean log rejected: %s" (String.concat "; " vs));
-  match Core.Membership_audit.check [] with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "empty log rejected"
+  (match Core.Membership.check_log log with
+  | [] -> ()
+  | vs -> Alcotest.failf "clean log rejected: %s" (String.concat "; " vs));
+  match Core.Membership.check_log [] with
+  | [] -> ()
+  | _ -> Alcotest.fail "empty log rejected"
 
 let test_membership_audit_double_acting_home () =
   (* The split-brain shape itself: nodes 1 and 3 both recorded as serving
      partition 2 within membership epoch 5. *)
-  match Core.Membership_audit.check [ (5, 2, 3); (5, 2, 1) ] with
-  | Ok () -> Alcotest.fail "double acting home accepted"
-  | Error vs ->
+  match Core.Membership.check_log [ (5, 2, 3); (5, 2, 1) ] with
+  | [] -> Alcotest.fail "double acting home accepted"
+  | vs ->
       Alcotest.(check bool) "violation names the partition and both nodes" true
         (List.exists
            (fun v ->
@@ -78,9 +78,9 @@ let test_membership_audit_double_acting_home () =
 let test_membership_audit_epoch_regression () =
   (* Oldest record at epoch 3, newer one at epoch 1: an acting home was
      installed under a stale view. Newest first, so [ (1,...); (3,...) ]. *)
-  match Core.Membership_audit.check [ (1, 0, 2); (3, 0, 1) ] with
-  | Ok () -> Alcotest.fail "epoch regression accepted"
-  | Error vs ->
+  match Core.Membership.check_log [ (1, 0, 2); (3, 0, 1) ] with
+  | [] -> Alcotest.fail "epoch regression accepted"
+  | vs ->
       Alcotest.(check bool) "violation mentions regression" true
         (List.exists (fun v -> contains v "regressed") vs)
 
@@ -302,16 +302,7 @@ let test_lease_fence_defers_successor () =
       if r.Core.Runtime.outcome <> Core.Runtime.Committed then
         Alcotest.failf "root %s gave up" r.Core.Runtime.meth)
     (Core.Runtime.results rt);
-  for n = 0 to 3 do
-    Alcotest.(check bool)
-      (Printf.sprintf "node %d not left declared" n)
-      false
-      (Core.Runtime.node_declared_down rt ~node:n);
-    Alcotest.(check bool)
-      (Printf.sprintf "node %d not left parked" n)
-      false
-      (Core.Runtime.node_parked rt ~node:n)
-  done;
+  (* The audit also fails on a node left declared dead or parked. *)
   match Core.Runtime.audit rt with
   | [] -> ()
   | vs -> Alcotest.failf "split-brain audit: %s" (String.concat "; " vs)
