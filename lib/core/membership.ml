@@ -408,7 +408,12 @@ let admit t ~home ~partition:p ~epoch =
 let note_traffic t ~src ~dst =
   if t.suppress then t.last_traffic.((src * t.n) + dst) <- now t
 
-let hint t ~observer ~node = Sim.Failure_detector.hint t.detectors.(observer) ~node
+(* A give-up is no evidence against a node heard from after the message
+   last left (it rejoined, or its link healed): such a hint would ripen
+   into a false declaration. *)
+let hint t ~observer ~node ~sent =
+  let d = t.detectors.(observer) in
+  if Sim.Failure_detector.last_heard d ~node <= sent then Sim.Failure_detector.hint d ~node
 
 let delivered t ~src ~dst =
   (* With heartbeat suppression any delivered remote message is a

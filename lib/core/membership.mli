@@ -55,8 +55,9 @@ val admit : t -> home:int -> partition:int -> epoch:int -> admission
 val note_traffic : t -> src:int -> dst:int -> unit
 (** A remote message left [src] for [dst]. *)
 
-val hint : t -> observer:int -> node:int -> unit
-(** [observer]'s transport gave up on a message to [node]: suspect it. *)
+val hint : t -> observer:int -> node:int -> sent:float -> unit
+(** [observer]'s transport gave up on a message to [node] last transmitted
+    at [sent]: suspect the node, unless [observer] heard from it since. *)
 
 val delivered : t -> src:int -> dst:int -> unit
 (** A remote message from [src] reached a live [dst]: merge the sender's

@@ -470,6 +470,7 @@ let send_reliable ?(on_abandon = fun () -> ()) t ~mtype ~src ~dst ~bytes ~tag f 
        every copy put on the wire. *)
     let transmit () = wire_send t ~mtype ~src ~dst ~bytes ~tag deliver in
     let rec arm attempt timeout =
+      let sent = Sim.Engine.now t.engine in
       Sim.Engine.schedule t.engine ~delay:timeout (fun () ->
           if not (Itbl.mem t.acked mid) then begin
             if t.crash_enabled && (t.crashed.(src) || incarnation t src <> inc0) then
@@ -491,11 +492,12 @@ let send_reliable ?(on_abandon = fun () -> ()) t ~mtype ~src ~dst ~bytes ~tag f 
               else begin
                 (* Give up: count it, hint the sender's failure detector
                    (exhausting the budget is strong evidence the peer is
-                   unreachable), and fail the blocked operation — the engine
+                   unreachable, unless it was heard from after the last
+                   copy left), and fail the blocked operation — the engine
                    never hangs on an abandoned message. *)
                 t.counters.give_ups <- t.counters.give_ups + 1;
                 (match t.membership with
-                | Some m -> Membership.hint m ~observer:src ~node:dst
+                | Some m -> Membership.hint m ~observer:src ~node:dst ~sent
                 | None -> ());
                 record_event t (fun () ->
                     Dsm.Event.Retransmit { mid; src; dst; attempt; abandoned = true });

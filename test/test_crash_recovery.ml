@@ -418,6 +418,20 @@ let test_every_event_partition_slice () =
   Alcotest.(check bool) "some node parks" true (!parks > 0);
   Alcotest.(check bool) "some node is readmitted" true (!readmissions > 0)
 
+(* A crash point of the slice at spec seed 1: node 0 is down from 2,968.31
+   to 6,968.31 us. Transport give-ups on messages whose last copy left
+   while it was down fire after it rejoined; they must not hint the
+   senders' detectors, since node 0 has been heard from since, or the
+   suspicions ripen into false declarations of the live node. *)
+let test_stale_give_up_hint () =
+  let r =
+    Crash_point.run ~spec_seed:1 ~protocol:Dsm.Protocol.Lotec ~replicas:0 ~node:0
+      ~start:2968.3067014906833 ()
+  in
+  let c = Dsm.Metrics.counters (Experiments.Runner.metrics r) in
+  Alcotest.(check int) "declared dead once" 1 c.Dsm.Metrics.nodes_declared_dead;
+  Alcotest.(check int) "no false declaration" 0 c.Dsm.Metrics.false_suspicions
+
 let tests =
   [
     ( "crash-recovery",
@@ -442,5 +456,7 @@ let tests =
         Alcotest.test_case "orphan grant (spec seed 2 replay)" `Quick test_orphan_grant_replay;
         Alcotest.test_case "every-event partition slice (spec seed 1)" `Quick
           test_every_event_partition_slice;
+        Alcotest.test_case "no stale give-up hint (spec seed 1 replay)" `Quick
+          test_stale_give_up_hint;
       ] );
   ]
