@@ -39,26 +39,19 @@ type t = {
      incarnation is declared (and reclaimed) at most once across all
      observers. *)
   declared : bool array;
-  (* Partition home -> node currently serving it: the home itself while
-     not declared dead; with [gdo_replicas > 0] a declared home's first
-     undeclared ring successor. *)
-  acting_home : int array;
+  acting_home : int array;  (* partition -> node serving it *)
   acting_epoch : int array;  (* partition -> epoch of its last acting-home change *)
   (* node -> instant before which a successor must not serve the node's
      home partition: the latest expiry of any read lease the node granted
      (lease-expiry fencing; 0 with leases off). *)
   fence_until : float array;
-  (* A node that can reach fewer than a majority of eligible peers parks:
-     it refuses directory service and starts no new roots until the
-     majority is reachable again (minority side of a partition). *)
-  parked : bool array;
+  parked : bool array;  (* see [update_parking] *)
   park_ivars : unit Sim.Engine.Ivar.t option array;
   (* (epoch, partition, serving) appended per acting-home change, newest
      first: the split-brain check's input. *)
   mutable log : (int * int * int) list;
   (* Heartbeat suppression (batching on): src * n + dst -> time of the
-     channel's last outbound remote message, so the heartbeat tick skips
-     recently active channels. Empty with batching off. *)
+     channel's last outbound remote message. Empty with batching off. *)
   suppress : bool;
   last_traffic : float array;
 }
@@ -524,7 +517,8 @@ let check_log log =
           vs
     in
     if epoch < last then
-      (last, Printf.sprintf "membership epoch regressed to %d at partition %d" epoch partition :: vs)
+      ( last,
+        Printf.sprintf "membership epoch regressed to %d at partition %d" epoch partition :: vs )
     else (epoch, vs)
   in
   List.rev (snd (List.fold_left check (0, []) (List.rev log)))
@@ -535,7 +529,8 @@ let audit t =
   in
   check_log t.log
   @ List.concat
-      (List.init t.n (fun node -> left node t.declared "declared dead" @ left node t.parked "parked"))
+      (List.init t.n (fun node ->
+           left node t.declared "declared dead" @ left node t.parked "parked"))
 
 let partition_info t p =
   Printf.sprintf "[p%d acting=%d@e%d fence=%.0f%s%s]" p t.acting_home.(p) t.acting_epoch.(p)

@@ -68,6 +68,8 @@ val park_wait : t -> node:int -> unit Sim.Engine.Ivar.t option
 (** Filled when the parked node unparks; [None] when it is not parked. *)
 
 val crash_enter : t -> node:int -> unit
+(** The node crashed: unpark it; its partitions move only at a quorum
+    declaration. *)
 
 val crash_rejoin : t -> node:int -> unit
 (** The node restarts under a new incarnation: every detector hears from

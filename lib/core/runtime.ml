@@ -170,10 +170,9 @@ type t = {
   seen : unit Itbl.t;  (* at receivers: mids whose effect already ran *)
   (* Message-combining layer (see Dsm.Batching). [batch_acks] arms ack
      piggybacking (batching on AND reliable transport active — without
-     faults there are no transport acks to combine); heartbeat suppression
-     lives in [Membership]. Everything here is inert when batching is off,
-     keeping batching-off runs byte-identical to the pre-batching
-     runtime. *)
+     faults there are no transport acks to combine). Everything here is
+     inert when batching is off, keeping batching-off runs byte-identical
+     to the pre-batching runtime. *)
   batching : bool;
   batch_acks : bool;
   (* (acking node, original sender) channel -> mids whose transport ack is
@@ -2618,7 +2617,8 @@ let create ~config:cfg ~catalog =
              gdo = t.gdo;
              lease_mgr = t.lease_mgr;
              catalog;
-             fail_stranded = (fun ~node -> fail_inflight t (fun oid_i _ -> routed_to t ~node oid_i));
+             fail_stranded =
+               (fun ~node -> fail_inflight t (fun oid_i _ -> routed_to t ~node oid_i));
              reclaim = (fun ~node -> reclaim_dead_node t ~node ~repoint:true);
            });
   t

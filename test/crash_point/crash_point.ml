@@ -43,7 +43,12 @@ let faults kind ~node ~start =
         Sim.Fault.seed = 1;
         windows =
           [
-            { Sim.Fault.w_node = node; w_kind = Sim.Fault.Pause; w_from_us = start; w_until_us = until };
+            {
+              Sim.Fault.w_node = node;
+              w_kind = Sim.Fault.Pause;
+              w_from_us = start;
+              w_until_us = until;
+            };
           ];
       }
 

@@ -340,6 +340,41 @@ let test_nemesis_even_split_parks_without_declaring () =
   Alcotest.(check bool) "both sides parked" true (get "node_parks" >= 2.0)
 
 (* ------------------------------------------------------------------ *)
+(* Membership is installed only with crash or link windows.           *)
+
+let membership_wire faults =
+  let config = { Core.Config.default with Core.Config.faults } in
+  let workload =
+    Workload.Generator.generate Experiments.Chaos.default_spec
+      ~page_size:config.Core.Config.page_size
+  in
+  let run = Experiments.Runner.execute ~config ~protocol:Dsm.Protocol.Lotec workload in
+  let count mtype =
+    List.fold_left
+      (fun acc (m, msgs, _) -> if m = mtype then acc + msgs else acc)
+      0
+      (Dsm.Metrics.wire_breakdown (Experiments.Runner.metrics run))
+  in
+  ( List.map count Dsm.Wire.[ Heartbeat; Suspect; View_change; Failover_confirm ],
+    Core.Runtime.membership_epoch run.Experiments.Runner.runtime )
+
+let test_membership_off_without_windows () =
+  List.iter
+    (fun (name, faults) ->
+      let wire, epoch = membership_wire faults in
+      Alcotest.(check (list int)) (name ^ ": no membership traffic") [ 0; 0; 0; 0 ] wire;
+      Alcotest.(check int) (name ^ ": epoch 0") 0 epoch)
+    [
+      ("fault-free", None);
+      ("loss-only", Some { Sim.Fault.none with Sim.Fault.seed = 1; drop_probability = 0.1 });
+    ];
+  let window =
+    { Sim.Fault.lw_kind = Sim.Fault.Partition [ 2 ]; lw_from_us = 1_000.0; lw_until_us = 4_000.0 }
+  in
+  match membership_wire (Some { Sim.Fault.none with Sim.Fault.link_windows = [ window ] }) with
+  | heartbeats :: _, _ ->
+      Alcotest.(check bool) "a partition window arms heartbeats" true (heartbeats > 0)
+  | [], _ -> assert false
 
 let tests =
   [
@@ -364,5 +399,7 @@ let tests =
         test_nemesis_false_suspicion;
       Alcotest.test_case "nemesis: even split parks, never declares" `Quick
         test_nemesis_even_split_parks_without_declaring;
+      Alcotest.test_case "membership off without crash or link windows" `Quick
+        test_membership_off_without_windows;
     ] )
   ]
